@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from .compat import check_formal_exactness, cokernel_rank, kline_report, parse_complex
@@ -39,14 +40,12 @@ def _emit(lines: list[str], data: dict, as_json: bool) -> None:
         print("\n".join(lines))
 
 
-def _load_problem(path: str):
-    return parse_problem(_read(path))
-
-
-def _require_equations(problem, path: str):
+def _linearization(path: str):
+    """The free-mode context of a problem file and the linearization of its system."""
+    problem = parse_problem(_read(path))
     if not problem.equations:
         raise ValueError(f"{path} declares no equation or evolution statements")
-    return problem.equations
+    return problem.ctx_free, linearize(problem.ctx_free, problem.equations)
 
 
 def _point_for(args, ctx, needed_order: int):
@@ -75,26 +74,21 @@ def _operator_report(op, title: str) -> tuple[list[str], dict]:
 # ---------------------------------------------------------------------------
 
 def _cmd_linearize(args) -> int:
-    problem = _load_problem(args.problem)
-    op = linearize(problem.ctx_free, _require_equations(problem, args.problem))
+    _, op = _linearization(args.problem)
     lines, data = _operator_report(op, "linearization")
     _emit(lines, data, args.json)
     return 0
 
 
 def _cmd_adjoint(args) -> int:
-    problem = _load_problem(args.problem)
-    op = op_adjoint(linearize(problem.ctx_free,
-                              _require_equations(problem, args.problem)))
-    lines, data = _operator_report(op, "adjoint of linearization")
+    _, op = _linearization(args.problem)
+    lines, data = _operator_report(op_adjoint(op), "adjoint of linearization")
     _emit(lines, data, args.json)
     return 0
 
 
 def _cmd_symbol(args) -> int:
-    problem = _load_problem(args.problem)
-    ctx = problem.ctx_free
-    op = linearize(ctx, _require_equations(problem, args.problem))
+    ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order())
     if pt is None:
         pt = random_point(ctx, op.coefficient_jet_order(), 3 * args.seed)
@@ -128,9 +122,7 @@ def _spencer_lines(report) -> tuple[list[str], dict]:
 
 
 def _cmd_spencer(args) -> int:
-    problem = _load_problem(args.problem)
-    ctx = problem.ctx_free
-    op = linearize(ctx, _require_equations(problem, args.problem))
+    ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order())
     report = spencer_cohomology(op, args.l_max, pt=pt, seed=args.seed)
     lines, data = _spencer_lines(report)
@@ -139,9 +131,7 @@ def _cmd_spencer(args) -> int:
 
 
 def _cmd_involutive(args) -> int:
-    problem = _load_problem(args.problem)
-    ctx = problem.ctx_free
-    op = linearize(ctx, _require_equations(problem, args.problem))
+    ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order())
     result = is_involutive(op, args.l_max, pt=pt, seed=args.seed)
     if result.involutive:
@@ -163,15 +153,8 @@ def _cmd_exactness(args) -> int:
     cplx = parse_complex(_read(args.complex))
     pt = None
     if args.point:
-        # point order requirement mirrors the library's own computation
-        needed = 0
-        for idx in range(len(cplx.operators) - 1):
-            needed = max(
-                needed,
-                cplx.operators[idx].coefficient_jet_order()
-                + cplx.orders[idx + 1] + args.l_max,
-                cplx.operators[idx + 1].coefficient_jet_order() + args.l_max)
-        pt = parse_point_file(_read(args.point), cplx.ctx, needed)
+        pt = parse_point_file(_read(args.point), cplx.ctx,
+                              cplx.required_point_order(args.l_max))
     report = check_formal_exactness(cplx, args.l_max, pt=pt, seed=args.seed)
     lines = [f"l_max: {report.l_max}", f"positions: {len(cplx.operators) - 1}"]
     rows = []
@@ -195,13 +178,18 @@ def _cmd_exactness(args) -> int:
 
 
 def _cmd_coker(args) -> int:
-    problem = _load_problem(args.problem)
-    ctx = problem.ctx_free
-    op = linearize(ctx, _require_equations(problem, args.problem))
+    ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order() + args.k1)
-    value = cokernel_rank(op, args.k1, pt=pt, seed=args.seed)
-    _emit([f"k1: {args.k1}", f"cokernel_rank: {value}"],
-          {"k1": args.k1, "cokernel_rank": value}, args.json)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = cokernel_rank(op, args.k1, pt=pt, seed=args.seed)
+    notes = [str(w.message) for w in caught]
+    lines = [f"k1: {args.k1}", f"cokernel_rank: {value}"]
+    lines.extend(f"warning: {note}" for note in notes)
+    data = {"k1": args.k1, "cokernel_rank": value}
+    if notes:
+        data["warnings"] = notes
+    _emit(lines, data, args.json)
     return 0
 
 
@@ -212,7 +200,7 @@ def _cmd_kline(args) -> int:
 
 
 def _cmd_zcr(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = parse_problem(_read(args.problem))
     if not problem.ctx.is_evolution:
         raise ValueError("zcr needs an evolution-mode problem file")
     omega = parse_matrix_forms(_read(args.forms), problem.ctx)
@@ -351,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--metric", required=True, help='e.g. "diag(1,1,1,1)"')
-    p.add_argument("--xi", required=True, help='e.g. "1,0,0,0"')
+    p.add_argument("--xi", required=True,
+                   help='e.g. "1,0,0,0"; write --xi=-1,0,0,0 when the first '
+                        'component is negative')
     _add_common(p, points=False)
     p.set_defaults(func=_cmd_pform_epi)
 

@@ -8,10 +8,12 @@ and the sample point.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
-from .jet import JetContext, JetPoint
+
+from .jet import JetContext, JetPoint, _at_generic_points
 from .ops import CDiffOp, parse_scalar_op
-from .spencer import fiber_map, jet_fiber_dim, _resolve_points
+from .spencer import fiber_map, jet_fiber_dim
 
 
 class OperatorComplex:
@@ -55,6 +57,16 @@ class OperatorComplex:
 
     def __len__(self):
         return len(self.operators)
+
+    def required_point_order(self, l_max: int) -> int:
+        """Jet order a sample point needs for exactness checks up to ``l_max``."""
+        needed = 0
+        for idx in range(len(self.operators) - 1):
+            needed = max(needed,
+                         self.operators[idx].coefficient_jet_order()
+                         + self.orders[idx + 1] + l_max,
+                         self.operators[idx + 1].coefficient_jet_order() + l_max)
+        return needed
 
 
 @dataclass
@@ -103,15 +115,8 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     ops = cplx.operators
     if len(ops) < 2:
         raise ValueError("exactness needs at least two operators")
-    needed = 0
-    for idx in range(len(ops) - 1):
-        needed = max(needed,
-                     ops[idx].coefficient_jet_order() + cplx.orders[idx + 1] + l_max,
-                     ops[idx + 1].coefficient_jet_order() + l_max)
-    points = _resolve_points(cplx.ctx, needed, pt, seed)
 
-    runs = []
-    for point in points:
+    def run(point):
         checks = []
         profile = []
         for idx in range(len(ops) - 1):
@@ -132,14 +137,11 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
                           outgoing.codomain_dim),
                     ranks=(rank_in, rank_out), defect=defect))
                 profile.extend((rank_in, rank_out))
-        runs.append((checks, tuple(profile)))
-    best = max(range(len(runs)), key=lambda i: runs[i][1])
-    warnings = []
-    if len({profile for _, profile in runs}) > 1:
-        warnings.append(
-            "rank profiles disagree between sample points; using the maximal "
-            "profile (non-generic sample or variable rank)")
-    return ExactnessReport(l_max=l_max, checks=runs[best][0], warnings=warnings)
+        return checks, tuple(profile)
+
+    checks, notes = _at_generic_points(
+        cplx.ctx, cplx.required_point_order(l_max), pt, seed, run)
+    return ExactnessReport(l_max=l_max, checks=checks, warnings=notes)
 
 
 def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
@@ -148,25 +150,26 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
 
     This is the rank of the next module in the compatibility construction;
     zero means the complex terminates here.  The order-0 fiber map must be
-    surjective (checked, not normalized away).
+    surjective (checked, not normalized away).  A disagreement between the
+    policy's samples is reported as a RuntimeWarning.
     """
     if k1 < 1:
         raise ValueError("prolongation depth k1 must be a positive integer")
-    ctx = op.ctx
-    needed = op.coefficient_jet_order() + k1
-    points = _resolve_points(ctx, needed, pt, seed)
-    best = None
-    for point in points:
+
+    def run(point):
         base = fiber_map(op, 0, point)
         if base.rank() != base.codomain_dim:
             raise ValueError(
                 "order-0 fiber map is not surjective; renormalize the target "
                 "module before the cokernel construction")
-        fm = fiber_map(op, k1, point)
-        r = fm.rank()
-        best = r if best is None else max(best, r)
-    codim = op.rows * jet_fiber_dim(ctx.n, k1)
-    return codim - best
+        r = fiber_map(op, k1, point).rank()
+        return r, (r,)
+
+    best, notes = _at_generic_points(
+        op.ctx, op.coefficient_jet_order() + k1, pt, seed, run)
+    for message in notes:
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return op.rows * jet_fiber_dim(op.ctx.n, k1) - best
 
 
 @dataclass

@@ -53,6 +53,19 @@ def _monomial_from_dict(d: dict) -> Monomial:
                         key=lambda ce: ce[0].sort_key))
 
 
+def _accumulate(out: dict, key, value) -> None:
+    """Add ``value`` to ``out[key]`` in place, dropping the key when the sum is zero.
+
+    Polynomial terms and form and operator coefficients keep their
+    no-zero-values invariant through this one routine.
+    """
+    s = out[key] + value if key in out else value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 class EvaluationError(ValueError):
     """A coordinate needed during evaluation has no assigned value."""
 
@@ -112,11 +125,7 @@ class DiffPoly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, coeff)
         return DiffPoly(out)
 
     __radd__ = __add__
@@ -144,12 +153,7 @@ class DiffPoly:
                 d = dict(d1)
                 for coord, e in m2:
                     d[coord] = d.get(coord, 0) + e
-                mono = _monomial_from_dict(d)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                _accumulate(out, _monomial_from_dict(d), c1 * c2)
         return DiffPoly(out)
 
     __rmul__ = __mul__
@@ -180,12 +184,7 @@ class DiffPoly:
                 del d[coord]
             else:
                 d[coord] = e - 1
-            key = _monomial_from_dict(d)
-            s = out.get(key, 0) + coeff * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, _monomial_from_dict(d), coeff * e)
         return DiffPoly(out)
 
     def evaluate(self, assignment) -> Fraction:
@@ -267,6 +266,10 @@ class ParseError(ValueError):
 
 _SYMBOLS = set("+-*/^(){}_,")
 
+# Parentheses and unary minus recurse through the grammar (up to four frames a
+# level); this bound keeps malformed input far below Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     """Yield (kind, lexeme, offset) triples; kinds: num, ident, sym, end."""
@@ -317,6 +320,7 @@ class ExprParser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -375,13 +379,18 @@ class ExprParser:
 
     def base(self) -> DiffPoly:
         kind, lex, off = self.peek()
-        if kind == "sym" and lex == "-":
+        if kind == "sym" and lex in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING} levels", off)
             self.advance()
-            return -self.factor()
-        if kind == "sym" and lex == "(":
-            self.advance()
-            value = self.expression()
-            self.expect_sym(")")
+            if lex == "-":
+                value = -self.factor()
+            else:
+                value = self.expression()
+                self.expect_sym(")")
+            self.depth -= 1
             return value
         if kind == "num":
             self.advance()
@@ -510,15 +519,20 @@ def _format_monomial(mono: Monomial, coeff: Fraction, ctx) -> tuple[int, str]:
     return sign, "*".join(parts)
 
 
-def format_poly(p: DiffPoly, ctx) -> str:
-    """Deterministic printing; output re-parses to an equal polynomial."""
-    if not p.terms:
-        return "0"
+def _join_signed(terms) -> str:
+    """Join (sign, unsigned body) pairs as "a - b + c"; a leading sign only if negative."""
     pieces = []
-    for mono in sorted(p.terms, key=_monomial_key):
-        sign, body = _format_monomial(mono, p.terms[mono], ctx)
+    for sign, body in terms:
         if not pieces:
             pieces.append(body if sign > 0 else "-" + body)
         else:
             pieces.append((" + " if sign > 0 else " - ") + body)
     return "".join(pieces)
+
+
+def format_poly(p: DiffPoly, ctx) -> str:
+    """Deterministic printing; output re-parses to an equal polynomial."""
+    if not p.terms:
+        return "0"
+    return _join_signed(_format_monomial(mono, p.terms[mono], ctx)
+                        for mono in sorted(p.terms, key=_monomial_key))

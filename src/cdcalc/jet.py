@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .expr import (
     INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    format_poly, parse_coord, parse_expr,
+    _accumulate, format_coord, format_poly, parse_coord, parse_expr,
 )
 
 
@@ -149,24 +149,16 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     """The i-th total derivative of ``f``.
 
     Free mode: D_i = d/dx_i + sum over jets of u^j_{sigma+i} d/du^j_sigma.
-    Evolution mode: D_x raises the x-order; D_t substitutes D_x^r(f_j) for
-    the slot of u^j with r trailing x's.
+    Evolution mode: D_x acts the same way on the internal coordinates; D_t
+    substitutes D_x^r(f_j) for the slot of u^j with r trailing x's.
     """
     idx = ctx._indep_idx(i)
-    if not ctx.is_evolution:
+    if not ctx.is_evolution or idx == 0:
         out = f.partial(Coord(INDEP, idx))
         for c in f.coords():
             if c.kind != JET:
                 continue
             lifted = Coord(JET, c.index, tuple(sorted(c.sigma + (idx,))))
-            out = out + DiffPoly.var(lifted) * f.partial(c)
-        return out
-    if idx == 0:  # D_x
-        out = f.partial(Coord(INDEP, 0))
-        for c in f.coords():
-            if c.kind != JET:
-                continue
-            lifted = Coord(JET, c.index, c.sigma + (0,))
             out = out + DiffPoly.var(lifted) * f.partial(c)
         return out
     # D_t: substitute the evolution rule
@@ -259,11 +251,7 @@ class HorizontalForm:
             raise ValueError("can only add forms of the same degree")
         out = dict(self.coeffs)
         for key, poly in other.coeffs.items():
-            s = out.get(key, DiffPoly.zero()) + poly
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, poly)
         return HorizontalForm(self.n, self.degree, out)
 
     def __neg__(self):
@@ -301,7 +289,6 @@ def wedge(a: HorizontalForm, b: HorizontalForm) -> HorizontalForm:
     deg = a.degree + b.degree
     if deg > n:
         return HorizontalForm.zero(n, n)
-    out = HorizontalForm.zero(n, deg)
     acc: dict = {}
     for ka, pa in a.coeffs.items():
         for kb, pb in b.coeffs.items():
@@ -309,13 +296,7 @@ def wedge(a: HorizontalForm, b: HorizontalForm) -> HorizontalForm:
             if key is None:
                 continue
             term = pa * pb
-            if sign < 0:
-                term = -term
-            s = acc.get(key, DiffPoly.zero()) + term
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+            _accumulate(acc, key, term if sign > 0 else -term)
     return HorizontalForm(n, deg, acc)
 
 
@@ -336,13 +317,7 @@ def dbar(ctx: JetContext, omega: HorizontalForm) -> HorizontalForm:
             if not df:
                 continue
             newkey, sign = _merge_sign((i,), key)
-            if sign < 0:
-                df = -df
-            s = acc.get(newkey, DiffPoly.zero()) + df
-            if s:
-                acc[newkey] = s
-            else:
-                acc.pop(newkey, None)
+            _accumulate(acc, newkey, df if sign > 0 else -df)
     return HorizontalForm(n, omega.degree + 1, acc)
 
 
@@ -380,7 +355,7 @@ class JetPoint:
         for coord in _point_coords(ctx, order_bound):
             if coord not in self.values:
                 raise PointError(
-                    f"point is missing {format_coord_name(ctx, coord)}")
+                    f"point is missing {format_coord(coord, ctx)}")
 
     def value(self, coord: Coord) -> Fraction:
         try:
@@ -389,17 +364,12 @@ class JetPoint:
             pass
         if coord.kind == JET and len(coord.sigma) > self.order_bound:
             raise PointError(
-                f"{format_coord_name(self.ctx, coord)} exceeds the point's "
+                f"{format_coord(coord, self.ctx)} exceeds the point's "
                 f"order bound {self.order_bound}")
-        raise PointError(f"{format_coord_name(self.ctx, coord)} unassigned")
+        raise PointError(f"{format_coord(coord, self.ctx)} unassigned")
 
     def __repr__(self):
         return f"JetPoint(order<={self.order_bound}, {len(self.values)} values)"
-
-
-def format_coord_name(ctx: JetContext, coord: Coord) -> str:
-    from .expr import format_coord
-    return format_coord(coord, ctx)
 
 
 def _point_coords(ctx: JetContext, order_bound: int):
@@ -432,6 +402,32 @@ def generic_points(ctx: JetContext, order_bound: int, seed: int = 0,
                    count: int = 3) -> list[JetPoint]:
     """Independent seeded samples for the generic-point rank policy."""
     return [random_point(ctx, order_bound, seed * count + k) for k in range(count)]
+
+
+_DISAGREEMENT = ("rank profiles disagree between sample points; using the maximal "
+                 "profile (non-generic sample or variable rank)")
+
+
+def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, compute):
+    """The sample-point policy shared by every rank computation.
+
+    ``compute(point)`` returns ``(result, rank_profile)``.  It runs at the
+    explicit point ``pt`` (which must cover ``needed_order``) or, when ``pt``
+    is None, at each of the seeded ``generic_points``.  Returns the result
+    with the lexicographically maximal profile and the list of warnings: one
+    when the samples' profiles disagree.
+    """
+    if pt is not None:
+        if pt.order_bound < needed_order:
+            raise PointError(
+                f"point order {pt.order_bound} insufficient; need {needed_order}")
+        points = [pt]
+    else:
+        points = generic_points(ctx, needed_order, seed)
+    runs = [compute(point) for point in points]
+    result, _ = max(runs, key=lambda run: run[1])
+    disagree = len({profile for _, profile in runs}) > 1
+    return result, [_DISAGREEMENT] if disagree else []
 
 
 def parse_point_file(text: str, ctx: JetContext, order_bound: int) -> JetPoint:

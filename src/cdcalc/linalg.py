@@ -127,17 +127,3 @@ def matmul(a, b) -> list[list[Fraction]]:
         out.append(acc)
     return out
 
-
-def transpose(a) -> list[list[Fraction]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]

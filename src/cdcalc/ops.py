@@ -9,14 +9,23 @@ operator equality is literal normal-form equality.
 
 from __future__ import annotations
 
-from .expr import JET, DiffPoly, ExprParser, ParseError, format_poly
-from .jet import JetContext, total_derivative, total_derivative_sigma
+from .expr import (
+    JET, DiffPoly, ExprParser, ParseError, _accumulate, _format_monomial, _join_signed,
+    format_poly,
+)
+from .jet import (
+    JetContext, _merge_sign, increasing_tuples, total_derivative, total_derivative_sigma,
+)
 
 MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
 
 
 class ScalarCDiffOp:
-    """One matrix entry: finite map multi-index -> coefficient polynomial."""
+    """One matrix entry: finite map multi-index -> coefficient polynomial.
+
+    Multi-indices are sorted at construction, so terms given under
+    permutations of one multi-index merge into a single coefficient.
+    """
 
     __slots__ = ("terms",)
 
@@ -24,8 +33,7 @@ class ScalarCDiffOp:
         self.terms = {}
         if terms:
             for sigma, poly in terms.items():
-                if poly:
-                    self.terms[tuple(sigma)] = poly
+                _accumulate(self.terms, tuple(sorted(sigma)), poly)
 
     @property
     def order(self) -> int:
@@ -45,11 +53,7 @@ class ScalarCDiffOp:
     def __add__(self, other: "ScalarCDiffOp") -> "ScalarCDiffOp":
         out = dict(self.terms)
         for sigma, poly in other.terms.items():
-            s = out.get(sigma, DiffPoly.zero()) + poly
-            if s:
-                out[sigma] = s
-            else:
-                out.pop(sigma, None)
+            _accumulate(out, sigma, poly)
         return ScalarCDiffOp(out)
 
     def __neg__(self) -> "ScalarCDiffOp":
@@ -73,19 +77,8 @@ def _left_Di(ctx: JetContext, i: int, op: ScalarCDiffOp) -> ScalarCDiffOp:
     """Normalize D_i composed with ``op``: D_i (f D_sigma) = f D_{sigma i} + D_i(f) D_sigma."""
     out: dict = {}
     for sigma, poly in op.terms.items():
-        lifted = tuple(sorted(sigma + (i,)))
-        s = out.get(lifted, DiffPoly.zero()) + poly
-        if s:
-            out[lifted] = s
-        else:
-            out.pop(lifted, None)
-        d = total_derivative(ctx, i, poly)
-        if d:
-            s = out.get(sigma, DiffPoly.zero()) + d
-            if s:
-                out[sigma] = s
-            else:
-                out.pop(sigma, None)
+        _accumulate(out, tuple(sorted(sigma + (i,))), poly)
+        _accumulate(out, sigma, total_derivative(ctx, i, poly))
     return ScalarCDiffOp(out)
 
 
@@ -347,7 +340,6 @@ def dbar_operator(ctx: JetContext, q: int) -> CDiffOp:
     order; the entry for (J, I) with J = I + {i} is +-D_i with the sign of
     wedging dx_i in front of dx_I.
     """
-    from .jet import increasing_tuples, _merge_sign
     n = ctx.n
     if not 0 <= q < n:
         raise ValueError(f"dbar degree {q} out of range 0..{n - 1}")
@@ -456,34 +448,19 @@ def parse_operator_matrix(text: str, ctx: JetContext) -> CDiffOp:
 def format_scalar_op(op: ScalarCDiffOp, ctx: JetContext) -> str:
     if op.is_zero():
         return "0"
-    pieces = []
+    terms = []
     for sigma in sorted(op.terms, key=lambda s: (len(s), s)):
         poly = op.terms[sigma]
+        if len(poly.terms) == 1:
+            ((mono, coeff),) = poly.terms.items()
+            sign, body = _format_monomial(mono, coeff, ctx)
+        else:
+            sign, body = 1, f"({format_poly(poly, ctx)})"
         if sigma:
             dname = "D_{" + ",".join(ctx.indep[i] for i in sigma) + "}"
-            if poly == DiffPoly.const(1):
-                sign, body = 1, dname
-            elif poly == DiffPoly.const(-1):
-                sign, body = -1, dname
-            elif len(poly.terms) == 1:
-                from .expr import _format_monomial
-                ((mono, coeff),) = poly.terms.items()
-                sign, mstr = _format_monomial(mono, coeff, ctx)
-                body = f"{mstr}*{dname}"
-            else:
-                sign, body = 1, f"({format_poly(poly, ctx)})*{dname}"
-        else:
-            if len(poly.terms) == 1:
-                from .expr import _format_monomial
-                ((mono, coeff),) = poly.terms.items()
-                sign, body = _format_monomial(mono, coeff, ctx)
-            else:
-                sign, body = 1, f"({format_poly(poly, ctx)})"
-        if not pieces:
-            pieces.append(body if sign > 0 else "-" + body)
-        else:
-            pieces.append((" + " if sign > 0 else " - ") + body)
-    return "".join(pieces)
+            body = dname if body == "1" else f"{body}*{dname}"
+        terms.append((sign, body))
+    return _join_signed(terms)
 
 
 def format_operator(op: CDiffOp) -> str:

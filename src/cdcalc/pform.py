@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .expr import DiffPoly
+from .expr import DiffPoly, _accumulate
 from .jet import HorizontalForm, JetContext, increasing_tuples, _merge_sign
 from .linalg import rank
 from .ops import CDiffOp, ScalarCDiffOp
@@ -79,12 +79,7 @@ def hodge_star(metric: Metric, omega: HorizontalForm,
     coeffs: dict = {}
     for key, poly in omega.coeffs.items():
         comp, sign = star_basis(metric, key, orientation)
-        term = poly if sign == 1 else sign * poly
-        s = coeffs.get(comp, DiffPoly.zero()) + term
-        if s:
-            coeffs[comp] = s
-        else:
-            coeffs.pop(comp, None)
+        _accumulate(coeffs, comp, poly if sign == 1 else sign * poly)
     return HorizontalForm(n, n - omega.degree, coeffs)
 
 

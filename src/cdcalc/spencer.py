@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .expr import DiffPoly, Coord, PARAM
-from .jet import JetContext, JetPoint, PointError, generic_points, increasing_tuples
+from .expr import DiffPoly, Coord, PARAM, _join_signed
+from .jet import (
+    JetContext, JetPoint, PointError, _at_generic_points, _merge_sign, increasing_tuples,
+)
 from .linalg import kernel_basis, rank
 from .ops import CDiffOp, ScalarCDiffOp, _left_Di
 
@@ -141,8 +143,7 @@ def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[list[Fraction]]:
     if r < 0:
         return []
     if r < sym.degree:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n_cols)]
-                for i in range(n_cols)]
+        return kernel_basis([], n_cols)
     return kernel_basis(graded_symbol_matrix(sym, r - sym.degree), n_cols)
 
 
@@ -221,41 +222,6 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
 # ---------------------------------------------------------------------------
 
 
-def _delta_columns(n: int, rank_p: int, r: int, s: int):
-    """Basis bookkeeping for delta on Lambda^s (x) S^r (x) P.
-
-    Returns (source basis, target basis, action) where action maps a source
-    basis index to a list of (target index, sign) pairs.
-    """
-    src_forms = increasing_tuples(n, s)
-    tgt_forms = increasing_tuples(n, s + 1)
-    src_sym = multiindices(n, r)
-    tgt_sym = multiindices(n, r - 1)
-    tgt_form_pos = {f: i for i, f in enumerate(tgt_forms)}
-    tgt_sym_pos = {m: i for i, m in enumerate(tgt_sym)}
-
-    def tgt_index(form_i: int, comp: int, sym_i: int) -> int:
-        return (form_i * rank_p + comp) * len(tgt_sym) + sym_i
-
-    action = []
-    for form in src_forms:
-        for comp in range(rank_p):
-            for mu in src_sym:
-                hits = []
-                for i in set(mu):
-                    if i in form:
-                        continue
-                    sign = -1 if sum(1 for a in form if a < i) % 2 else 1
-                    newform = tuple(sorted(form + (i,)))
-                    rho = _remove_one(mu, i)
-                    hits.append((tgt_index(tgt_form_pos[newform], comp,
-                                           tgt_sym_pos[rho]), sign))
-                action.append(hits)
-    src_dim = len(src_forms) * rank_p * len(src_sym)
-    tgt_dim = len(tgt_forms) * rank_p * len(tgt_sym)
-    return src_dim, tgt_dim, action
-
-
 def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
     """Matrix of delta: Lambda^s (x) S^r (x) P -> Lambda^{s+1} (x) S^{r-1} (x) P.
 
@@ -267,12 +233,10 @@ def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
         raise ValueError("delta needs symmetric degree r >= 1")
     if not 0 <= s < n:
         raise ValueError(f"exterior degree {s} out of range 0..{n - 1}")
-    src_dim, tgt_dim, action = _delta_columns(n, rank_p, r, s)
-    matrix = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-    for col, hits in enumerate(action):
-        for row, sign in hits:
-            matrix[row][col] += sign
-    return FiberMap(matrix=matrix, domain_dim=src_dim, codomain_dim=tgt_dim,
+    # the columns are the images of the basis vectors of the whole source
+    images = _delta_of_subspace(n, rank_p, r, s, kernel_basis([], rank_p * sym_dim(n, r)))
+    matrix = [list(col) for col in zip(*images)]
+    return FiberMap(matrix=matrix, domain_dim=len(images), codomain_dim=len(matrix),
                     source_rank=rank_p, source_order=r,
                     target_rank=rank_p, target_order=r - 1)
 
@@ -287,15 +251,13 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
     """
     if r == 0:
         return []
-    src_forms = increasing_tuples(n, s)
-    tgt_forms = increasing_tuples(n, s + 1)
     src_sym = multiindices(n, r)
     tgt_sym = multiindices(n, r - 1)
-    tgt_form_pos = {f: i for i, f in enumerate(tgt_forms)}
+    tgt_form_pos = {f: i for i, f in enumerate(increasing_tuples(n, s + 1))}
     tgt_sym_pos = {m: i for i, m in enumerate(tgt_sym)}
-    tgt_dim = len(tgt_forms) * rank_p * len(tgt_sym)
+    tgt_dim = len(tgt_form_pos) * rank_p * len(tgt_sym)
     images = []
-    for form_i, form in enumerate(src_forms):
+    for form in increasing_tuples(n, s):
         for vec in basis:
             out = [Fraction(0)] * tgt_dim
             for pos, value in enumerate(vec):
@@ -304,13 +266,11 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
                 comp, sym_i = divmod(pos, len(src_sym))
                 mu = src_sym[sym_i]
                 for i in set(mu):
-                    if i in form:
+                    newform, sign = _merge_sign((i,), form)
+                    if newform is None:
                         continue
-                    sign = -1 if sum(1 for a in form if a < i) % 2 else 1
-                    newform = tuple(sorted(form + (i,)))
-                    rho = _remove_one(mu, i)
                     idx = (tgt_form_pos[newform] * rank_p + comp) * len(tgt_sym) \
-                        + tgt_sym_pos[rho]
+                        + tgt_sym_pos[_remove_one(mu, i)]
                     out[idx] += sign * value
             images.append(out)
     return images
@@ -356,15 +316,6 @@ class InvolutivityResult:
     l_max: int
     failure: tuple | None
     report: SpencerReport
-
-
-def _resolve_points(ctx: JetContext, needed_order: int, pt, seed: int):
-    if pt is not None:
-        if pt.order_bound < needed_order:
-            raise PointError(
-                f"point order {pt.order_bound} insufficient; need {needed_order}")
-        return [pt]
-    return generic_points(ctx, needed_order, seed)
 
 
 def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
@@ -427,18 +378,9 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
     variable rank).
     """
     ctx = op.ctx
-    points = _resolve_points(ctx, op.coefficient_jet_order(), pt, seed)
-    tables = []
-    for point in points:
-        sym = symbol(op, point)
-        tables.append(_dims_table(sym, op.cols, l_max, ctx.n))
-    best = max(range(len(tables)), key=lambda idx: tables[idx][1])
-    warnings = []
-    if len({profile for _, profile in tables}) > 1:
-        warnings.append(
-            "rank profiles disagree between sample points; using the maximal "
-            "profile (non-generic sample or variable rank)")
-    dims = tables[best][0]
+    dims, warnings = _at_generic_points(
+        ctx, op.coefficient_jet_order(), pt, seed,
+        lambda point: _dims_table(symbol(op, point), op.cols, l_max, ctx.n))
     return SpencerReport(order=op.order, l_max=l_max, n=ctx.n, dims=dims,
                          warnings=warnings)
 
@@ -500,7 +442,7 @@ def two_line_polynomial(k: int, p: int, sign) -> TwoLineResult:
 def format_symbol_entry(cell: dict, ctx: JetContext) -> str:
     if not cell:
         return "0"
-    pieces = []
+    terms = []
     for sigma in sorted(cell):
         value = cell[sigma]
         counts: dict[int, int] = {}
@@ -512,9 +454,5 @@ def format_symbol_entry(cell: dict, ctx: JetContext) -> str:
         for i in sorted(counts):
             name = f"xi_{ctx.indep[i]}"
             body_parts.append(name if counts[i] == 1 else f"{name}^{counts[i]}")
-        body = "*".join(body_parts)
-        if not pieces:
-            pieces.append(body if value > 0 else "-" + body)
-        else:
-            pieces.append((" + " if value > 0 else " - ") + body)
-    return "".join(pieces)
+        terms.append((1 if value > 0 else -1, "*".join(body_parts)))
+    return _join_signed(terms)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc import Coord, DiffPoly, JetContext
+from cdcalc import Coord, DiffPoly, JetContext, JetPoint, generic_points
 from cdcalc.expr import INDEP, JET, PARAM
 from cdcalc.ops import CDiffOp, ScalarCDiffOp
 
@@ -54,6 +54,18 @@ def rand_scalar_op(rng: random.Random, ctx: JetContext, max_op_order: int = 2,
             poly = poly + terms[sigma]
         terms[sigma] = poly
     return ScalarCDiffOp(terms)
+
+
+def split_samples(ctx: JetContext, order: int) -> list[JetPoint]:
+    """The seed-0 policy samples with the middle one moved onto x = 1.
+
+    With the operator rows D_t + x - 1 and (x - 1) D_x + 1, the middle sample
+    sees a smaller prolonged rank than the other two.
+    """
+    samples = generic_points(ctx, order, seed=0)
+    samples[1] = JetPoint(ctx, order, {**samples[1].values,
+                                       ctx.indep_coord("x"): Fraction(1)})
+    return samples
 
 
 def rand_operator(rng: random.Random, ctx: JetContext, rows: int, cols: int,

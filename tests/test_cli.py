@@ -4,7 +4,11 @@ from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
 
+import cdcalc.jet
+from cdcalc import JetContext
 from cdcalc.cli import run
+
+from conftest import split_samples
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -67,7 +71,24 @@ def test_exactness_command():
 def test_coker_command():
     code, out, _ = invoke("coker", KDV_PROB, "--k1", "1")
     assert code == 0
-    assert "cokernel_rank: 0" in out
+    assert "cokernel_rank: 0" in out and "warning" not in out
+    code, out, _ = invoke("coker", KDV_PROB, "--k1", "1", "--json")
+    assert json.loads(out) == {"k1": 1, "cokernel_rank": 0}
+
+
+def test_coker_reports_sample_disagreement(tmp_path, monkeypatch):
+    prob = tmp_path / "split.prob"
+    prob.write_text("independent x t\ndependent u\n"
+                    "equation u_t + x*u - u\nequation x*u_x - u_x + u\n")
+    samples = split_samples(JetContext.free("x t", "u"), 1)
+    monkeypatch.setattr(cdcalc.jet, "generic_points", lambda *args, **kwargs: samples)
+    message = ("rank profiles disagree between sample points; using the maximal "
+               "profile (non-generic sample or variable rank)")
+    code, out, err = invoke("coker", str(prob), "--k1", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["k1: 1", "cokernel_rank: 0", f"warning: {message}"]
+    code, out, _ = invoke("coker", str(prob), "--k1", "1", "--json")
+    assert json.loads(out) == {"k1": 1, "cokernel_rank": 0, "warnings": [message]}
 
 
 def test_kline_command():
@@ -162,6 +183,16 @@ def test_domain_error_exit_1(tmp_path):
     code, out, err = invoke("linearize", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_deeply_nested_input_is_domain_error(tmp_path):
+    bad = tmp_path / "deep.prob"
+    for body in ("-" * 5000 + "u_x", "(" * 3000 + "u_x" + ")" * 3000):
+        bad.write_text(f"independent x t\ndependent u\nequation {body}\n")
+        code, out, err = invoke("linearize", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: expression nested deeper than")
+        assert "Traceback" not in err
 
 
 def test_missing_file_exit_1():

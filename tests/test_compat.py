@@ -1,12 +1,15 @@
 import pytest
 
+import cdcalc.jet
 from cdcalc import (
-    CDiffOp, JetContext, Metric, OperatorComplex, check_formal_exactness,
+    CDiffOp, JetContext, Metric, OperatorComplex, PointError, check_formal_exactness,
     cokernel_rank, dbar_operator, kline_report, linearize, parse_complex,
-    random_point, star_operator,
+    parse_operator_matrix, random_point, star_operator,
 )
 from cdcalc.linalg import kernel_basis
 from cdcalc.spencer import fiber_map
+
+from conftest import split_samples
 
 
 @pytest.fixture
@@ -117,6 +120,22 @@ def test_cokernel_requires_surjective_base(ctx):
                         CDiffOp.zero(ctx, 1, 1).entries[0]])
     with pytest.raises(ValueError, match="surjective"):
         cokernel_rank(bad, 1, seed=0)
+
+
+def test_cokernel_warns_when_samples_disagree(ctx, monkeypatch):
+    op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
+    samples = split_samples(ctx, 1)
+    monkeypatch.setattr(cdcalc.jet, "generic_points", lambda *args, **kwargs: samples)
+    with pytest.warns(RuntimeWarning, match="rank profiles disagree"):
+        assert cokernel_rank(op, 1, seed=0) == 0
+    assert cokernel_rank(op, 1, pt=samples[1]) == 1
+
+
+def test_required_point_order(ctx):
+    cplx = derham2(ctx)
+    assert cplx.required_point_order(2) == 3
+    with pytest.raises(PointError, match="need 3"):
+        check_formal_exactness(cplx, 2, pt=random_point(ctx, 2, seed=0))
 
 
 def test_cokernel_validates_k1(ctx):

@@ -71,6 +71,15 @@ def test_powers_and_parens(ctx):
     assert f == g
 
 
+def test_nesting_depth_is_bounded(ctx):
+    for text in ("-" * 5000 + "u", "(" * 3000 + "u" + ")" * 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr(text, ctx)
+    u = parse_expr("u", ctx)
+    assert parse_expr("-" * 100 + "u", ctx) == u
+    assert parse_expr("(" * 100 + "u" + ")" * 100, ctx) == u
+
+
 def test_print_parse_round_trip(ctx):
     rng = random.Random(11)
     for _ in range(60):

@@ -195,6 +195,14 @@ def test_operator_algebra_in_evolution_mode():
         assert adjoint(a @ b) == adjoint(b) @ adjoint(a)
 
 
+def test_scalar_op_keys_are_canonical(ctx):
+    one = DiffPoly.const(1)
+    assert CDiffOp(ctx, [[ScalarCDiffOp({(1, 0): one})]]) == CDiffOp.total(ctx, 0, 1)
+    a, b = ctx.parse("u"), ctx.parse("x")
+    assert ScalarCDiffOp({(1, 0): a, (0, 1): b}) == ScalarCDiffOp({(0, 1): a + b})
+    assert ScalarCDiffOp({(1, 0): a, (0, 1): -a}).is_zero()
+
+
 def test_zero_operator_order_convention(ctx):
     assert CDiffOp.zero(ctx, 2, 3).order == 0
     assert ScalarCDiffOp().order == 0
