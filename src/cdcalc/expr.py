@@ -166,8 +166,9 @@ class DiffPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus ------------------------------------------------------
@@ -269,6 +270,8 @@ _SYMBOLS = set("+-*/^(){}_,")
 # Parentheses and unary minus recurse through the grammar (up to four frames a
 # level); this bound keeps malformed input far below Python's recursion limit.
 MAX_NESTING = 100
+# Powers expand in full, so a large literal exponent is a size blow-up.
+MAX_EXPONENT = 64
 
 
 def _tokenize(text: str):
@@ -373,6 +376,8 @@ class ExprParser:
             kind, lex, off = self.peek()
             if kind != "num":
                 raise ParseError("expected integer exponent", off)
+            if int(lex) > MAX_EXPONENT:
+                raise ParseError(f"exponent {lex} exceeds {MAX_EXPONENT}", off)
             self.advance()
             value = value ** int(lex)
         return value

@@ -1,112 +1,114 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows of Fractions (or ints).  Ranks use
-fraction-free Bareiss elimination on a denominator-cleared integer copy;
-kernels use Gauss-Jordan over Fraction.  No floating point anywhere.
+A matrix is a list of rows, each either a dense sequence of Fractions (or
+ints) or a sparse ``{column: value}`` dict.  One fraction-free sparse
+elimination serves ``rank`` and ``kernel_basis``: each row is cleared of
+denominators once, then reduced over ``int`` against the pivot rows found
+so far in ascending column order, divided by the gcd of its entries after
+each step.  ``kernel_basis`` back-substitutes the same pivot rows to the
+reduced row echelon form.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
-def _to_int_rows(matrix) -> list[list[int]]:
-    rows = []
+def _primitive(row: dict) -> dict:
+    """Divide ``row`` in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+    return row
+
+
+def _int_row(row) -> dict[int, int]:
+    """The nonzero entries of ``row``, cleared of denominators, primitive."""
+    row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+
+
+def _reduce(row: dict, pivots: dict, to_lead: bool) -> int | None:
+    """Clear from ``row``, in place and in ascending column order, the
+    columns led by other rows of ``pivots``, keeping it primitive.
+
+    With ``to_lead`` it stops at the first column that no pivot row leads
+    and returns it (None if the row vanishes); otherwise it clears them all.
+    """
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        a = row.get(c)
+        if a is None:
+            continue
+        prow = pivots.get(c)
+        if prow is None and to_lead:
+            return c
+        if prow is None or prow is row:
+            continue
+        p = prow[c]
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            for k in row:
+                row[k] *= p
+        for k, v in prow.items():
+            if k in row:
+                s = row[k] - a * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            else:
+                row[k] = -a * v
+                heappush(heap, k)
+        _primitive(row)
+    return None
+
+
+def _echelon(matrix) -> dict[int, dict[int, int]]:
+    """Primitive integer pivot rows of ``matrix``, keyed by leading column."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in matrix:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                lcm = lcm // gcd(lcm, d) * d
-        rows.append([int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm
-                     for x in row])
-    return rows
+        row = _int_row(row)
+        lead = _reduce(row, pivots, to_lead=True)
+        if lead is not None:
+            pivots[lead] = row
+    return pivots
 
 
 def rank(matrix) -> int:
-    """Rank by Bareiss fraction-free elimination (exact, integer pivots)."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = _to_int_rows(matrix)
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    piv_r = 0
-    for piv_c in range(n_cols):
-        pivot_row = None
-        for r in range(piv_r, n_rows):
-            if m[r][piv_c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != piv_r:
-            m[piv_r], m[pivot_row] = m[pivot_row], m[piv_r]
-        pivot = m[piv_r][piv_c]
-        for r in range(piv_r + 1, n_rows):
-            factor = m[r][piv_c]
-            for c in range(piv_c, n_cols):
-                m[r][c] = (pivot * m[r][c] - factor * m[piv_r][c]) // prev
-        prev = pivot
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return piv_r
-
-
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if not m or not m[0]:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    piv_r = 0
-    for piv_c in range(n_cols):
-        pivot_row = None
-        for r in range(piv_r, n_rows):
-            if m[r][piv_c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[piv_r], m[pivot_row] = m[pivot_row], m[piv_r]
-        inv = 1 / m[piv_r][piv_c]
-        m[piv_r] = [x * inv for x in m[piv_r]]
-        for r in range(n_rows):
-            if r != piv_r and m[r][piv_c]:
-                factor = m[r][piv_c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[piv_r])]
-        pivots.append(piv_c)
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return m, pivots
+    """Rank over Q: the number of pivots of the sparse elimination."""
+    return len(_echelon(matrix))
 
 
 def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column (deterministic)."""
-    if not matrix:
-        if not n_cols:
-            return []
-        basis = []
-        for i in range(n_cols):
-            v = [Fraction(0)] * n_cols
-            v[i] = Fraction(1)
-            basis.append(v)
-        return basis
-    n_cols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
+    """Basis of the right kernel, one vector per free column (deterministic).
+
+    The vectors are read off the reduced row echelon form: the one at free
+    column f has 1 at f and minus the form's column f at the pivot columns.
+    ``n_cols`` is required for dict rows; dense rows give it by their length.
+    """
+    if n_cols is None:
+        n_cols = len(matrix[0]) if matrix else 0
+    pivots = _echelon(matrix)
+    # back-substitution to the reduced form: clear each pivot row's other
+    # pivot columns, the rows further right first
+    for c in sorted(pivots, reverse=True):
+        _reduce(pivots[c], pivots, to_lead=False)
+    basis = {fc: [Fraction(0)] * n_cols for fc in range(n_cols) if fc not in pivots}
+    for fc, v in basis.items():
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
+    for pc, prow in pivots.items():
+        for fc, x in prow.items():
+            if fc != pc:
+                basis[fc][pc] = Fraction(-x, prow[pc])
+    return list(basis.values())
 
 
 def matmul(a, b) -> list[list[Fraction]]:
@@ -126,4 +128,3 @@ def matmul(a, b) -> list[list[Fraction]]:
                         acc[c] += x * brow[c]
         out.append(acc)
     return out
-

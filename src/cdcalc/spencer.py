@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .expr import DiffPoly, Coord, PARAM, _join_signed
+from .expr import DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
     JetContext, JetPoint, PointError, _at_generic_points, _merge_sign, increasing_tuples,
 )
@@ -154,9 +154,13 @@ def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[list[Fraction]]:
 
 @dataclass
 class FiberMap:
-    """Rational matrix of a prolonged operator between jet fibers."""
+    """Rational matrix of a prolonged operator between jet fibers.
 
-    matrix: list
+    ``rows`` holds one sparse row ``{column: value}`` per codomain basis
+    vector (an all-zero row is ``{}``); ``matrix`` is the dense view.
+    """
+
+    rows: list
     domain_dim: int
     codomain_dim: int
     source_rank: int
@@ -164,8 +168,13 @@ class FiberMap:
     target_rank: int
     target_order: int
 
+    @property
+    def matrix(self) -> list[list[Fraction]]:
+        zero = Fraction(0)
+        return [[row.get(c, zero) for c in range(self.domain_dim)] for row in self.rows]
+
     def rank(self) -> int:
-        return rank(self.matrix)
+        return rank(self.rows)
 
 
 def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
@@ -196,21 +205,21 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
         parent = prolonged[tau[:-1]]
         prolonged[tau] = [[_left_Di(ctx, tau[-1], e) for e in row] for row in parent]
 
-    n_cols = op.cols * len(mus)
-    matrix = []
+    rows = []
     for s in range(op.rows):
         for tau in taus:
-            row = [Fraction(0)] * n_cols
+            row = {}
             entries = prolonged[tau][s]
             for j in range(op.cols):
+                offset = j * len(mus)
                 for mu, poly in entries[j].terms.items():
                     value = poly.evaluate(pt)
                     if value:
-                        row[j * len(mus) + mu_pos[mu]] += value
-            matrix.append(row)
+                        row[offset + mu_pos[mu]] = value
+            rows.append(row)
     return FiberMap(
-        matrix=matrix,
-        domain_dim=n_cols,
+        rows=rows,
+        domain_dim=op.cols * len(mus),
         codomain_dim=op.rows * len(taus),
         source_rank=op.cols, source_order=k + l,
         target_rank=op.rows, target_order=l,
@@ -235,8 +244,11 @@ def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
         raise ValueError(f"exterior degree {s} out of range 0..{n - 1}")
     # the columns are the images of the basis vectors of the whole source
     images = _delta_of_subspace(n, rank_p, r, s, kernel_basis([], rank_p * sym_dim(n, r)))
-    matrix = [list(col) for col in zip(*images)]
-    return FiberMap(matrix=matrix, domain_dim=len(images), codomain_dim=len(matrix),
+    rows = [{} for _ in range(comb(n, s + 1) * rank_p * sym_dim(n, r - 1))]
+    for c, image in enumerate(images):
+        for t, value in image.items():
+            rows[t][c] = value
+    return FiberMap(rows=rows, domain_dim=len(images), codomain_dim=len(rows),
                     source_rank=rank_p, source_order=r,
                     target_rank=rank_p, target_order=r - 1)
 
@@ -247,7 +259,7 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
 
     ``basis`` spans a subspace of S^r (x) P; the subspace of
     Lambda^s (x) S^r (x) P it generates has one copy per increasing s-tuple.
-    Returns the image vectors (as rows, ready for a rank computation).
+    Returns the image vectors as sparse rows, ready for a rank computation.
     """
     if r == 0:
         return []
@@ -255,11 +267,10 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
     tgt_sym = multiindices(n, r - 1)
     tgt_form_pos = {f: i for i, f in enumerate(increasing_tuples(n, s + 1))}
     tgt_sym_pos = {m: i for i, m in enumerate(tgt_sym)}
-    tgt_dim = len(tgt_form_pos) * rank_p * len(tgt_sym)
     images = []
     for form in increasing_tuples(n, s):
         for vec in basis:
-            out = [Fraction(0)] * tgt_dim
+            out: dict = {}
             for pos, value in enumerate(vec):
                 if not value:
                     continue
@@ -271,7 +282,7 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
                         continue
                     idx = (tgt_form_pos[newform] * rank_p + comp) * len(tgt_sym) \
                         + tgt_sym_pos[_remove_one(mu, i)]
-                    out[idx] += sign * value
+                    _accumulate(out, idx, sign * value)
             images.append(out)
     return images
 

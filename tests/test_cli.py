@@ -195,6 +195,15 @@ def test_deeply_nested_input_is_domain_error(tmp_path):
         assert "Traceback" not in err
 
 
+def test_huge_exponent_is_domain_error(tmp_path):
+    bad = tmp_path / "power.prob"
+    bad.write_text("independent x t\ndependent u\nequation u_t - (u+1)^1000000\n")
+    code, out, err = invoke("linearize", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: exponent 1000000 exceeds")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_1():
     code, _, err = invoke("linearize", "no-such-file.prob")
     assert code == 1

@@ -80,6 +80,37 @@ def test_nesting_depth_is_bounded(ctx):
     assert parse_expr("(" * 100 + "u" + ")" * 100, ctx) == u
 
 
+def test_exponent_is_bounded(ctx):
+    with pytest.raises(ParseError, match="exponent 1000000 exceeds"):
+        parse_expr("(u+1)^1000000", ctx)
+    assert parse_expr("(u+1)^64", ctx) == parse_expr("u+1", ctx) ** 64
+
+
+def test_power_matches_repeated_product(ctx):
+    p = parse_expr("u + 2*u_x - 1/3", ctx)
+    product = DiffPoly.const(1)
+    for n in range(10):
+        assert p ** n == product
+        product = product * p
+
+
+def test_power_squares_only_what_it_uses(ctx, monkeypatch):
+    squarings = []
+    mul = DiffPoly.__mul__
+
+    def counting(a, b):
+        if a is b:
+            squarings.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(DiffPoly, "__mul__", counting)
+    p = parse_expr("u + u_x + 1", ctx)
+    for n in range(1, 20):
+        squarings.clear()
+        p ** n
+        assert len(squarings) <= n.bit_length() - 1, n
+
+
 def test_print_parse_round_trip(ctx):
     rng = random.Random(11)
     for _ in range(60):

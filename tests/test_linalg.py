@@ -1,0 +1,93 @@
+"""Differential tests of the exact linear algebra against sympy over QQ."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cdcalc.linalg import kernel_basis, matmul, rank
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+SHAPES = [(4, 4), (9, 9), (20, 20), (25, 6), (12, 3), (5, 22), (3, 30), (1, 7), (7, 1)]
+DENSITIES = [0.02, 0.1, 0.3, 0.6]
+
+
+def random_matrix(rng, n_rows, n_cols, density):
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density
+          else Fraction(0) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 2:
+        m[rng.randrange(n_rows)] = list(m[rng.randrange(n_rows)])   # a duplicated row
+        m[rng.randrange(n_rows)] = [Fraction(0)] * n_cols              # an all-zero row
+    if n_rows > 3:
+        # a row that is a rational combination of two others
+        a, b = rng.sample(range(n_rows), 2)
+        s, t = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 4), 3)
+        m[rng.randrange(n_rows)] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def cases():
+    rng = random.Random(2024)
+    for n_rows, n_cols in SHAPES:
+        for density in DENSITIES:
+            for _ in range(3):
+                yield random_matrix(rng, n_rows, n_cols, density)
+
+
+def sparse(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def sympy_rank(matrix):
+    QQ = sympy.QQ
+    rows = [[QQ(v.numerator, v.denominator) for v in row] for row in matrix]
+    return DomainMatrix(rows, (len(matrix), len(matrix[0])), QQ).rank()
+
+
+def sympy_nullspace(matrix):
+    m = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                      for row in matrix])
+    return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in m.nullspace()]
+
+
+def test_rank_matches_sympy():
+    for m in cases():
+        want = sympy_rank(m)
+        assert rank(m) == want
+        assert rank(sparse(m)) == want
+
+
+def test_kernel_matches_sympy_nullspace():
+    for m in cases():
+        n_cols = len(m[0])
+        basis = kernel_basis(m, n_cols)
+        assert basis == sympy_nullspace(m)
+        assert kernel_basis(sparse(m), n_cols) == basis
+        assert len(basis) == n_cols - rank(m)
+        if basis:
+            assert all(x == 0 for row in matmul(m, [list(col) for col in zip(*basis)])
+                       for x in row)
+
+
+def test_integer_and_mixed_entries():
+    m = [[2, Fraction(1, 3), 0], [4, Fraction(2, 3), 0], [0, 0, Fraction(-5, 7)]]
+    assert rank(m) == 2
+    assert kernel_basis(m) == [[Fraction(-1, 6), Fraction(1), Fraction(0)]]
+
+
+def test_edge_cases():
+    assert rank([]) == 0
+    assert rank([[]]) == 0
+    assert kernel_basis([]) == []
+    assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis([{}, {}], 2) == [[1, 0], [0, 1]]
+    assert rank([[0, 0], [0, 0]]) == 0 and rank([{}, {}]) == 0
+    assert kernel_basis([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+    column = [[Fraction(3)], [Fraction(-1, 2)], [Fraction(0)]]
+    assert rank(column) == 1
+    assert kernel_basis(column) == []
+    assert rank([[0], [0]]) == 0 and kernel_basis([[0], [0]]) == [[1]]
+    assert rank([{5: Fraction(1, 9)}]) == 1
+    assert kernel_basis([{1: 2}], 3) == [[1, 0, 0], [0, 0, 1]]

@@ -78,6 +78,20 @@ def test_fiber_map_selects_component(ctx):
     assert fm.matrix == [[0, 1, 0]]
 
 
+def test_fiber_map_rows_are_sparse(ctx, kdv_lin):
+    pt = random_point(ctx, 4, seed=1)
+    fm = fiber_map(kdv_lin, 1, pt)
+    assert len(fm.rows) == fm.codomain_dim == 3
+    assert all(0 not in row.values() for row in fm.rows)
+    dense = fm.matrix
+    assert len(dense) == fm.codomain_dim
+    assert all(len(row) == fm.domain_dim for row in dense)
+    assert dense == [[row.get(c, 0) for c in range(fm.domain_dim)] for row in fm.rows]
+    assert fm.rank() == rank(dense) == 3
+    zero = fiber_map(CDiffOp.zero(ctx, 1, 1), 1, random_point(ctx, 1, seed=0))
+    assert zero.rows == [{}, {}, {}] and zero.rank() == 0
+
+
 def test_fiber_dimension_formula():
     # rank-1 source fiber at order 2 over n=2 has dim C(4,2) = 6
     from cdcalc.spencer import jet_fiber_dim
