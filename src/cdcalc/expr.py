@@ -9,8 +9,9 @@ equality is literal term-map equality and every operation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 INDEP = 0
 JET = 1
@@ -19,23 +20,30 @@ PARAM = 2
 _KIND_NAMES = {INDEP: "independent", JET: "jet", PARAM: "parameter"}
 
 
-@dataclass(frozen=True)
-class Coord:
+class Coord(tuple):
     """One symbol: an independent variable, a jet coordinate, or a parameter.
 
-    ``index`` is the 0-based position of the variable in its declaration
-    list (the dependent variable's position for jets).  ``sigma`` is the
-    multi-index of a jet coordinate: a non-decreasing tuple of independent
-    variable indices, empty for the dependent variable itself.
+    A ``Coord`` is the tuple ``(kind, index, sigma)``.  ``index`` is the
+    0-based position of the variable in its declaration list (the dependent
+    variable's position for jets).  ``sigma`` is the multi-index of a jet
+    coordinate: a non-decreasing tuple of independent variable indices,
+    empty for the dependent variable itself; it is sorted at construction,
+    so ``Coord(JET, 0, (1, 0)) == Coord(JET, 0, (0, 1))``.  Being a tuple,
+    a ``Coord`` hashes, orders and compares equal like the plain tuple
+    ``(kind, index, sigma)``; that order is the canonical coordinate order.
     """
 
-    kind: int
-    index: int
-    sigma: tuple[int, ...] = ()
+    __slots__ = ()
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.kind, self.index, self.sigma)
+    def __new__(cls, kind: int, index: int, sigma=()):
+        return tuple.__new__(cls, (kind, index, tuple(sorted(sigma))))
+
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
+    sigma = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self) -> str:
         if self.kind == JET:
@@ -44,13 +52,23 @@ class Coord:
 
 
 # A monomial maps coordinates to positive integer exponents; stored as a
-# tuple of (Coord, exponent) pairs sorted by the coordinate sort key.
+# tuple of (Coord, exponent) pairs sorted by coordinate.
 Monomial = tuple
 
 
-def _monomial_from_dict(d: dict) -> Monomial:
-    return tuple(sorted(((c, e) for c, e in d.items() if e != 0),
-                        key=lambda ce: ce[0].sort_key))
+def _lower(mono: Monomial, pos: int, e: int) -> Monomial:
+    """``mono`` with the exponent ``e`` of its ``pos``-th coordinate lowered by one."""
+    if e == 1:
+        return mono[:pos] + mono[pos + 1:]
+    return mono[:pos] + ((mono[pos][0], e - 1),) + mono[pos + 1:]
+
+
+def _raise(mono: Monomial, coord: Coord) -> Monomial:
+    """``mono`` times ``coord``: its exponent raised by one, or a new pair in order."""
+    at = bisect_left(mono, (coord,))
+    if at < len(mono) and mono[at][0] == coord:
+        return mono[:at] + ((coord, mono[at][1] + 1),) + mono[at + 1:]
+    return mono[:at] + ((coord, 1),) + mono[at:]
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -64,6 +82,17 @@ def _accumulate(out: dict, key, value) -> None:
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _mul_into(out: dict, terms1: dict, terms2: dict) -> None:
+    """Accumulate the product of two term maps into ``out``."""
+    for m1, c1 in terms1.items():
+        d1 = dict(m1)
+        for m2, c2 in terms2.items():
+            d = dict(d1)
+            for coord, e in m2:
+                d[coord] = d.get(coord, 0) + e
+            _accumulate(out, tuple(sorted(d.items())), c1 * c2)
 
 
 class EvaluationError(ValueError):
@@ -147,13 +176,7 @@ class DiffPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for coord, e in m2:
-                    d[coord] = d.get(coord, 0) + e
-                _accumulate(out, _monomial_from_dict(d), c1 * c2)
+        _mul_into(out, self.terms, other.terms)
         return DiffPoly(out)
 
     __rmul__ = __mul__
@@ -177,15 +200,10 @@ class DiffPoly:
         """Formal partial derivative; every Coord counts as independent."""
         out: dict = {}
         for mono, coeff in self.terms.items():
-            d = dict(mono)
-            e = d.get(coord)
-            if not e:
-                continue
-            if e == 1:
-                del d[coord]
-            else:
-                d[coord] = e - 1
-            _accumulate(out, _monomial_from_dict(d), coeff * e)
+            for pos, (c, e) in enumerate(mono):
+                if c == coord:
+                    _accumulate(out, _lower(mono, pos, e), coeff * e if e > 1 else coeff)
+                    break
         return DiffPoly(out)
 
     def evaluate(self, assignment) -> Fraction:
@@ -272,6 +290,8 @@ _SYMBOLS = set("+-*/^(){}_,")
 MAX_NESTING = 100
 # Powers expand in full, so a large literal exponent is a size blow-up.
 MAX_EXPONENT = 64
+# Longer integer literals are rejected before int() meets Python's own limit.
+MAX_DIGITS = 1000
 
 
 def _tokenize(text: str):
@@ -287,6 +307,8 @@ def _tokenize(text: str):
             j = i
             while j < size and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -445,7 +467,7 @@ class ExprParser:
                     continue
                 break
             self.expect_sym("}")
-            return tuple(sorted(indices))
+            return tuple(indices)
         kind, lex, off = self.peek()
         if kind != "ident":
             raise ParseError("malformed jet suffix", uoff)
@@ -459,7 +481,7 @@ class ExprParser:
                 raise ParseError(f"malformed jet suffix: {ch!r} is not independent", off)
             indices.append(ctx.indep_index[ch])
         self.advance()
-        return tuple(sorted(indices))
+        return tuple(indices)
 
 
 def parse_expr(text: str, ctx) -> DiffPoly:
@@ -508,7 +530,7 @@ def format_coord(coord: Coord, ctx) -> str:
 
 
 def _monomial_key(mono: Monomial) -> tuple:
-    return (sum(e for _, e in mono), tuple((c.sort_key, e) for c, e in mono))
+    return (sum(e for _, e in mono), mono)
 
 
 def _format_monomial(mono: Monomial, coeff: Fraction, ctx) -> tuple[int, str]:

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .expr import (
     INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, format_coord, format_poly, parse_coord, parse_expr,
+    _accumulate, _lower, _mul_into, _raise, format_coord, format_poly,
+    parse_coord, parse_expr,
 )
 
 
@@ -56,6 +57,9 @@ class JetContext:
             for f in rhs:
                 _check_internal(f)
             self.evolution_rhs = rhs
+        # total-derivative tables: c -> c lifted by x_i, and (j, r) -> D_x^r(f_j)
+        self._lifts = tuple({} for _ in self.indep)
+        self._rhs_dx = {(j, 0): f for j, f in enumerate(self.evolution_rhs or ())}
 
     # -- construction ----------------------------------------------------
 
@@ -101,8 +105,7 @@ class JetContext:
 
     def jet_coord(self, dep, sigma=()) -> Coord:
         j = dep if isinstance(dep, int) else self.dep_index[dep]
-        sigma = tuple(sorted(self._indep_idx(i) for i in sigma))
-        return Coord(JET, j, sigma)
+        return Coord(JET, j, (self._indep_idx(i) for i in sigma))
 
     def param_coord(self, name) -> Coord:
         idx = name if isinstance(name, int) else self.param_index[name]
@@ -153,32 +156,50 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     substitutes D_x^r(f_j) for the slot of u^j with r trailing x's.
     """
     idx = ctx._indep_idx(i)
-    if not ctx.is_evolution or idx == 0:
-        out = f.partial(Coord(INDEP, idx))
-        for c in f.coords():
-            if c.kind != JET:
-                continue
-            lifted = Coord(JET, c.index, tuple(sorted(c.sigma + (idx,))))
-            out = out + DiffPoly.var(lifted) * f.partial(c)
-        return out
-    # D_t: substitute the evolution rule
-    out = f.partial(Coord(INDEP, 1))
-    cache: dict[tuple[int, int], DiffPoly] = {}
-    for c in sorted((c for c in f.coords() if c.kind == JET),
-                    key=lambda c: (c.index, len(c.sigma))):
-        r = len(c.sigma)
-        key = (c.index, r)
-        if key not in cache:
-            g = ctx.evolution_rhs[c.index]
-            prev = cache.get((c.index, r - 1))
-            if r and prev is not None:
-                g = total_derivative(ctx, 0, prev)
-            else:
-                for _ in range(r):
-                    g = total_derivative(ctx, 0, g)
-            cache[key] = g
-        out = out + cache[key] * f.partial(c)
-    return out
+    if ctx.is_evolution and idx == 1:
+        return _evolution_dt(ctx, f)
+    # one pass: each term is lifted coordinate by coordinate into ``out``
+    x = Coord(INDEP, idx)
+    lifts = ctx._lifts[idx]
+    out: dict = {}
+    for mono, coeff in f.terms.items():
+        for pos, (c, e) in enumerate(mono):
+            if c[0] == JET:
+                lifted = lifts.get(c)
+                if lifted is None:
+                    lifted = lifts[c] = Coord(JET, c[1], c[2] + (idx,))
+                _accumulate(out, _raise(_lower(mono, pos, e), lifted),
+                            coeff * e if e > 1 else coeff)
+            elif c == x:
+                _accumulate(out, _lower(mono, pos, e), coeff * e if e > 1 else coeff)
+    return DiffPoly(out)
+
+
+def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
+    """D_t in evolution mode: d/dt plus D_x^r(f_j) times d/du^j_{x..x}."""
+    t = Coord(INDEP, 1)
+    partials: dict = {}
+    for mono, coeff in f.terms.items():
+        for pos, (c, e) in enumerate(mono):
+            if c[0] == JET or c == t:
+                _accumulate(partials.setdefault(c, {}), _lower(mono, pos, e), coeff * e)
+    out = partials.pop(t, {})
+    for c, part in partials.items():
+        _mul_into(out, part, _rhs_dx(ctx, c[1], len(c[2])).terms)
+    return DiffPoly(out)
+
+
+def _rhs_dx(ctx: JetContext, j: int, r: int) -> DiffPoly:
+    """D_x^r(f_j), memoized per context from the longest known D_x^k(f_j)."""
+    memo = ctx._rhs_dx
+    k = r
+    while (j, k) not in memo:
+        k -= 1
+    g = memo[(j, k)]
+    while k < r:
+        k += 1
+        g = memo[(j, k)] = total_derivative(ctx, 0, g)
+    return g
 
 
 def total_derivative_sigma(ctx: JetContext, sigma, f: DiffPoly) -> DiffPoly:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .expr import DiffPoly, Coord, PARAM, _accumulate, _join_signed
+from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
     JetContext, JetPoint, PointError, _at_generic_points, _merge_sign, increasing_tuples,
 )
@@ -420,15 +420,25 @@ class TwoLineResult:
     ctx: JetContext
 
 
+# (t1 + ... + tp)^k expands in full into C(k+p-1, p-1) terms; this bounds them.
+MAX_TWO_LINE_TERMS = 2000
+
+
 def two_line_polynomial(k: int, p: int, sign) -> TwoLineResult:
     """Expand (t1^k + ... + tp^k) +- (t1 + ... + tp)^k over the rationals.
 
     A nonzero result certifies that multiplication by it is injective on
     polynomials, the vanishing hypothesis used for evolution equations of
-    order >= 2.
+    order >= 2.  ``k`` is at most ``MAX_EXPONENT`` and the expansion at most
+    ``MAX_TWO_LINE_TERMS`` terms.
     """
     if k < 1 or p < 1:
         raise ValueError("need k >= 1 and p >= 1")
+    if k > MAX_EXPONENT:
+        raise ValueError(f"k = {k} exceeds {MAX_EXPONENT}")
+    if comb(k + p - 1, p - 1) > MAX_TWO_LINE_TERMS:
+        raise ValueError(f"(t1 + ... + t{p})^{k} has more than "
+                         f"{MAX_TWO_LINE_TERMS} terms")
     sgn = 1 if sign in (1, "+", "+1") else -1 if sign in (-1, "-", "-1") else None
     if sgn is None:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")

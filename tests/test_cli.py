@@ -204,6 +204,24 @@ def test_huge_exponent_is_domain_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_long_integer_literal_is_domain_error(tmp_path):
+    bad = tmp_path / "literal.prob"
+    bad.write_text("independent x t\ndependent u\nequation u_t - " + "7" * 5000 + "*u\n")
+    code, out, err = invoke("linearize", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: integer literal longer than 1000 digits at offset 6")
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
+def test_two_line_size_is_bounded():
+    code, out, err = invoke("two-line", "--k", "400", "--p", "4", "--sign", "+")
+    assert code == 1 and out == ""
+    assert err == "error: k = 400 exceeds 64\n"
+    code, out, err = invoke("two-line", "--k", "30", "--p", "4", "--sign", "-")
+    assert code == 1 and out == ""
+    assert err == "error: (t1 + ... + t4)^30 has more than 2000 terms\n"
+
+
 def test_missing_file_exit_1():
     code, _, err = invoke("linearize", "no-such-file.prob")
     assert code == 1

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from cdcalc import (
     Coord, DiffPoly, JetContext, ParseError, evaluate, format_poly,
     parse_coord, parse_expr, partial,
 )
-from cdcalc.expr import EvaluationError
+from cdcalc.expr import JET, MAX_DIGITS, EvaluationError
 
 from conftest import rand_poly
 
@@ -25,7 +27,7 @@ def test_parse_kdv_system(ctx):
     u_x = ctx.jet_coord("u", ("x",))
     u_xxx = ctx.jet_coord("u", ("x", "x", "x"))
     assert f.terms[((u_t, 1),)] == 1
-    assert f.terms[tuple(sorted([(u, 1), (u_x, 1)], key=lambda p: p[0].sort_key))] == -1
+    assert f.terms[tuple(sorted([(u, 1), (u_x, 1)]))] == -1
     assert f.terms[((u_xxx, 1),)] == -1
 
 
@@ -191,6 +193,30 @@ def test_evaluate_is_ring_hom(ctx):
         pt = {c: rand_fraction(rng) for c in coords}
         assert evaluate(a * b, pt) == evaluate(a, pt) * evaluate(b, pt)
         assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
+
+
+def test_integer_literal_length_is_bounded(ctx):
+    with pytest.raises(ParseError, match=f"longer than {MAX_DIGITS} digits") as err:
+        parse_expr("u + " + "7" * 5000 + "*u_x", ctx)
+    assert err.value.pos == 4
+    with pytest.raises(ParseError) as err:
+        parse_expr("1/" + "3" * (MAX_DIGITS + 1), ctx)
+    assert err.value.pos == 2
+    big = int("9" * MAX_DIGITS)
+    assert parse_expr("9" * MAX_DIGITS + "*u", ctx) == parse_expr("u", ctx) * big
+
+
+def test_coord_sigma_is_canonical(ctx):
+    c = Coord(JET, 0, (1, 0))
+    assert c.sigma == (0, 1) and c == ctx.jet_coord("u", ("x", "t"))
+    assert DiffPoly.var(c) == ctx.parse("u_{x,t}")
+    assert format_poly(DiffPoly.var(c), ctx) == "u_xt"
+    # a Coord is the plain tuple (kind, index, sigma)
+    assert c == (JET, 0, (0, 1)) and hash(c) == hash((JET, 0, (0, 1)))
+    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert type(twin) is Coord and twin == c and twin.sigma == (0, 1)
+    f = ctx.parse("u_{t,x}^2 - 3*x*u")
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(f) == f
 
 
 def test_parse_coord(ctx):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cdcalc import (
-    DiffPoly, HorizontalForm, JetContext, PointError, dbar, parse_point_file,
-    parse_problem, random_point, total_derivative, wedge,
+    DiffPoly, HorizontalForm, JetContext, PointError, dbar, linearize,
+    parse_point_file, parse_problem, random_point, total_derivative, wedge,
 )
+from cdcalc.expr import INDEP, JET
 
 from conftest import rand_poly
 
@@ -206,3 +207,98 @@ def test_parse_problem_rejects_mixed():
     """
     with pytest.raises(ValueError):
         parse_problem(text)
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle: the chain-rule sums written out independently of jet.py
+# ---------------------------------------------------------------------------
+
+class _Sym:
+    """sympy symbols named by (kind, index, sorted sigma) alone."""
+
+    def __init__(self):
+        import sympy
+        self.sympy = sympy
+        self.jets = {}  # sympy symbol -> (dependent index, sorted sigma)
+
+    def coord(self, kind, index, sigma=()):
+        sigma = tuple(sorted(sigma))
+        sym = self.sympy.Symbol(f"c{kind}_{index}_" + "_".join(map(str, sigma)))
+        if kind == JET:
+            self.jets[sym] = (index, sigma)
+        return sym
+
+    def poly(self, f: DiffPoly):
+        out = self.sympy.Integer(0)
+        for mono, coeff in f.terms.items():
+            term = self.sympy.Rational(coeff.numerator, coeff.denominator)
+            for c, e in mono:
+                term *= self.coord(c.kind, c.index, c.sigma) ** e
+            out += term
+        return self.sympy.expand(out)
+
+    def jet_symbols(self, expr):
+        return sorted((s for s in expr.free_symbols if s in self.jets), key=str)
+
+    def total(self, expr, i):
+        """d/dx_i + sum u_{sigma+i} d/du_sigma."""
+        out = self.sympy.diff(expr, self.coord(INDEP, i))
+        for s in self.jet_symbols(expr):
+            j, sigma = self.jets[s]
+            out += self.coord(JET, j, sigma + (i,)) * self.sympy.diff(expr, s)
+        return self.sympy.expand(out)
+
+    def evolution_dt(self, expr, rhs):
+        """d/dt + sum D_x^r(f_j) d/du^j_{x^r}, with D_x^r taken by ``total``."""
+        out = self.sympy.diff(expr, self.coord(INDEP, 1))
+        for s in self.jet_symbols(expr):
+            j, sigma = self.jets[s]
+            g = rhs[j]
+            for _ in sigma:
+                g = self.total(g, 0)
+            out += g * self.sympy.diff(expr, s)
+        return self.sympy.expand(out)
+
+
+def test_total_derivative_matches_sympy_chain_rule():
+    sym = _Sym()
+    rng = random.Random(8)
+    for ctx in (JetContext.free("x t", "u"), JetContext.free("x y z", "u v", ("a",))):
+        for _ in range(40):
+            f = rand_poly(rng, ctx, max_order=3, max_terms=5, max_exp=3)
+            expr = sym.poly(f)
+            for i in range(ctx.n):
+                assert sym.poly(total_derivative(ctx, i, f)) == sym.total(expr, i)
+
+
+def test_evolution_dt_matches_sympy_substitution():
+    sym = _Sym()
+    rng = random.Random(9)
+    for dep, texts, params in (("u", ["u*u_x + u_{x,x,x}"], ()),
+                               ("u v", ["u*v_x + u_xxx - a*x", "v^2*u_xx + t*u"], ("a",))):
+        ctx = JetContext.evolution(dep, texts, params)
+        rhs = [sym.poly(f) for f in ctx.evolution_rhs]
+        for _ in range(30):
+            f = rand_poly(rng, ctx, max_order=3, max_terms=5, max_exp=3)
+            expr = sym.poly(f)
+            assert sym.poly(total_derivative(ctx, "t", f)) == sym.evolution_dt(expr, rhs)
+            assert sym.poly(total_derivative(ctx, "x", f)) == sym.total(expr, 0)
+
+
+def test_linearize_matches_sympy_partials():
+    sym = _Sym()
+    rng = random.Random(10)
+    ctx = JetContext.free("x y", "u v", ("a",))
+    for _ in range(30):
+        comps = [rand_poly(rng, ctx, max_order=3, max_terms=5, max_exp=3) for _ in range(2)]
+        op = linearize(ctx, comps)
+        for s, f in enumerate(comps):
+            expr = sym.poly(f)
+            want = {}
+            for u in sym.jet_symbols(expr):
+                j, sigma = sym.jets[u]
+                want[(j, sigma)] = sym.sympy.expand(sym.sympy.diff(expr, u))
+            got = {(j, sigma): sym.poly(coeff)
+                   for j in range(ctx.m)
+                   for sigma, coeff in op.entries[s][j].terms.items()}
+            assert got == want

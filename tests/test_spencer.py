@@ -10,7 +10,10 @@ from cdcalc import (
 )
 from cdcalc.linalg import matmul, rank
 from cdcalc.ops import ScalarCDiffOp
-from cdcalc.spencer import graded_symbol_matrix, multiindices, sym_dim
+from cdcalc.expr import MAX_EXPONENT
+from cdcalc.spencer import (
+    MAX_TWO_LINE_TERMS, graded_symbol_matrix, multiindices, sym_dim,
+)
 
 from conftest import rand_operator
 
@@ -244,6 +247,15 @@ def test_two_line_full_grid():
         for p in range(2, 5):
             for sign in ("+", "-"):
                 assert two_line_polynomial(k, p, sign).nonzero
+
+
+def test_two_line_size_is_bounded():
+    assert two_line_polynomial(MAX_EXPONENT, 2, "+").nonzero
+    assert len(two_line_polynomial(1, MAX_TWO_LINE_TERMS, "+").poly.terms) == \
+        MAX_TWO_LINE_TERMS
+    for k, p in ((MAX_EXPONENT + 1, 1), (400, 4), (30, 4), (1, MAX_TWO_LINE_TERMS + 1)):
+        with pytest.raises(ValueError):
+            two_line_polynomial(k, p, "+")
 
 
 def test_two_line_rejects_bad_sign():
