@@ -8,7 +8,7 @@ the table shows a one-dimensional class at level 2.
 from cdcalc import (
     CDiffOp, DiffPoly, JetContext, dbar_operator, delta_map, is_involutive,
 )
-from cdcalc.linalg import matmul, rank
+from cdcalc.linalg import rank
 from cdcalc.ops import ScalarCDiffOp
 
 for names in ("x t", "x y z"):
@@ -37,5 +37,6 @@ d0 = delta_map(2, 1, 2, 0)
 d1 = delta_map(2, 1, 1, 1)
 print(f"  dims {d0.domain_dim} -> {d0.codomain_dim} -> {d1.codomain_dim},",
       f"ranks {rank(d0.matrix)}, {rank(d1.matrix)}")
-square = matmul(d1.matrix, d0.matrix)
+square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*d0.matrix)]
+          for row in d1.matrix]
 print("  delta o delta = 0:", all(x == 0 for row in square for x in row))

@@ -11,10 +11,9 @@ import argparse
 import json
 import sys
 import warnings
-from fractions import Fraction
 
 from .compat import check_formal_exactness, cokernel_rank, kline_report, parse_complex
-from .expr import EvaluationError, ParseError, format_poly
+from .expr import EvaluationError, ParseError, _parse_rational, format_poly
 from .jet import PointError, parse_point_file, parse_problem, random_point
 from .ops import adjoint as op_adjoint, format_operator, linearize
 from .pform import Metric, MetricError, e1_table, epi_check
@@ -33,13 +32,6 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _emit(lines: list[str], data: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
-
-
 def _linearization(path: str):
     """The free-mode context of a problem file and the linearization of its system."""
     problem = parse_problem(_read(path))
@@ -50,7 +42,7 @@ def _linearization(path: str):
 
 def _point_for(args, ctx, needed_order: int):
     """Explicit point file, or None to engage the seeded three-point policy."""
-    if getattr(args, "point", None):
+    if args.point:
         return parse_point_file(_read(args.point), ctx, needed_order)
     return None
 
@@ -70,48 +62,42 @@ def _operator_report(op, title: str) -> tuple[list[str], dict]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report as text lines and as JSON data
 # ---------------------------------------------------------------------------
 
-def _cmd_linearize(args) -> int:
+def _cmd_linearize(args):
+    return _operator_report(_linearization(args.problem)[1], "linearization")
+
+
+def _cmd_adjoint(args):
     _, op = _linearization(args.problem)
-    lines, data = _operator_report(op, "linearization")
-    _emit(lines, data, args.json)
-    return 0
+    return _operator_report(op_adjoint(op), "adjoint of linearization")
 
 
-def _cmd_adjoint(args) -> int:
-    _, op = _linearization(args.problem)
-    lines, data = _operator_report(op_adjoint(op), "adjoint of linearization")
-    _emit(lines, data, args.json)
-    return 0
-
-
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args):
     ctx, op = _linearization(args.problem)
-    pt = _point_for(args, ctx, op.coefficient_jet_order())
-    if pt is None:
-        pt = random_point(ctx, op.coefficient_jet_order(), 3 * args.seed)
-    sym = symbol(op, pt)
+    order = op.coefficient_jet_order()
+    sym = symbol(op, _point_for(args, ctx, order) or random_point(ctx, order, 3 * args.seed))
     entry_strs = [[format_symbol_entry(sym.entry(s, j), ctx)
                    for j in range(sym.cols)] for s in range(sym.rows)]
     lines = [f"degree: {sym.degree}", f"rows: {sym.rows}", f"cols: {sym.cols}",
              "matrix:"]
     lines.extend(" ; ".join(row) for row in entry_strs)
-    _emit(lines, {"degree": sym.degree, "rows": sym.rows, "cols": sym.cols,
-                  "matrix": entry_strs}, args.json)
-    return 0
+    return lines, {"degree": sym.degree, "rows": sym.rows, "cols": sym.cols,
+                   "matrix": entry_strs}
 
 
-def _spencer_lines(report) -> tuple[list[str], dict]:
+def _cmd_spencer(args):
+    ctx, op = _linearization(args.problem)
+    pt = _point_for(args, ctx, op.coefficient_jet_order())
+    report = spencer_cohomology(op, args.l_max, pt=pt, seed=args.seed)
     header = "l\\i " + " ".join(f"{i:>3}" for i in range(len(report.dims[0])))
     lines = [f"operator order: {report.order}",
              f"l_max: {report.l_max}",
              "dims:", header]
     for l, row in enumerate(report.dims):
         lines.append(f"{l:>3} " + " ".join(f"{v:>3}" for v in row))
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
+    lines.extend(f"warning: {warning}" for warning in report.warnings)
     lines.extend(report.machine_lines())
     data = {f"dims.{l}.{i}": v for l, row in enumerate(report.dims)
             for i, v in enumerate(row)}
@@ -121,16 +107,7 @@ def _spencer_lines(report) -> tuple[list[str], dict]:
     return lines, data
 
 
-def _cmd_spencer(args) -> int:
-    ctx, op = _linearization(args.problem)
-    pt = _point_for(args, ctx, op.coefficient_jet_order())
-    report = spencer_cohomology(op, args.l_max, pt=pt, seed=args.seed)
-    lines, data = _spencer_lines(report)
-    _emit(lines, data, args.json)
-    return 0
-
-
-def _cmd_involutive(args) -> int:
+def _cmd_involutive(args):
     ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order())
     result = is_involutive(op, args.l_max, pt=pt, seed=args.seed)
@@ -143,18 +120,13 @@ def _cmd_involutive(args) -> int:
                  f"dim: {result.report.dims[l][i]}"]
         data = {"involutive_up_to": None, "failure": {"l": l, "i": i},
                 "dim": result.report.dims[l][i]}
-    for warning in result.report.warnings:
-        lines.append(f"warning: {warning}")
-    _emit(lines, data, args.json)
-    return 0
+    lines.extend(f"warning: {warning}" for warning in result.report.warnings)
+    return lines, data
 
 
-def _cmd_exactness(args) -> int:
+def _cmd_exactness(args):
     cplx = parse_complex(_read(args.complex))
-    pt = None
-    if args.point:
-        pt = parse_point_file(_read(args.point), cplx.ctx,
-                              cplx.required_point_order(args.l_max))
+    pt = _point_for(args, cplx.ctx, cplx.required_point_order(args.l_max))
     report = check_formal_exactness(cplx, args.l_max, pt=pt, seed=args.seed)
     lines = [f"l_max: {report.l_max}", f"positions: {len(cplx.operators) - 1}"]
     rows = []
@@ -169,15 +141,13 @@ def _cmd_exactness(args) -> int:
                      "exact": c.exact})
     lines.append(f"all_exact: {'yes' if report.all_exact else 'no'} "
                  f"(tested l <= {report.l_max})")
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
-    _emit(lines, {"l_max": report.l_max, "checks": rows,
-                  "all_exact": report.all_exact,
-                  "warnings": list(report.warnings)}, args.json)
-    return 0
+    lines.extend(f"warning: {warning}" for warning in report.warnings)
+    return lines, {"l_max": report.l_max, "checks": rows,
+                   "all_exact": report.all_exact,
+                   "warnings": list(report.warnings)}
 
 
-def _cmd_coker(args) -> int:
+def _cmd_coker(args):
     ctx, op = _linearization(args.problem)
     pt = _point_for(args, ctx, op.coefficient_jet_order() + args.k1)
     with warnings.catch_warnings(record=True) as caught:
@@ -189,44 +159,36 @@ def _cmd_coker(args) -> int:
     data = {"k1": args.k1, "cokernel_rank": value}
     if notes:
         data["warnings"] = notes
-    _emit(lines, data, args.json)
-    return 0
+    return lines, data
 
 
-def _cmd_kline(args) -> int:
+def _cmd_kline(args):
     report = kline_report(args.k, args.n)
-    _emit(report.lines(), report.as_dict(), args.json)
-    return 0
+    return report.lines(), report.as_dict()
 
 
-def _cmd_zcr(args) -> int:
+def _cmd_zcr(args):
     problem = parse_problem(_read(args.problem))
     if not problem.ctx.is_evolution:
         raise ValueError("zcr needs an evolution-mode problem file")
     omega = parse_matrix_forms(_read(args.forms), problem.ctx)
     residual = mc_residual(problem.ctx, omega)
     if residual.is_zero():
-        lines = ["residual: 0 (zero-curvature representation verified)"]
-        data = {"residual_zero": True, "entries": []}
-    else:
-        entries = format_matrix_form(residual)
-        lines = ["residual: nonzero"] + entries
-        data = {"residual_zero": False, "entries": entries}
-    _emit(lines, data, args.json)
-    return 0
+        return (["residual: 0 (zero-curvature representation verified)"],
+                {"residual_zero": True, "entries": []})
+    entries = format_matrix_form(residual)
+    return ["residual: nonzero"] + entries, {"residual_zero": False, "entries": entries}
 
 
-def _cmd_two_line(args) -> int:
+def _cmd_two_line(args):
     result = two_line_polynomial(args.k, args.p, args.sign)
     poly_str = format_poly(result.poly, result.ctx)
-    lines = [f"k: {result.k}", f"p: {result.p}",
-             f"sign: {'+' if result.sign > 0 else '-'}",
+    sign = "+" if result.sign > 0 else "-"
+    lines = [f"k: {result.k}", f"p: {result.p}", f"sign: {sign}",
              f"nonzero: {'true' if result.nonzero else 'false'}",
              f"polynomial: {poly_str}"]
-    _emit(lines, {"k": result.k, "p": result.p,
-                  "sign": "+" if result.sign > 0 else "-",
-                  "nonzero": result.nonzero, "polynomial": poly_str}, args.json)
-    return 0
+    return lines, {"k": result.k, "p": result.p, "sign": sign,
+                   "nonzero": result.nonzero, "polynomial": poly_str}
 
 
 def _parse_metric_arg(text: str) -> Metric:
@@ -236,39 +198,69 @@ def _parse_metric_arg(text: str) -> Metric:
     return Metric.diag(int(tok) for tok in text.split(","))
 
 
-def _cmd_pform_epi(args) -> int:
+def _cmd_pform_epi(args):
     metric = _parse_metric_arg(args.metric)
-    xi = [Fraction(tok.strip()) for tok in args.xi.split(",")]
+    xi = [_parse_rational(tok, "--xi") for tok in args.xi.split(",")]
     result = epi_check(args.n, args.p, metric, xi)
     lines = [f"surjective: {'true' if result.surjective else 'false'}",
              f"rank: {result.rank}",
              f"dim: {result.dim}",
              f"target_degree: {result.degree}"]
-    _emit(lines, {"surjective": result.surjective, "rank": result.rank,
-                  "dim": result.dim, "target_degree": result.degree}, args.json)
-    return 0
+    return lines, {"surjective": result.surjective, "rank": result.rank,
+                   "dim": result.dim, "target_degree": result.degree}
 
 
-def _cmd_pform_table(args) -> int:
+def _cmd_pform_table(args):
     table = e1_table(args.n, args.p)
     triples = table.triples()
     lines = [f"n: {table.n}", f"p: {table.p}", "entries (i, q, dim):"]
     lines.extend(f"({i}, {q}, {d})" for i, q, d in triples)
-    _emit(lines, {"n": table.n, "p": table.p,
-                  "entries": [list(t) for t in triples]}, args.json)
-    return 0
+    return lines, {"n": table.n, "p": table.p,
+                   "entries": [list(t) for t in triples]}
 
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, points: bool = True):
-    sub.add_argument("--json", action="store_true", help="structured output")
-    if points:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for the three-point generic policy (default 0)")
-        sub.add_argument("--point", help="explicit point file (coord = rational)")
+def _arg(*names, **options):
+    return names, options
+
+
+_PROBLEM = _arg("problem")
+_L_MAX = _arg("--l-max", type=int, default=2)
+_N = _arg("--n", type=int, required=True)
+_P = _arg("--p", type=int, required=True)
+
+# name, help, handler, own arguments, whether it takes --seed/--point
+_SUBCOMMANDS = (
+    ("linearize", "universal linearization of a system", _cmd_linearize,
+     [_PROBLEM], False),
+    ("adjoint", "adjoint of the linearization", _cmd_adjoint, [_PROBLEM], False),
+    ("symbol", "top-order symbol at a point", _cmd_symbol, [_PROBLEM], True),
+    ("spencer", "delta-cohomology dimension table", _cmd_spencer,
+     [_PROBLEM, _L_MAX], True),
+    ("involutive", "involutivity over the tested range", _cmd_involutive,
+     [_PROBLEM, _L_MAX], True),
+    ("exactness", "formal exactness of a complex file", _cmd_exactness,
+     [_arg("complex"), _L_MAX], True),
+    ("coker", "cokernel rank of the prolonged linearization", _cmd_coker,
+     [_PROBLEM, _arg("--k1", type=int, default=1)], True),
+    ("kline", "vanishing ranges for a length-k complex", _cmd_kline,
+     [_arg("--k", type=int, required=True), _N], False),
+    ("zcr", "zero-curvature residual of a connection form", _cmd_zcr,
+     [_PROBLEM, _arg("--forms", required=True)], False),
+    ("two-line", "power-sum vs k-th-power expansion", _cmd_two_line,
+     [_arg("--k", type=int, required=True), _P,
+      _arg("--sign", choices=["+", "-"], required=True)], False),
+    ("pform-epi", "wedge/adjoint surjectivity check", _cmd_pform_epi,
+     [_N, _P, _arg("--metric", required=True, help='e.g. "diag(1,1,1,1)"'),
+      _arg("--xi", required=True,
+           help='e.g. "1,0,0,0"; write --xi=-1,0,0,0 when the first '
+                'component is negative')], False),
+    ("pform-table", "unit-dimension table for p-forms", _cmd_pform_table,
+     [_N, _P], False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,97 +268,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cdcalc",
         description="Exact operator calculus on jet spaces")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("linearize", help="universal linearization of a system")
-    p.add_argument("problem")
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_linearize)
-
-    p = subs.add_parser("adjoint", help="adjoint of the linearization")
-    p.add_argument("problem")
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = subs.add_parser("symbol", help="top-order symbol at a point")
-    p.add_argument("problem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_symbol)
-
-    p = subs.add_parser("spencer", help="delta-cohomology dimension table")
-    p.add_argument("problem")
-    p.add_argument("--l-max", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_spencer)
-
-    p = subs.add_parser("involutive", help="involutivity over the tested range")
-    p.add_argument("problem")
-    p.add_argument("--l-max", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_involutive)
-
-    p = subs.add_parser("exactness", help="formal exactness of a complex file")
-    p.add_argument("complex")
-    p.add_argument("--l-max", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_exactness)
-
-    p = subs.add_parser("coker", help="cokernel rank of the prolonged linearization")
-    p.add_argument("problem")
-    p.add_argument("--k1", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_coker)
-
-    p = subs.add_parser("kline", help="vanishing ranges for a length-k complex")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_kline)
-
-    p = subs.add_parser("zcr", help="zero-curvature residual of a connection form")
-    p.add_argument("problem")
-    p.add_argument("--forms", required=True)
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_zcr)
-
-    p = subs.add_parser("two-line", help="power-sum vs k-th-power expansion")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--sign", choices=["+", "-"], required=True)
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_two_line)
-
-    p = subs.add_parser("pform-epi", help="wedge/adjoint surjectivity check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--metric", required=True, help='e.g. "diag(1,1,1,1)"')
-    p.add_argument("--xi", required=True,
-                   help='e.g. "1,0,0,0"; write --xi=-1,0,0,0 when the first '
-                        'component is negative')
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_pform_epi)
-
-    p = subs.add_parser("pform-table", help="unit-dimension table for p-forms")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p, points=False)
-    p.set_defaults(func=_cmd_pform_table)
-
+    for name, help_text, handler, arguments, points in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for names, options in arguments:
+            sub.add_argument(*names, **options)
+        sub.add_argument("--json", action="store_true", help="structured output")
+        if points:
+            sub.add_argument("--seed", type=int, default=0,
+                             help="seed for the three-point generic policy (default 0)")
+            sub.add_argument("--point", help="explicit point file (coord = rational)")
+        sub.set_defaults(func=handler)
     return parser
 
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        lines, data = args.func(args)
     except (ParseError, EvaluationError, PointError, MetricError, ValueError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(data, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+    return 0
 
 
 def console() -> None:

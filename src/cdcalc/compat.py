@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .jet import JetContext, JetPoint, _at_generic_points
+from .jet import JetContext, JetPoint, _at_generic_points, _check_depth
 from .ops import CDiffOp, parse_scalar_op
 from .spencer import fiber_map, jet_fiber_dim
 
@@ -115,6 +115,7 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     ops = cplx.operators
     if len(ops) < 2:
         raise ValueError("exactness needs at least two operators")
+    _check_depth("l_max", l_max)
 
     def run(point):
         checks = []
@@ -153,8 +154,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     surjective (checked, not normalized away).  A disagreement between the
     policy's samples is reported as a RuntimeWarning.
     """
-    if k1 < 1:
-        raise ValueError("prolongation depth k1 must be a positive integer")
+    _check_depth("prolongation depth k1", k1, low=1)
 
     def run(point):
         base = fiber_map(op, 0, point)

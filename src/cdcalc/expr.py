@@ -9,6 +9,7 @@ equality is literal term-map equality and every operation is exact.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -284,6 +285,7 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*/^(){}_,")
+_DIGITS = frozenset("0123456789")
 
 # Parentheses and unary minus recurse through the grammar (up to four frames a
 # level); this bound keeps malformed input far below Python's recursion limit.
@@ -292,6 +294,25 @@ MAX_NESTING = 100
 MAX_EXPONENT = 64
 # Longer integer literals are rejected before int() meets Python's own limit.
 MAX_DIGITS = 1000
+
+_RATIONAL = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)", re.ASCII)
+
+
+def _parse_rational(text: str, where: str) -> Fraction:
+    """An integer, ``p/q`` or plain decimal of at most ``MAX_DIGITS`` digits.
+
+    Exponent notation is rejected; the ValueError names ``where``, the line
+    or argument the value came from.
+    """
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{where}: expected an integer, p/q or plain decimal")
+    if sum(ch.isdigit() for ch in text) > MAX_DIGITS:
+        raise ValueError(f"{where}: value longer than {MAX_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: zero denominator") from None
 
 
 def _tokenize(text: str):
@@ -303,9 +324,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)

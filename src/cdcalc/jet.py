@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from .expr import (
     INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _lower, _mul_into, _raise, format_coord, format_poly,
-    parse_coord, parse_expr,
+    _accumulate, _lower, _mul_into, _parse_rational, _raise, format_coord,
+    format_poly, parse_coord, parse_expr,
 )
 
 
@@ -408,8 +409,28 @@ def _point_coords(ctx: JetContext, order_bound: int):
                     yield Coord(JET, j, sigma)
 
 
+# Bounds on what a rank computation may build, set from a timed sweep (see
+# the README).  They cap size, not time: exact elimination with nonconstant
+# coefficients can be slow well inside them.
+MAX_PROLONGATION = 15  # prolongation depth: coker's k1, l_max
+MAX_FIBER_DIM = 2000  # coordinates of a point, a jet fiber or Lambda^i (x) S^r (x) P
+
+
+def _check_depth(name: str, value: int, low: int = 0) -> None:
+    if not low <= value <= MAX_PROLONGATION:
+        raise ValueError(f"{name} must be in {low}..{MAX_PROLONGATION}, got {value}")
+
+
+def _check_size(dim: int, what: str) -> None:
+    """Reject, before it is built, a space of over MAX_FIBER_DIM coordinates."""
+    if dim > MAX_FIBER_DIM:
+        raise ValueError(f"{what} has {dim} coordinates, more than {MAX_FIBER_DIM}")
+
+
 def random_point(ctx: JetContext, order_bound: int, seed: int = 0) -> JetPoint:
     """Seeded random point: numerators in +-1..9, denominators in 1..4."""
+    per_dep = order_bound + 1 if ctx.is_evolution else comb(ctx.n + order_bound, ctx.n)
+    _check_size(ctx.m * per_dep, f"a point of jet order {order_bound}")
     rng = random.Random(1000003 * seed + 7)
     values = {}
     for coord in _point_coords(ctx, order_bound):
@@ -462,7 +483,7 @@ def parse_point_file(text: str, ctx: JetContext, order_bound: int) -> JetPoint:
             raise ValueError(f"line {lineno}: expected 'coord = rational'")
         lhs, rhs = line.split("=", 1)
         coord = parse_coord(lhs.strip(), ctx)
-        values[coord] = Fraction(rhs.strip())
+        values[coord] = _parse_rational(rhs, f"line {lineno}")
     return JetPoint(ctx, order_bound, values)
 
 

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a list of rows, each either a dense sequence of Fractions (or
-ints) or a sparse ``{column: value}`` dict.  One fraction-free sparse
-elimination serves ``rank`` and ``kernel_basis``: each row is cleared of
-denominators once, then reduced over ``int`` against the pivot rows found
-so far in ascending column order, divided by the gcd of its entries after
-each step.  ``kernel_basis`` back-substitutes the same pivot rows to the
-reduced row echelon form.  No floating point anywhere.
+The package builds every matrix as a list of sparse ``{column: value}``
+rows (``{}`` for a zero row); ``rank`` and ``kernel_basis`` also accept
+dense sequences of Fractions (or ints) as rows.  One fraction-free sparse
+elimination serves both: each row is cleared of denominators once, then
+reduced over ``int`` against the pivot rows found so far in ascending
+column order, divided by the gcd of its entries after each step.
+``_kernel_rows`` back-substitutes the same pivot rows to the reduced row
+echelon form and returns the kernel as sparse rows; ``kernel_basis`` is its
+dense view.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -87,23 +89,18 @@ def rank(matrix) -> int:
     return len(_echelon(matrix))
 
 
-def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column (deterministic).
+def _kernel_rows(matrix, n_cols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel as sparse rows, one per free column.
 
-    The vectors are read off the reduced row echelon form: the one at free
-    column f has 1 at f and minus the form's column f at the pivot columns.
-    ``n_cols`` is required for dict rows; dense rows give it by their length.
+    The vector at free column f has 1 at f and minus the reduced row echelon
+    form's column f at the pivot columns.
     """
-    if n_cols is None:
-        n_cols = len(matrix[0]) if matrix else 0
     pivots = _echelon(matrix)
     # back-substitution to the reduced form: clear each pivot row's other
     # pivot columns, the rows further right first
     for c in sorted(pivots, reverse=True):
         _reduce(pivots[c], pivots, to_lead=False)
-    basis = {fc: [Fraction(0)] * n_cols for fc in range(n_cols) if fc not in pivots}
-    for fc, v in basis.items():
-        v[fc] = Fraction(1)
+    basis = {fc: {fc: Fraction(1)} for fc in range(n_cols) if fc not in pivots}
     for pc, prow in pivots.items():
         for fc, x in prow.items():
             if fc != pc:
@@ -111,20 +108,14 @@ def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def matmul(a, b) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"matmul shape mismatch: {len(a[0])} vs {len(b)}")
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * cols
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for c in range(cols):
-                    if brow[c]:
-                        acc[c] += x * brow[c]
-        out.append(acc)
-    return out
+def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right kernel as dense vectors, one per free column
+    (deterministic; the dense view of ``_kernel_rows``).
+
+    ``n_cols`` is required for dict rows; dense rows give it by their length.
+    """
+    if n_cols is None:
+        n_cols = len(matrix[0]) if matrix else 0
+    zero = Fraction(0)
+    return [[row.get(c, zero) for c in range(n_cols)]
+            for row in _kernel_rows(matrix, n_cols)]

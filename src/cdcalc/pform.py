@@ -112,19 +112,14 @@ class EpiCheck:
     degree: int  # target exterior degree
 
 
-def _wedge_matrix(n: int, xi, k: int):
-    """Matrix of (xi ^ .): Lambda^k -> Lambda^{k+1} over the fixed bases."""
-    sources = increasing_tuples(n, k)
-    targets = increasing_tuples(n, k + 1)
-    tpos = {key: i for i, key in enumerate(targets)}
-    matrix = [[Fraction(0)] * len(sources) for _ in targets]
-    for c, key in enumerate(sources):
+def _wedge_entries(n: int, xi, k: int):
+    """Nonzero entries (target, source, value) of (xi ^ .): Lambda^k -> Lambda^{k+1}."""
+    tpos = {key: t for t, key in enumerate(increasing_tuples(n, k + 1))}
+    for c, key in enumerate(increasing_tuples(n, k)):
         for i in range(n):
-            if xi[i] == 0 or i in key:
-                continue
-            newkey, sign = _merge_sign((i,), key)
-            matrix[tpos[newkey]][c] += sign * xi[i]
-    return matrix
+            if xi[i] and i not in key:
+                newkey, sign = _merge_sign((i,), key)
+                yield tpos[newkey], c, sign * xi[i]
 
 
 def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
@@ -147,15 +142,18 @@ def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
         raise ValueError("covector must be nonzero (degenerate input)")
 
     m = n - p - 1
-    wedge_in = _wedge_matrix(n, xi, m - 1)            # Lambda^{m-1} -> Lambda^m
-    wedge_up = _wedge_matrix(n, xi, m)                # Lambda^m -> Lambda^{m+1}
     mids = increasing_tuples(n, m)
     highs = increasing_tuples(n, m + 1)
-    # adjoint: [A*]_{I,J} = g_I g_J [A]_{J,I} for diagonal +-1 metrics
-    adj = [[metric.product(mid) * metric.product(high) * wedge_up[jr][ir]
-            for jr, high in enumerate(highs)]
-           for ir, mid in enumerate(mids)]
-    combined = [row_a + row_b for row_a, row_b in zip(wedge_in, adj)]
+    offset = comb(n, m - 1)
+    # row I of Lambda^m: wedge by xi from Lambda^{m-1} in the first columns,
+    # then the adjoint [A*]_{I,J} = g_I g_J [A]_{J,I} of the wedge from
+    # Lambda^m to Lambda^{m+1} (diagonal +-1 metrics)
+    combined = [{} for _ in mids]
+    for t, c, value in _wedge_entries(n, xi, m - 1):
+        combined[t][c] = value
+    for t, c, value in _wedge_entries(n, xi, m):
+        sign = metric.product(mids[c]) * metric.product(highs[t])
+        combined[c][offset + t] = sign * value
     r = rank(combined)
     dim = comb(n, m)
     return EpiCheck(surjective=(r == dim), rank=r, dim=dim, degree=m)

@@ -30,9 +30,10 @@ from math import comb
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
-    JetContext, JetPoint, PointError, _at_generic_points, _merge_sign, increasing_tuples,
+    JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
+    _merge_sign, increasing_tuples,
 )
-from .linalg import kernel_basis, rank
+from .linalg import _kernel_rows, rank
 from .ops import CDiffOp, ScalarCDiffOp, _left_Di
 
 # ---------------------------------------------------------------------------
@@ -59,10 +60,6 @@ def sym_dim(n: int, r: int) -> int:
 
 def jet_fiber_dim(n: int, r: int) -> int:
     return comb(n + r, n)
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b))
 
 
 def _remove_one(sigma: tuple, i: int) -> tuple:
@@ -112,39 +109,35 @@ def symbol(op: CDiffOp, pt: JetPoint) -> SymbolMatrix:
     return SymbolMatrix(op.ctx.n, op.rows, op.cols, k, entries)
 
 
-def graded_symbol_matrix(sym: SymbolMatrix, l: int) -> list[list[Fraction]]:
-    """Matrix of the degree-graded map S^{k+l} (x) P -> S^l (x) P1.
+def graded_symbol_matrix(sym: SymbolMatrix, l: int) -> FiberMap:
+    """The degree-graded map S^{k+l} (x) P -> S^l (x) P1 as sparse rows.
 
     Rows are (s, tau) with |tau| = l, columns (j, mu) with |mu| = k + l;
     the entry is the symbol coefficient at mu minus tau when tau fits
     inside mu.
     """
-    n = sym.n
-    taus = multiindices(n, l)
-    mus = multiindices(n, sym.degree + l)
+    taus = multiindices(sym.n, l)
+    mus = multiindices(sym.n, sym.degree + l)
     mu_pos = {mu: c for c, mu in enumerate(mus)}
-    n_cols = sym.cols * len(mus)
-    matrix = []
-    for s in range(sym.rows):
-        for tau in taus:
-            row = [Fraction(0)] * n_cols
-            for j in range(sym.cols):
-                cell = sym.entry(s, j)
-                for sigma, value in cell.items():
-                    mu = _merge(tau, sigma)
-                    row[j * len(mus) + mu_pos[mu]] += value
-            matrix.append(row)
-    return matrix
+    rows = [{j * len(mus) + mu_pos[tuple(sorted(tau + sigma))]: value
+             for j in range(sym.cols) for sigma, value in sym.entry(s, j).items()}
+            for s in range(sym.rows) for tau in taus]
+    return FiberMap(rows=rows, domain_dim=sym.cols * len(mus),
+                    codomain_dim=len(rows), source_rank=sym.cols,
+                    source_order=sym.degree + l, target_rank=sym.rows,
+                    target_order=l)
 
 
-def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[list[Fraction]]:
-    """Basis of g^r inside S^r (x) P (full module below the operator order)."""
-    n_cols = sym.cols * sym_dim(sym.n, r)
+def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[dict]:
+    """Basis of g^r inside S^r (x) P as sparse ``{column: value}`` rows.
+
+    Below the operator order g^r is the full module; the column numbering is
+    that of ``graded_symbol_matrix``.
+    """
     if r < 0:
         return []
-    if r < sym.degree:
-        return kernel_basis([], n_cols)
-    return kernel_basis(graded_symbol_matrix(sym, r - sym.degree), n_cols)
+    rows = graded_symbol_matrix(sym, r - sym.degree).rows if r >= sym.degree else []
+    return _kernel_rows(rows, sym.cols * sym_dim(sym.n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +187,8 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
     if pt.order_bound < needed:
         raise PointError(
             f"point order {pt.order_bound} insufficient; need {needed}")
+    _check_size(max(op.cols * jet_fiber_dim(n, k + l), op.rows * jet_fiber_dim(n, l)),
+                f"the order-{k + l} fiber map")
 
     taus = multiindices_upto(n, l)
     mus = multiindices_upto(n, k + l)
@@ -243,7 +238,7 @@ def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
     if not 0 <= s < n:
         raise ValueError(f"exterior degree {s} out of range 0..{n - 1}")
     # the columns are the images of the basis vectors of the whole source
-    images = _delta_of_subspace(n, rank_p, r, s, kernel_basis([], rank_p * sym_dim(n, r)))
+    images = _delta_of_subspace(n, rank_p, r, s, _kernel_rows([], rank_p * sym_dim(n, r)))
     rows = [{} for _ in range(comb(n, s + 1) * rank_p * sym_dim(n, r - 1))]
     for c, image in enumerate(images):
         for t, value in image.items():
@@ -257,7 +252,7 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
                        basis: list) -> list:
     """Images under ambient delta of Lambda^s-shifted copies of ``basis``.
 
-    ``basis`` spans a subspace of S^r (x) P; the subspace of
+    ``basis`` (sparse rows) spans a subspace of S^r (x) P; the subspace of
     Lambda^s (x) S^r (x) P it generates has one copy per increasing s-tuple.
     Returns the image vectors as sparse rows, ready for a rank computation.
     """
@@ -271,9 +266,7 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
     for form in increasing_tuples(n, s):
         for vec in basis:
             out: dict = {}
-            for pos, value in enumerate(vec):
-                if not value:
-                    continue
+            for pos, value in vec.items():
                 comp, sym_i = divmod(pos, len(src_sym))
                 mu = src_sym[sym_i]
                 for i in set(mu):
@@ -388,11 +381,16 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
     recorded if the samples disagree (a non-generic draw or genuinely
     variable rank).
     """
-    ctx = op.ctx
+    _check_depth("l_max", l_max)
+    n = op.ctx.n
+    # the top level uses the largest Lambda^i (x) S^r (x) P, r = k + l_max - i
+    _check_size(max(comb(n, i) * op.cols * sym_dim(n, op.order + l_max - i)
+                    for i in range(min(l_max, n) + 1)),
+                f"Lambda (x) S^r (x) P up to l_max = {l_max}")
     dims, warnings = _at_generic_points(
-        ctx, op.coefficient_jet_order(), pt, seed,
-        lambda point: _dims_table(symbol(op, point), op.cols, l_max, ctx.n))
-    return SpencerReport(order=op.order, l_max=l_max, n=ctx.n, dims=dims,
+        op.ctx, op.coefficient_jet_order(), pt, seed,
+        lambda point: _dims_table(symbol(op, point), op.cols, l_max, n))
+    return SpencerReport(order=op.order, l_max=l_max, n=n, dims=dims,
                          warnings=warnings)
 
 

@@ -8,42 +8,13 @@ as [omega(X), omega(Y)]; it is fixed once and used consistently.
 
 from __future__ import annotations
 
-from .expr import DiffPoly, format_poly
+from .expr import DiffPoly, _accumulate, format_poly
 from .jet import JetContext, total_derivative
 from .ops import CDiffOp, ScalarCDiffOp
 
 
 def _zero_matrix(d: int):
     return [[DiffPoly.zero() for _ in range(d)] for _ in range(d)]
-
-
-def _mat_is_zero(m) -> bool:
-    return all(e.is_zero() for row in m for e in row)
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_mul(a, b):
-    d = len(a)
-    out = _zero_matrix(d)
-    for i in range(d):
-        for k in range(d):
-            if a[i][k].is_zero():
-                continue
-            for j in range(d):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
-def _mat_total_derivative(ctx, i, m):
-    return [[total_derivative(ctx, i, e) for e in row] for row in m]
 
 
 class MatrixForm:
@@ -66,7 +37,7 @@ class MatrixForm:
                     raise ValueError(f"bad index tuple {key} for degree {degree}")
                 if len(matrix) != size or any(len(row) != size for row in matrix):
                     raise ValueError(f"coefficient of {key} is not {size}x{size}")
-                if not _mat_is_zero(matrix):
+                if any(e for row in matrix for e in row):
                     self.coeffs[key] = [list(row) for row in matrix]
 
     @staticmethod
@@ -93,9 +64,7 @@ class MatrixForm:
         if not isinstance(other, MatrixForm):
             return NotImplemented
         return (self.ctx == other.ctx and self.size == other.size
-                and self.degree == other.degree
-                and {k: m for k, m in self.coeffs.items()}
-                == {k: m for k, m in other.coeffs.items()})
+                and self.degree == other.degree and self.coeffs == other.coeffs)
 
     __hash__ = None
 
@@ -118,24 +87,24 @@ def mc_residual(ctx: JetContext, omega: MatrixForm) -> MatrixForm:
         raise ValueError("form does not match the context")
     a1 = omega.matrix_at((0,))
     a2 = omega.matrix_at((1,))
-    residual = _mat_add(
-        _mat_sub(_mat_total_derivative(ctx, 0, a2),
-                 _mat_total_derivative(ctx, 1, a1)),
-        _mat_sub(_mat_mul(a1, a2), _mat_mul(a2, a1)))
-    return MatrixForm(ctx, omega.size, 2, {(0, 1): residual})
+    d = omega.size
+    residual = [[total_derivative(ctx, 0, a2[r][c]) - total_derivative(ctx, 1, a1[r][c])
+                 + sum(a1[r][k] * a2[k][c] - a2[r][k] * a1[k][c] for k in range(d))
+                 for c in range(d)] for r in range(d)]
+    return MatrixForm(ctx, d, 2, {(0, 1): residual})
 
 
-def _ad_matrix(a, d: int):
-    """Matrix of M -> A M - M A on row-major flattened d x d matrices."""
-    dim = d * d
-    out = [[DiffPoly.zero() for _ in range(dim)] for _ in range(dim)]
+def _ad_entries(a, d: int) -> dict:
+    """Nonzero entries {(row, col): poly} of M -> A M - M A on row-major
+    flattened d x d matrices."""
+    out: dict = {}
     for p in range(d):
         for q in range(d):
             row = p * d + q
             for r in range(d):
-                out[row][r * d + q] = out[row][r * d + q] + a[p][r]
+                _accumulate(out, (row, r * d + q), a[p][r])
             for s in range(d):
-                out[row][p * d + s] = out[row][p * d + s] - a[s][q]
+                _accumulate(out, (row, p * d + s), -a[s][q])
     return out
 
 
@@ -158,15 +127,15 @@ def covering_substitute(op: CDiffOp, omega: MatrixForm) -> CDiffOp:
 
     blocks = []
     for i in range(ctx.n):
-        ad = _ad_matrix(omega.matrix_at((i,)), d)
+        ad = _ad_entries(omega.matrix_at((i,)), d)
         entries = [[ScalarCDiffOp() for _ in range(dim)] for _ in range(dim)]
         for r in range(dim):
             for c in range(dim):
                 terms = {}
                 if r == c:
                     terms[(i,)] = DiffPoly.const(1)
-                if ad[r][c]:
-                    terms[()] = ad[r][c]
+                if (r, c) in ad:
+                    terms[()] = ad[r, c]
                 entries[r][c] = ScalarCDiffOp(terms)
         blocks.append(CDiffOp(ctx, entries))
 

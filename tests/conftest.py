@@ -68,6 +68,23 @@ def split_samples(ctx: JetContext, order: int) -> list[JetPoint]:
     return samples
 
 
+def matmul(a, b) -> list[list[Fraction]]:
+    """Product of two dense rational matrices (a test oracle for the maps)."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"matmul shape mismatch: {len(a[0])} vs {len(b)}")
+    return [[sum((x * brow[c] for x, brow in zip(row, b)), Fraction(0))
+             for c in range(len(b[0]) if b else 0)] for row in a]
+
+
+def sympy_rank(matrix) -> int:
+    """Rank over QQ of a dense rational matrix, computed by sympy."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+    QQ = sympy.QQ
+    rows = [[QQ(v.numerator, v.denominator) for v in row] for row in matrix]
+    return DomainMatrix(rows, (len(matrix), len(matrix[0])), QQ).rank()
+
+
 def rand_operator(rng: random.Random, ctx: JetContext, rows: int, cols: int,
                   max_op_order: int = 2, max_coeff_order: int = 1) -> CDiffOp:
     return CDiffOp(ctx, [[rand_scalar_op(rng, ctx, max_op_order, max_coeff_order)

@@ -15,6 +15,7 @@ DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 KDV_PROB = str(DATA / "kdv.prob")
 KDV_FORMS = str(DATA / "kdv_sl2.forms")
 DERHAM = str(DATA / "derham2.cplx")
+MAXWELL = str(DATA / "maxwell4.cplx")
 
 
 def invoke(*argv):
@@ -233,3 +234,49 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, _ = invoke("two-line", "--k", "2")
     assert code == 2
+
+
+def test_negative_prolongation_is_domain_error():
+    for argv in (("spencer", KDV_PROB, "--l-max", "-1"),
+                 ("involutive", KDV_PROB, "--l-max", "-1"),
+                 ("exactness", DERHAM, "--l-max", "-1")):
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", "error: l_max must be in 0..15, got -1\n")
+
+
+def test_oversized_prolongation_is_domain_error(tmp_path):
+    big = tmp_path / "big.cplx"
+    big.write_text(Path(DERHAM).read_text().replace("operator 1 -> 2 order 1",
+                                                    "operator 1 -> 2 order 100000"))
+    cases = ((("spencer", KDV_PROB, "--l-max", "100000"),
+              "l_max must be in 0..15, got 100000"),
+             (("involutive", KDV_PROB, "--l-max", "16"), "l_max must be in 0..15, got 16"),
+             (("coker", KDV_PROB, "--k1", "100000"),
+              "prolongation depth k1 must be in 1..15, got 100000"),
+             (("exactness", str(big)),
+              "the order-100001 fiber map has 5000250003 coordinates, more than 2000"),
+             (("exactness", MAXWELL, "--l-max", "6"),
+              "the order-9 fiber map has 2860 coordinates, more than 2000"))
+    for argv, message in cases:
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_non_ascii_digit_is_domain_error(tmp_path):
+    bad = tmp_path / "digit.prob"
+    bad.write_text("independent x t\ndependent u\nequation u_t - 2²*u\n", encoding="utf-8")
+    code, out, err = invoke("linearize", str(bad))
+    assert (code, out, err) == (1, "", "error: unexpected character '²' at offset 7\n")
+
+
+def test_unbounded_rationals_are_domain_errors(tmp_path):
+    point = tmp_path / "pt.point"
+    cases = (("7" * 5000, "value longer than 1000 digits"),
+             ("1e999999999999", "expected an integer, p/q or plain decimal"))
+    for value, message in cases:
+        point.write_text(f"x = 1\nt = 2\nlam = 0\nu = {value}\n")
+        code, out, err = invoke("symbol", KDV_PROB, "--point", str(point))
+        assert (code, out, err) == (1, "", f"error: line 4: {message}\n")
+        code, out, err = invoke("pform-epi", "--n", "4", "--p", "1",
+                                "--metric", "diag(1,1,1,1)", f"--xi={value},0,0,0")
+        assert (code, out, err) == (1, "", f"error: --xi: {message}\n")

@@ -1,0 +1,95 @@
+"""Byte-for-byte CLI output on the demo inputs.
+
+Each case runs ``cdcalc.cli.run`` from the repository root with relative
+paths and ``COLUMNS=80`` and compares stdout, stderr and the exit code with
+``tests/golden/<case>.json``, with colour switched off (``NO_COLOR``, no
+``FORCE_COLOR`` or ``PYTHON_COLORS``).  The ``help-*`` cases hold argparse's
+layout as Python 3.11 prints it; other versions may lay help out
+differently.  Regenerate the files (only when an output is meant to change)
+with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cdcalc.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+KDV = "demos/data/kdv.prob"
+POINT = "tests/golden/kdv.point"
+
+_COMMANDS = {
+    "linearize": ["linearize", KDV],
+    "adjoint": ["adjoint", KDV],
+    "symbol": ["symbol", KDV],
+    "symbol-seed": ["symbol", KDV, "--seed", "4"],
+    "symbol-point": ["symbol", KDV, "--point", POINT],
+    "spencer": ["spencer", KDV, "--l-max", "2"],
+    "spencer-point": ["spencer", KDV, "--l-max", "1", "--point", POINT],
+    "involutive": ["involutive", KDV, "--l-max", "3", "--seed", "2"],
+    "exactness-derham": ["exactness", "demos/data/derham2.cplx", "--l-max", "2"],
+    "exactness-maxwell": ["exactness", "demos/data/maxwell4.cplx", "--l-max", "1"],
+    "coker": ["coker", KDV, "--k1", "1"],
+    "coker-point": ["coker", KDV, "--k1", "1", "--point", POINT],
+    "kline": ["kline", "--k", "3", "--n", "4"],
+    "zcr": ["zcr", KDV, "--forms", "demos/data/kdv_sl2.forms"],
+    "two-line": ["two-line", "--k", "3", "--p", "2", "--sign", "+"],
+    "two-line-minus": ["two-line", "--k", "1", "--p", "2", "--sign", "-"],
+    "pform-epi": ["pform-epi", "--n", "4", "--p", "1",
+                  "--metric", "diag(1,1,1,-1)", "--xi=-1,1/2,0,3"],
+    "pform-table": ["pform-table", "--n", "6", "--p", "2"],
+}
+
+CASES = {}
+for _name, _argv in _COMMANDS.items():
+    CASES[_name] = _argv
+    CASES[_name + "-json"] = _argv + ["--json"]
+CASES["help"] = ["--help"]
+for _sub in ("linearize", "adjoint", "symbol", "spencer", "involutive", "exactness",
+             "coker", "kline", "zcr", "two-line", "pform-epi", "pform-table"):
+    CASES[f"help-{_sub}"] = [_sub, "--help"]
+CASES["usage-no-command"] = []
+CASES["usage-missing-argument"] = ["two-line", "--k", "2"]
+CASES["error-missing-file"] = ["linearize", "demos/data/no-such-file.prob"]
+
+
+_SET_ENV = {"COLUMNS": "80", "NO_COLOR": "1"}
+_CLEARED_ENV = ("FORCE_COLOR", "PYTHON_COLORS")
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return {"argv": list(argv), "exit_code": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    for name, value in _SET_ENV.items():
+        monkeypatch.setenv(name, value)
+    for name in _CLEARED_ENV:
+        monkeypatch.delenv(name, raising=False)
+    expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    assert _invoke(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    os.environ.update(_SET_ENV)
+    for name in _CLEARED_ENV:
+        os.environ.pop(name, None)
+    for name, argv in sorted(CASES.items()):
+        record = _invoke(argv)
+        (GOLDEN / f"{name}.json").write_text(
+            json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"{name}: exit {record['exit_code']}")

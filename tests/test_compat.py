@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import cdcalc.jet
@@ -6,6 +8,7 @@ from cdcalc import (
     cokernel_rank, dbar_operator, kline_report, linearize, parse_complex,
     parse_operator_matrix, random_point, star_operator,
 )
+from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
 from cdcalc.spencer import fiber_map
 
@@ -180,3 +183,39 @@ def test_parse_complex_file(ctx):
 def test_parse_complex_bad_header():
     with pytest.raises(ValueError, match="header"):
         parse_complex("independent x t\ndependent u\noperator 1 2\nD_{x}")
+
+
+def test_prolongation_requests_are_bounded(ctx):
+    for l_max in (-1, MAX_PROLONGATION + 1):
+        with pytest.raises(ValueError, match=f"l_max must be in 0..15, got {l_max}"):
+            check_formal_exactness(derham2(ctx), l_max, seed=0)
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    for k1 in (0, MAX_PROLONGATION + 1, 100000):
+        with pytest.raises(ValueError, match=f"k1 must be in 1..15, got {k1}"):
+            cokernel_rank(kdv, k1, seed=0)
+    text = ("independent x t\ndependent u\noperator 1 -> 2 order 100000\nD_{x}\nD_{t}\n"
+            "operator 2 -> 1 order 1\n-D_{t} ; D_{x}\n")
+    with pytest.raises(ValueError, match="order-100001 fiber map has 5000250003 "
+                                         "coordinates, more than 2000"):
+        check_formal_exactness(parse_complex(text), 2, seed=0)
+
+
+def test_prolongation_bounds_at_their_edge():
+    # the slowest accepted request of its kind runs well inside 10 s; one step
+    # further is rejected.  KdV's cokernel at the largest depth k1 = 15 runs
+    # under the three-point policy, as the CLI's `coker` does.
+    ctx = JetContext.free("x t", "u")
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    start = time.perf_counter()
+    assert cokernel_rank(kdv, MAX_PROLONGATION, seed=0) == 0
+    assert time.perf_counter() - start < 10
+    # de Rham in n = 3: at l = 12 the curl's order-14 source fiber has
+    # 3 * C(3 + 14, 3) = 2040 coordinates, past MAX_FIBER_DIM = 2000
+    ctx3 = JetContext.free("x y z", "u")
+    derham3 = OperatorComplex([dbar_operator(ctx3, q) for q in range(3)])
+    pt = random_point(ctx3, derham3.required_point_order(12), seed=1)
+    start = time.perf_counter()
+    assert check_formal_exactness(derham3, 11, pt=pt).all_exact
+    assert time.perf_counter() - start < 10
+    with pytest.raises(ValueError, match="order-14 fiber map has 2040 coordinates"):
+        check_formal_exactness(derham3, 12, pt=pt)

@@ -231,3 +231,10 @@ def test_evolution_rejects_t_jets():
     with pytest.raises(ParseError, match="internal"):
         ctx.parse("u_t")
     ctx.parse("u_xx")  # fine
+
+
+def test_only_ascii_digits_form_literals(ctx):
+    for text, pos in (("u_t - 2²*u", 7), ("٣*u", 0), ("u + 1١", 5)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_expr(text, ctx)
+        assert err.value.pos == pos

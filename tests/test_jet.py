@@ -7,7 +7,7 @@ from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, PointError, dbar, linearize,
     parse_point_file, parse_problem, random_point, total_derivative, wedge,
 )
-from cdcalc.expr import INDEP, JET
+from cdcalc.expr import INDEP, JET, MAX_DIGITS
 
 from conftest import rand_poly
 
@@ -302,3 +302,22 @@ def test_linearize_matches_sympy_partials():
                    for j in range(ctx.m)
                    for sigma, coeff in op.entries[s][j].terms.items()}
             assert got == want
+
+
+def test_point_file_values_are_bounded(ctx):
+    head = "x = 1\nt = 2\nu_x = -1\nu_t = 0\n"
+    accepted = (("-1.25", Fraction(-5, 4)), ("3.", Fraction(3)), (".5", Fraction(1, 2)),
+                ("+7/21", Fraction(1, 3)), ("9" * MAX_DIGITS, int("9" * MAX_DIGITS)))
+    for value, want in accepted:
+        pt = parse_point_file(head + f"u = {value}\n", ctx, 1)
+        assert pt.value(ctx.jet_coord("u")) == want
+    for value, message in (
+            ("7" * 5000, f"line 5: value longer than {MAX_DIGITS} digits"),
+            ("1/" + "3" * MAX_DIGITS, f"line 5: value longer than {MAX_DIGITS} digits"),
+            ("1e999999999999", "line 5: expected an integer, p/q or plain decimal"),
+            ("1_000", "line 5: expected an integer, p/q or plain decimal"),
+            ("١", "line 5: expected an integer, p/q or plain decimal"),
+            ("2/0", "line 5: zero denominator")):
+        with pytest.raises(ValueError) as err:
+            parse_point_file(head + f"u = {value}\n", ctx, 1)
+        assert str(err.value) == message

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc.linalg import kernel_basis, matmul, rank
+from cdcalc.linalg import kernel_basis, rank
+
+from conftest import matmul, sympy_rank
 
 sympy = pytest.importorskip("sympy")
-from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 SHAPES = [(4, 4), (9, 9), (20, 20), (25, 6), (12, 3), (5, 22), (3, 30), (1, 7), (7, 1)]
 DENSITIES = [0.02, 0.1, 0.3, 0.6]
@@ -38,12 +39,6 @@ def cases():
 
 def sparse(matrix):
     return [{c: v for c, v in enumerate(row) if v} for row in matrix]
-
-
-def sympy_rank(matrix):
-    QQ = sympy.QQ
-    rows = [[QQ(v.numerator, v.denominator) for v in row] for row in matrix]
-    return DomainMatrix(rows, (len(matrix), len(matrix[0])), QQ).rank()
 
 
 def sympy_nullspace(matrix):

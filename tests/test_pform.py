@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,6 +8,8 @@ from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, Metric, MetricError, dbar_operator,
     e1_table, epi_check, hodge_star, star_operator, wedge,
 )
+
+from conftest import sympy_rank
 
 
 def basis(n, indices):
@@ -132,8 +136,6 @@ def test_epi_check_rank_bounded():
 
 
 def test_epi_check_non_null_sweep():
-    import random
-    from fractions import Fraction
     rng = random.Random(0)
     for _ in range(30):
         n = rng.choice([3, 4, 5])
@@ -185,3 +187,48 @@ def test_e1_table_range_validation():
         e1_table(4, 0)
     with pytest.raises(ValueError):
         e1_table(4, 3)
+
+
+def _wedge_dense(n, xi, k):
+    """Dense matrix of dx_J -> xi ^ dx_J from Lambda^k to Lambda^{k+1}, the
+    sign counting the indices of J that dx_i passes."""
+    sources = list(combinations(range(n), k))
+    targets = list(combinations(range(n), k + 1))
+    matrix = [[Fraction(0)] * len(sources) for _ in targets]
+    for c, key in enumerate(sources):
+        for i in range(n):
+            if i not in key:
+                sign = (-1) ** sum(1 for j in key if j < i)
+                matrix[targets.index(tuple(sorted(key + (i,))))][c] += sign * xi[i]
+    return matrix
+
+
+def test_epi_check_rank_against_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        p = rng.randint(1, n - 2)
+        sig = [rng.choice((1, -1)) for _ in range(n)]
+        xi = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7
+              else Fraction(0) for _ in range(n)]
+        if rng.random() < 0.3:
+            # a null covector when the metric allows one: xi_a = xi_b on a +/- pair
+            if 1 in sig and -1 in sig:
+                xi = [Fraction(0)] * n
+                xi[sig.index(1)] = xi[sig.index(-1)] = Fraction(rng.randint(1, 3))
+        if not any(xi):
+            xi[rng.randrange(n)] = Fraction(1)
+        m = n - p - 1
+        metric = Metric.diag(sig)
+        wedge_in = _wedge_dense(n, xi, m - 1)
+        wedge_up = _wedge_dense(n, xi, m)
+        mids = list(combinations(range(n), m))
+        highs = list(combinations(range(n), m + 1))
+        combined = [wedge_in[a] + [metric.product(mid) * metric.product(high)
+                                   * wedge_up[b][a] for b, high in enumerate(highs)]
+                    for a, mid in enumerate(mids)]
+        result = epi_check(n, p, metric, xi)
+        assert result.rank == sympy_rank(combined), (n, p, sig, xi)
+        assert result.dim == len(mids)
+        assert result.surjective == (result.rank == result.dim)

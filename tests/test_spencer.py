@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,16 @@ from cdcalc import (
     is_involutive, linearize, random_point, spencer_cohomology, symbol,
     two_line_polynomial,
 )
-from cdcalc.linalg import matmul, rank
+from cdcalc.linalg import rank
 from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
+from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.spencer import (
     MAX_TWO_LINE_TERMS, graded_symbol_matrix, multiindices, sym_dim,
+    symbol_kernel_basis,
 )
 
-from conftest import rand_operator
+from conftest import matmul, rand_operator, sympy_rank
 
 
 @pytest.fixture
@@ -219,8 +223,8 @@ def test_graded_symbol_matrix_shape(ctx, kdv_lin):
     pt = random_point(ctx, 1, seed=0)
     sym = symbol(kdv_lin, pt)
     m = graded_symbol_matrix(sym, 1)
-    assert len(m) == len(multiindices(2, 1))          # rows: rank P1 * S^1
-    assert len(m[0]) == sym_dim(2, 4)                 # cols: rank P0 * S^4
+    assert m.codomain_dim == len(m.rows) == len(multiindices(2, 1))  # rank P1 * S^1
+    assert m.domain_dim == sym_dim(2, 4)                             # rank P0 * S^4
 
 
 def test_machine_lines(ctx, kdv_lin):
@@ -261,3 +265,72 @@ def test_two_line_size_is_bounded():
 def test_two_line_rejects_bad_sign():
     with pytest.raises(ValueError):
         two_line_polynomial(2, 2, "x")
+
+
+def _graded_from_definition(sym, l):
+    """Dense graded symbol map: at row (s, tau), column (j, mu), the symbol
+    coefficient at mu - tau when tau fits inside mu, else 0."""
+    rows = []
+    for s in range(sym.rows):
+        for tau in multiindices(sym.n, l):
+            row = []
+            for j in range(sym.cols):
+                for mu in multiindices(sym.n, sym.degree + l):
+                    rest = Counter(mu) - Counter(tau)
+                    sigma = tuple(sorted(rest.elements()))
+                    fits = len(sigma) == sym.degree          # tau inside mu
+                    row.append(sym.entry(s, j).get(sigma, Fraction(0)) if fits
+                               else Fraction(0))
+            rows.append(row)
+    return rows
+
+
+def test_symbol_kernel_basis_against_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for trial in range(12):
+        ctx = JetContext.free(rng.choice(("x t", "x y z")), "u")
+        op = rand_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2))
+        sym = symbol(op, random_point(ctx, op.coefficient_jet_order(), seed=trial))
+        for r in range(sym.degree + 3):
+            width = sym.cols * sym_dim(ctx.n, r)
+            basis = symbol_kernel_basis(sym, r)
+            assert all(isinstance(v, dict) and all(v.values()) for v in basis)
+            if r < sym.degree:
+                assert len(basis) == width
+                continue
+            graded = graded_symbol_matrix(sym, r - sym.degree)
+            dense = _graded_from_definition(sym, r - sym.degree)
+            assert (graded.codomain_dim, graded.domain_dim) == (len(dense), width)
+            assert graded.matrix == dense
+            assert len(basis) == width - sympy_rank(dense)
+            for v in basis:
+                assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in dense)
+            if basis:
+                assert sympy_rank([[v.get(c, 0) for c in range(width)]
+                                   for v in basis]) == len(basis)
+
+
+def test_prolongation_range_is_validated():
+    ctx = JetContext.free("x t", "u")
+    op = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    for l_max in (-1, -7, MAX_PROLONGATION + 1, 100000):
+        with pytest.raises(ValueError, match=f"l_max must be in 0..15, got {l_max}"):
+            spencer_cohomology(op, l_max)
+        with pytest.raises(ValueError, match="l_max must be in 0..15"):
+            is_involutive(op, l_max)
+    assert is_involutive(op, MAX_PROLONGATION).involutive
+
+
+def test_table_size_is_bounded_at_its_edge():
+    # the n = 4 Laplacian: at l_max = 11 the top level's Lambda^2 (x) S^11
+    # has 6 * C(14, 3) = 2184 coordinates, past MAX_FIBER_DIM = 2000, and is
+    # rejected before any point is drawn; l_max = 10 runs well inside 10 s
+    ctx = JetContext.free("x y z w", "u")
+    op = linearize(ctx, [ctx.parse("u_{x,x} + u_{y,y} + u_{z,z} + u_{w,w}")])
+    with pytest.raises(ValueError, match="has 2184 coordinates, more than 2000"):
+        spencer_cohomology(op, 11)
+    start = time.perf_counter()
+    report = spencer_cohomology(op, 10, pt=random_point(ctx, 0, seed=1))
+    assert time.perf_counter() - start < 10
+    assert report.first_failure is None
