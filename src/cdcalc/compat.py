@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 from .jet import JetContext, JetPoint, _at_generic_points, _check_depth
 from .ops import CDiffOp, parse_scalar_op
-from .spencer import fiber_map, jet_fiber_dim
+from .spencer import _Tower, _check_fiber_size, jet_fiber_dim
 
 
 class OperatorComplex:
@@ -110,35 +111,40 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     At position i the prolonged fibers are chained as
     order (k_i + k_{i+1} + l) -> order (k_{i+1} + l) -> order l,
     and the defect is dim ker(outgoing) - rank(incoming), which is
-    nonnegative by the complex property.
+    nonnegative by the complex property.  Each operator's prolongation
+    tower is built once per call, never kept between calls, and ranked only
+    at the levels of its two roles (once, if its coefficients are constant).
     """
-    ops = cplx.operators
+    ops, orders = cplx.operators, cplx.orders
     if len(ops) < 2:
         raise ValueError("exactness needs at least two operators")
     _check_depth("l_max", l_max)
+    n = cplx.ctx.n
+    towers = []
 
     def run(point):
+        if not towers:
+            levels = [set() for _ in ops]
+            for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
+                _check_fiber_size(ops[idx], orders[idx], orders[idx + 1] + l)
+                _check_fiber_size(ops[idx + 1], orders[idx + 1], l)
+                levels[idx].add(orders[idx + 1] + l)
+                levels[idx + 1].add(l)
+            towers.extend(map(_Tower, ops, orders, levels))
+        ranks = [tower.ranks(point) for tower in towers]
         checks = []
-        profile = []
-        for idx in range(len(ops) - 1):
-            for l in range(l_max + 1):
-                incoming = fiber_map(ops[idx], cplx.orders[idx + 1] + l, point,
-                                     declared_order=cplx.orders[idx])
-                outgoing = fiber_map(ops[idx + 1], l, point,
-                                     declared_order=cplx.orders[idx + 1])
-                if incoming.codomain_dim != outgoing.domain_dim:
-                    raise AssertionError("fiber dimensions out of step")
-                rank_in = incoming.rank()
-                rank_out = outgoing.rank()
-                defect = (outgoing.domain_dim - rank_out) - rank_in
-                assert defect >= 0, "image not contained in kernel"
-                checks.append(PositionCheck(
-                    position=idx + 1, l=l,
-                    dims=(incoming.domain_dim, outgoing.domain_dim,
-                          outgoing.codomain_dim),
-                    ranks=(rank_in, rank_out), defect=defect))
-                profile.extend((rank_in, rank_out))
-        return checks, tuple(profile)
+        for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
+            middle = orders[idx + 1] + l
+            dims = (ops[idx].cols * jet_fiber_dim(n, orders[idx] + middle),
+                    ops[idx + 1].cols * jet_fiber_dim(n, middle),
+                    ops[idx + 1].rows * jet_fiber_dim(n, l))
+            if ops[idx].rows * jet_fiber_dim(n, middle) != dims[1]:
+                raise AssertionError("fiber dimensions out of step")
+            pair = (ranks[idx][middle], ranks[idx + 1][l])
+            defect = (dims[1] - pair[1]) - pair[0]
+            assert defect >= 0, "image not contained in kernel"
+            checks.append(PositionCheck(idx + 1, l, dims, pair, defect))
+        return checks, tuple(r for c in checks for r in c.ranks)
 
     checks, notes = _at_generic_points(
         cplx.ctx, cplx.required_point_order(l_max), pt, seed, run)
@@ -152,18 +158,24 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     This is the rank of the next module in the compatibility construction;
     zero means the complex terminates here.  The order-0 fiber map must be
     surjective (checked, not normalized away).  A disagreement between the
-    policy's samples is reported as a RuntimeWarning.
+    policy's samples is reported as a RuntimeWarning.  One prolongation
+    tower, built for this call alone, gives the ranks at levels 0 and k1,
+    at the first sample only when the coefficients are constant.
     """
     _check_depth("prolongation depth k1", k1, low=1)
+    towers = []
 
     def run(point):
-        base = fiber_map(op, 0, point)
-        if base.rank() != base.codomain_dim:
+        if not towers:
+            _check_fiber_size(op, op.order, 0)
+            _check_fiber_size(op, op.order, k1)
+            towers.append(_Tower(op, op.order, (0, k1)))
+        ranks = towers[0].ranks(point)
+        if ranks[0] != op.rows:
             raise ValueError(
                 "order-0 fiber map is not surjective; renormalize the target "
                 "module before the cokernel construction")
-        r = fiber_map(op, k1, point).rank()
-        return r, (r,)
+        return ranks[k1], (ranks[k1],)
 
     best, notes = _at_generic_points(
         op.ctx, op.coefficient_jet_order() + k1, pt, seed, run)

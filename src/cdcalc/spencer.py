@@ -34,7 +34,7 @@ from .jet import (
     _merge_sign, increasing_tuples,
 )
 from .linalg import _kernel_rows, rank
-from .ops import CDiffOp, ScalarCDiffOp, _left_Di
+from .ops import CDiffOp, _left_Di
 
 # ---------------------------------------------------------------------------
 # Multi-index bases
@@ -170,16 +170,56 @@ class FiberMap:
         return rank(self.rows)
 
 
+def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
+    """Reject the order-(k + l) fiber map of ``op`` before it is built."""
+    _check_size(max(op.cols * jet_fiber_dim(op.ctx.n, k + l),
+                    op.rows * jet_fiber_dim(op.ctx.n, l)), f"the order-{k + l} fiber map")
+
+
+class _Tower:
+    """The prolongations D_tau(entries), |tau| <= max(levels), of one operator.
+
+    Built for one call, whose sample points share it.  ``rows(pt)`` are
+    (tau, s) in graded tau order, over the columns (j, mu) of the top
+    level's fiber map (declared order k), so level l is a prefix of them.
+    With constant coefficients the first point's ranks serve every point.
+    """
+
+    def __init__(self, op: CDiffOp, k: int, levels):
+        self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
+        top = max(self.ends)
+        self.mu_pos = {mu: c for c, mu in enumerate(multiindices_upto(op.ctx.n, k + top))}
+        prolonged = {(): op.entries}
+        for tau in multiindices_upto(op.ctx.n, top)[1:]:
+            prolonged[tau] = [[_left_Di(op.ctx, tau[-1], e) if e.terms else e for e in row]
+                              for row in prolonged[tau[:-1]]]
+        self.prolonged = [row for rows in prolonged.values() for row in rows]
+        self.constant = all(set(poly.terms) <= {()} for row in op.entries for e in row
+                            for poly in e.terms.values())
+        self._ranks = None
+
+    def rows(self, pt: JetPoint) -> list[dict]:
+        return [{j * len(self.mu_pos) + self.mu_pos[mu]: value for j, entry in enumerate(row)
+                 for mu, poly in entry.terms.items() if (value := poly.evaluate(pt))}
+                for row in self.prolonged]
+
+    def ranks(self, pt: JetPoint) -> dict[int, int]:
+        """The rank of the level-l fiber map at ``pt``, for each level l."""
+        if self._ranks is None or not self.constant:
+            rows = self.rows(pt)
+            self._ranks = {l: rank(rows[:end]) for l, end in self.ends.items()}
+        return self._ranks
+
+
 def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
               declared_order: int | None = None) -> FiberMap:
     """The prolonged operator as a map of jet fibers at a point.
 
     Maps the order-(k+l) fiber on the source to the order-l fiber on the
     target, k being the (declared) operator order.  The point must cover
-    the operator's coefficients and their first l total derivatives.
+    the operator's coefficients and their first l total derivatives.  The
+    rows are a level-l prolongation tower's, built for this call, s-major.
     """
-    ctx = op.ctx
-    n = ctx.n
     k = op.order if declared_order is None else declared_order
     if k < op.order:
         raise ValueError(f"declared order {k} below actual order {op.order}")
@@ -187,38 +227,12 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
     if pt.order_bound < needed:
         raise PointError(
             f"point order {pt.order_bound} insufficient; need {needed}")
-    _check_size(max(op.cols * jet_fiber_dim(n, k + l), op.rows * jet_fiber_dim(n, l)),
-                f"the order-{k + l} fiber map")
-
-    taus = multiindices_upto(n, l)
-    mus = multiindices_upto(n, k + l)
-    mu_pos = {mu: c for c, mu in enumerate(mus)}
-    prolonged: dict[tuple, list[list[ScalarCDiffOp]]] = {(): [list(r) for r in op.entries]}
-    for tau in taus:
-        if not tau:
-            continue
-        parent = prolonged[tau[:-1]]
-        prolonged[tau] = [[_left_Di(ctx, tau[-1], e) for e in row] for row in parent]
-
-    rows = []
-    for s in range(op.rows):
-        for tau in taus:
-            row = {}
-            entries = prolonged[tau][s]
-            for j in range(op.cols):
-                offset = j * len(mus)
-                for mu, poly in entries[j].terms.items():
-                    value = poly.evaluate(pt)
-                    if value:
-                        row[offset + mu_pos[mu]] = value
-            rows.append(row)
-    return FiberMap(
-        rows=rows,
-        domain_dim=op.cols * len(mus),
-        codomain_dim=op.rows * len(taus),
-        source_rank=op.cols, source_order=k + l,
-        target_rank=op.rows, target_order=l,
-    )
+    _check_fiber_size(op, k, l)
+    rows = _Tower(op, k, (l,)).rows(pt)
+    rows = [row for s in range(op.rows) for row in rows[s::op.rows]]
+    return FiberMap(rows=rows, domain_dim=op.cols * jet_fiber_dim(op.ctx.n, k + l),
+                    codomain_dim=len(rows), source_rank=op.cols, source_order=k + l,
+                    target_rank=op.rows, target_order=l)
 
 
 # ---------------------------------------------------------------------------

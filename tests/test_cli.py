@@ -269,6 +269,17 @@ def test_non_ascii_digit_is_domain_error(tmp_path):
     assert (code, out, err) == (1, "", "error: unexpected character '²' at offset 7\n")
 
 
+def test_metric_entries_are_domain_checked():
+    message = "error: --metric: entries must be integers of at most 1000 digits\n"
+    for entry in ("\u0661", "7" * 5000, "1.0", "1_1", ""):
+        code, out, err = invoke("pform-epi", "--n", "4", "--p", "1", "--metric",
+                                f"diag(1,{entry},1,1)", "--xi", "1,0,0,0")
+        assert (code, out, err) == (1, "", message)
+    code, out, err = invoke("pform-epi", "--n", "4", "--p", "1", "--metric",
+                            "diag(-1, +1, 1,1)", "--xi", "1,0,0,0")
+    assert code == 0 and err == ""
+
+
 def test_unbounded_rationals_are_domain_errors(tmp_path):
     point = tmp_path / "pt.point"
     cases = (("7" * 5000, "value longer than 1000 digits"),

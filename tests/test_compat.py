@@ -1,18 +1,23 @@
+import itertools
+import random
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import cdcalc.jet
+import cdcalc.spencer
 from cdcalc import (
     CDiffOp, JetContext, Metric, OperatorComplex, PointError, check_formal_exactness,
-    cokernel_rank, dbar_operator, kline_report, linearize, parse_complex,
+    cokernel_rank, dbar_operator, evaluate, kline_report, linearize, parse_complex,
     parse_operator_matrix, random_point, star_operator,
 )
-from cdcalc.jet import MAX_PROLONGATION
+from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
-from cdcalc.spencer import fiber_map
+from cdcalc.spencer import fiber_map, jet_fiber_dim
 
-from conftest import split_samples
+from conftest import rand_operator, split_samples, sympy_rank
 
 
 @pytest.fixture
@@ -219,3 +224,147 @@ def test_prolongation_bounds_at_their_edge():
     assert time.perf_counter() - start < 10
     with pytest.raises(ValueError, match="order-14 fiber map has 2040 coordinates"):
         check_formal_exactness(derham3, 12, pt=pt)
+
+
+# ---------------------------------------------------------------------------
+# Prolongation towers against fiber maps built from their definition
+# ---------------------------------------------------------------------------
+
+
+def _graded(n, r):
+    """Multi-indices of length <= r, by (length, lex)."""
+    return [m for d in range(r + 1)
+            for m in itertools.combinations_with_replacement(range(n), d)]
+
+
+def _oracle_fiber_map(op, l, k, pt):
+    """The level-l fiber map of ``op`` (declared order k) as a dense matrix.
+
+    Row (s, tau) is D_tau applied to row s of ``op`` by repeated composition
+    with D_i, evaluated at ``pt``; column (j, mu) holds the coefficient of
+    D_mu on component j.
+    """
+    ctx = op.ctx
+    taus, mus = _graded(ctx.n, l), _graded(ctx.n, k + l)
+    rows = []
+    for s in range(op.rows):
+        for tau in taus:
+            prolonged = CDiffOp(ctx, [op.entries[s]])
+            for i in tau:
+                prolonged = CDiffOp.total(ctx, i) @ prolonged
+            row = [Fraction(0)] * (op.cols * len(mus))
+            for j, entry in enumerate(prolonged.entries[0]):
+                for mu, poly in entry.terms.items():
+                    row[j * len(mus) + mus.index(mu)] = evaluate(poly, pt)
+            rows.append(row)
+    return rows
+
+
+def _oracle_rank(op, l, k, pt):
+    return sympy_rank(_oracle_fiber_map(op, l, k, pt))
+
+
+def _chain_matches_the_oracle(cplx, l_max, seed):
+    """Ranks and fiber maps of a two-operator chain at a seeded point."""
+    pt = random_point(cplx.ctx, cplx.required_point_order(l_max), seed)
+    (a, b), (ka, kb) = cplx.operators, cplx.orders
+    for c in check_formal_exactness(cplx, l_max, pt=pt).checks:
+        assert c.ranks == (_oracle_rank(a, kb + c.l, ka, pt), _oracle_rank(b, c.l, kb, pt))
+        for op, l, k in ((a, kb + c.l, ka), (b, c.l, kb)):
+            assert fiber_map(op, l, pt, declared_order=k).matrix == \
+                _oracle_fiber_map(op, l, k, pt)
+
+
+def _towers_match_the_oracle(op, l_max, k1_max, seed):
+    ctx = op.ctx
+    # op as the incoming map, declared one order above its actual order,
+    # and as the outgoing map
+    _chain_matches_the_oracle(OperatorComplex([op, CDiffOp.zero(ctx, 1, op.rows)],
+                                              orders=[op.order + 1, 1]), l_max, seed)
+    _chain_matches_the_oracle(OperatorComplex([CDiffOp.zero(ctx, op.cols, 1), op],
+                                              orders=[1, op.order]), l_max, seed)
+    pt = random_point(ctx, op.coefficient_jet_order() + k1_max, seed)
+    assert _oracle_rank(op, 0, op.order, pt) == op.rows  # the cokernel needs an onto base
+    for k1 in range(1, k1_max + 1):
+        codim = op.rows * jet_fiber_dim(ctx.n, k1) - _oracle_rank(op, k1, op.order, pt)
+        assert cokernel_rank(op, k1, pt=pt) == codim
+
+
+def test_random_operator_towers_match_the_oracle(ctx):
+    rng = random.Random(41)
+    for shape in ((2, 2), (1, 2), (2, 1)):
+        _towers_match_the_oracle(rand_operator(rng, ctx, *shape), 2, 2, seed=5)
+
+
+def test_kdv_tower_matches_the_oracle(ctx):
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    _towers_match_the_oracle(kdv, 2, 3, seed=2)
+
+
+def test_declared_order_tower_matches_the_oracle(ctx):
+    # de Rham with both orders declared one above the actual order
+    cplx = OperatorComplex([dbar_operator(ctx, 0), dbar_operator(ctx, 1)], orders=[2, 2])
+    _chain_matches_the_oracle(cplx, 2, seed=3)
+
+
+# ---------------------------------------------------------------------------
+# One tower per call: the work it saves, and the work it must not skip
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``cdcalc.spencer.<name>``, passing them through."""
+    counts = Counter()
+    original = getattr(cdcalc.spencer, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cdcalc.spencer, name, counted)
+    return counts
+
+
+def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
+    counts = _count_calls(monkeypatch, "rank")
+    cplx = derham2(ctx)
+    policy = check_formal_exactness(cplx, 3, seed=0)
+    at_policy, counts["rank"] = counts["rank"], 0
+    at_point = check_formal_exactness(cplx, 3, pt=random_point(ctx, 4, seed=0))
+    assert counts["rank"] == at_policy > 0
+    assert policy.checks == at_point.checks
+    grad = dbar_operator(ctx, 0)
+    counts["rank"] = 0
+    assert cokernel_rank(grad, 2, seed=0) == cokernel_rank(grad, 2, pt=random_point(ctx, 2))
+    assert counts["rank"] == 2 + 2
+
+
+def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
+    counts = _count_calls(monkeypatch, "rank")
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    assert cokernel_rank(kdv, 2, seed=0) == 0
+    assert counts["rank"] == 3 * 2  # levels 0 and k1 at each of three samples
+    # a chain whose middle sample sees a smaller rank still reports it
+    op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
+    cplx = OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1])
+    samples = split_samples(ctx, cplx.required_point_order(1))
+    monkeypatch.setattr(cdcalc.jet, "generic_points", lambda *args, **kwargs: samples)
+    counts["rank"] = 0
+    report = check_formal_exactness(cplx, 1, seed=0)
+    assert report.warnings == [_DISAGREEMENT]
+    # levels 1, 2 of the incoming map at each sample; levels 0, 1 of the
+    # constant outgoing map once
+    assert counts["rank"] == 3 * 2 + 2
+    assert report.checks == check_formal_exactness(cplx, 1, pt=samples[0]).checks
+
+
+def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
+    counts = _count_calls(monkeypatch, "_left_Di")
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    assert cokernel_rank(kdv, 3, seed=0) == 0
+    # one D_i per tau with 0 < |tau| <= 3 and nonzero entry, whatever the samples
+    assert counts["_left_Di"] == jet_fiber_dim(2, 3) - 1
+    op = parse_operator_matrix("D_{x} ; 0\nu*D_{t} ; D_{x}", JetContext.free("x t", "u v"))
+    counts["_left_Di"] = 0
+    cokernel_rank(op, 2, seed=0)
+    assert counts["_left_Di"] == 3 * (jet_fiber_dim(2, 2) - 1)
