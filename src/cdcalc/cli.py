@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import warnings
 
 from .compat import check_formal_exactness, cokernel_rank, kline_report, parse_complex
-from .expr import MAX_DIGITS, EvaluationError, ParseError, _parse_rational, format_poly
+from .expr import EvaluationError, ParseError, _parse_integers, _parse_rational, format_poly
 from .jet import PointError, parse_point_file, parse_problem, random_point
 from .ops import adjoint as op_adjoint, format_operator, linearize
 from .pform import Metric, MetricError, e1_table, epi_check
@@ -196,10 +195,7 @@ def _parse_metric_arg(text: str) -> Metric:
     text = text.strip()
     if text.startswith("diag(") and text.endswith(")"):
         text = text[5:-1]
-    tokens = [tok.strip() for tok in text.split(",")]
-    if not all(re.fullmatch(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}", tok) for tok in tokens):
-        raise ValueError(f"--metric: entries must be integers of at most {MAX_DIGITS} digits")
-    return Metric.diag(int(tok) for tok in tokens)
+    return Metric.diag(_parse_integers(text, "--metric:"))
 
 
 def _cmd_pform_epi(args):

@@ -212,6 +212,8 @@ def kline_report(k: int, n: int) -> KlineReport:
     """Pure formula evaluation of the vanishing ranges for complex length k."""
     if k < 2:
         raise ValueError("complex length k must be at least 2")
+    if n < 1:
+        raise ValueError("dimension n must be at least 1")
     return KlineReport(k=k, n=n)
 
 

@@ -296,6 +296,7 @@ MAX_EXPONENT = 64
 MAX_DIGITS = 1000
 
 _RATIONAL = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)", re.ASCII)
+_INTEGER = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -313,6 +314,14 @@ def _parse_rational(text: str, where: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{where}: zero denominator") from None
+
+
+def _parse_integers(text: str, where: str) -> tuple[int, ...]:
+    """Comma-separated ASCII integers of at most MAX_DIGITS digits; errors begin with where."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise ValueError(f"{where} entries must be integers of at most {MAX_DIGITS} digits")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _tokenize(text: str):

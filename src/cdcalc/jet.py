@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .expr import (
     INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _lower, _mul_into, _parse_rational, _raise, format_coord,
+    _accumulate, _lower, _mul_into, _parse_integers, _parse_rational, _raise, format_coord,
     format_poly, parse_coord, parse_expr,
 )
 
@@ -58,9 +59,9 @@ class JetContext:
             for f in rhs:
                 _check_internal(f)
             self.evolution_rhs = rhs
-        # total-derivative tables: c -> c lifted by x_i, and (j, r) -> D_x^r(f_j)
+        # total-derivative tables: c -> c lifted by x_i, and per u^j (0,)*r -> D_x^r(f_j)
         self._lifts = tuple({} for _ in self.indep)
-        self._rhs_dx = {(j, 0): f for j, f in enumerate(self.evolution_rhs or ())}
+        self._rhs_dx = tuple({(): f} for f in self.evolution_rhs or ())
 
     # -- construction ----------------------------------------------------
 
@@ -185,22 +186,25 @@ def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
             if c[0] == JET or c == t:
                 _accumulate(partials.setdefault(c, {}), _lower(mono, pos, e), coeff * e)
     out = partials.pop(t, {})
+    dx = partial(total_derivative, ctx)
     for c, part in partials.items():
-        _mul_into(out, part, _rhs_dx(ctx, c[1], len(c[2])).terms)
+        _mul_into(out, part, _along(ctx._rhs_dx[c[1]], c[2], dx).terms)
     return DiffPoly(out)
 
 
-def _rhs_dx(ctx: JetContext, j: int, r: int) -> DiffPoly:
-    """D_x^r(f_j), memoized per context from the longest known D_x^k(f_j)."""
-    memo = ctx._rhs_dx
-    k = r
-    while (j, k) not in memo:
+def _along(table: dict, sigma: tuple, step):
+    """``table[sigma]``, building each missing prefix once from the one before it.
+
+    ``table`` holds at least ``()``; ``step(i, value)`` is the value one index
+    further along, such as D_i applied to it.  Iterative: no length bound.
+    """
+    k = len(sigma)
+    while sigma[:k] not in table:
         k -= 1
-    g = memo[(j, k)]
-    while k < r:
-        k += 1
-        g = memo[(j, k)] = total_derivative(ctx, 0, g)
-    return g
+    value = table[sigma[:k]]
+    for k in range(k, len(sigma)):
+        value = table[sigma[:k + 1]] = step(sigma[k], value)
+    return value
 
 
 def total_derivative_sigma(ctx: JetContext, sigma, f: DiffPoly) -> DiffPoly:
@@ -560,10 +564,9 @@ def parse_problem(text: str) -> Problem:
 
 
 def _parse_metric(rest: str, lineno: int):
-    rest = rest.strip()
     if not (rest.startswith("diag(") and rest.endswith(")")):
         raise ValueError(f"line {lineno}: metric must be 'diag(e1,e2,...)'")
-    entries = tuple(int(tok) for tok in rest[5:-1].split(","))
+    entries = _parse_integers(rest[5:-1], f"line {lineno}: metric")
     if any(e not in (1, -1) for e in entries):
         raise ValueError(f"line {lineno}: metric entries must be +1 or -1")
     return entries

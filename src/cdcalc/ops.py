@@ -5,17 +5,20 @@ coefficients; a ``CDiffOp`` is a rectangular matrix of these over a fixed
 context.  Composition and adjoints are normalized back to that form by
 Leibniz rewriting (D_i after a coefficient f becomes f D_i + D_i(f)), so
 operator equality is literal normal-form equality.
+
+Apply, compose, adjoint and Green remainders take each D_sigma from a prefix
+table built for the call (``jet._along``) and sum each output cell in place.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .expr import (
     JET, DiffPoly, ExprParser, ParseError, _accumulate, _format_monomial, _join_signed,
-    format_poly,
+    _mul_into, format_poly,
 )
-from .jet import (
-    JetContext, _merge_sign, increasing_tuples, total_derivative, total_derivative_sigma,
-)
+from .jet import JetContext, _along, _merge_sign, increasing_tuples, total_derivative
 
 MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
 
@@ -80,49 +83,6 @@ def _left_Di(ctx: JetContext, i: int, op: ScalarCDiffOp) -> ScalarCDiffOp:
         _accumulate(out, tuple(sorted(sigma + (i,))), poly)
         _accumulate(out, sigma, total_derivative(ctx, i, poly))
     return ScalarCDiffOp(out)
-
-
-def _scalar_compose(ctx: JetContext, outer: ScalarCDiffOp,
-                    inner: ScalarCDiffOp) -> ScalarCDiffOp:
-    total = ScalarCDiffOp()
-    for sigma, coeff in outer.terms.items():
-        pushed = inner
-        for i in sigma:
-            pushed = _left_Di(ctx, i, pushed)
-        total = total + pushed.scale(coeff)
-    return total
-
-
-def _scalar_apply(ctx: JetContext, op: ScalarCDiffOp, f: DiffPoly,
-                  cache: dict) -> DiffPoly:
-    cache.setdefault((), f)
-    out = DiffPoly.zero()
-    for sigma, coeff in op.terms.items():
-        if sigma not in cache:
-            # build from the longest cached prefix
-            k = len(sigma)
-            while sigma[:k] not in cache:
-                k -= 1
-            g = cache[sigma[:k]]
-            for i in sigma[k:]:
-                g = total_derivative(ctx, i, g)
-                cache.setdefault(sigma[:k + 1], g)
-                k += 1
-        out = out + coeff * cache[sigma]
-    return out
-
-
-def _scalar_adjoint(ctx: JetContext, op: ScalarCDiffOp) -> ScalarCDiffOp:
-    """(sum f_sigma D_sigma)* = sum (-1)^{|sigma|} D_sigma (f_sigma . )"""
-    total = ScalarCDiffOp()
-    for sigma, coeff in op.terms.items():
-        pushed = ScalarCDiffOp({(): coeff})
-        for i in sigma:
-            pushed = _left_Di(ctx, i, pushed)
-        if len(sigma) % 2:
-            pushed = -pushed
-        total = total + pushed
-    return total
 
 
 class CDiffOp:
@@ -199,14 +159,15 @@ class CDiffOp:
         vec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError(f"operator expects {self.cols} components, got {len(vec)}")
-        caches = [{} for _ in vec]
+        tables = [{(): v} for v in vec]
+        step = partial(total_derivative, self.ctx)
         out = []
         for row in self.entries:
-            acc = DiffPoly.zero()
-            for j, entry in enumerate(row):
-                if not entry.is_zero():
-                    acc = acc + _scalar_apply(self.ctx, entry, vec[j], caches[j])
-            out.append(acc)
+            acc: dict = {}
+            for table, entry in zip(tables, row):
+                for sigma, coeff in entry.terms.items():
+                    _mul_into(acc, coeff.terms, _along(table, sigma, step).terms)
+            out.append(DiffPoly(acc))
         return out
 
     def __matmul__(self, inner: "CDiffOp") -> "CDiffOp":
@@ -218,17 +179,20 @@ class CDiffOp:
                 f"{inner.rows}x{inner.cols}")
         if self.ctx != inner.ctx:
             raise ValueError("operators live over different contexts")
+        tables = [[{(): b} for b in row] for row in inner.entries]
+        step = partial(_left_Di, self.ctx)
         out = []
-        for s in range(self.rows):
+        for outer_row in self.entries:
             row = []
             for j in range(inner.cols):
-                acc = ScalarCDiffOp()
-                for k in range(self.cols):
-                    a = self.entries[s][k]
-                    b = inner.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + _scalar_compose(self.ctx, a, b)
-                row.append(acc)
+                acc: dict = {}  # multi-index -> term map, summed in place
+                for a, inner_row in zip(outer_row, tables):
+                    table = inner_row[j]
+                    if table[()].terms:  # a zero inner entry adds nothing
+                        for sigma, coeff in a.terms.items():
+                            for tau, poly in _along(table, sigma, step).terms.items():
+                                _mul_into(acc.setdefault(tau, {}), coeff.terms, poly.terms)
+                row.append(ScalarCDiffOp({tau: DiffPoly(t) for tau, t in acc.items() if t}))
             out.append(row)
         return CDiffOp(self.ctx, out)
 
@@ -270,10 +234,18 @@ def adjoint(op: CDiffOp) -> CDiffOp:
     the pairing uses the coordinate volume element, so no extra weights
     appear.
     """
-    ctx = op.ctx
-    out = [[_scalar_adjoint(ctx, op.entries[s][j]) for s in range(op.rows)]
-           for j in range(op.cols)]
-    return CDiffOp(ctx, out)
+    step = partial(_left_Di, op.ctx)
+
+    def entry_adjoint(entry: ScalarCDiffOp) -> ScalarCDiffOp:
+        acc: dict = {}
+        for sigma, coeff in entry.terms.items():
+            start = ScalarCDiffOp({(): -coeff if len(sigma) % 2 else coeff})
+            for tau, poly in _along({(): start}, sigma, step).terms.items():
+                _accumulate(acc, tau, poly)
+        return ScalarCDiffOp(acc)
+
+    return CDiffOp(op.ctx, [[entry_adjoint(row[j]) for row in op.entries]
+                            for j in range(op.cols)])
 
 
 def linearize(ctx: JetContext, components) -> CDiffOp:
@@ -308,25 +280,22 @@ def green_remainder(op: CDiffOp, p, q) -> list[DiffPoly]:
     qvec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in q]
     if len(pvec) != op.cols or len(qvec) != op.rows:
         raise ValueError("green_remainder: vector lengths must match the operator")
-    remainders = [DiffPoly.zero() for _ in range(ctx.n)]
-    for s in range(op.rows):
-        for j in range(op.cols):
-            for sigma, coeff in op.entries[s][j].terms.items():
-                w = qvec[s] * coeff
+    tables = [{(): v} for v in pvec]
+    step = partial(total_derivative, ctx)
+    rems = [{} for _ in range(ctx.n)]
+    for row, qs in zip(op.entries, qvec):
+        for table, entry in zip(tables, row):
+            for sigma, coeff in entry.terms.items():
+                w = qs * coeff
                 for pos, i in enumerate(sigma):
-                    rest = sigma[pos + 1:]
-                    remainders[i] = remainders[i] + \
-                        w * total_derivative_sigma(ctx, rest, pvec[j])
+                    _mul_into(rems[i], w.terms, _along(table, sigma[pos + 1:], step).terms)
                     w = -total_derivative(ctx, i, w)
-    return remainders
+    return [DiffPoly(r) for r in rems]
 
 
 def pairing(a, b) -> DiffPoly:
     """Componentwise product, summed."""
-    acc = DiffPoly.zero()
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+    return sum((x * y for x, y in zip(a, b)), DiffPoly.zero())
 
 
 # ---------------------------------------------------------------------------

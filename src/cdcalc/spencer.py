@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
-    JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
+    JetContext, JetPoint, PointError, _along, _at_generic_points, _check_depth, _check_size,
     _merge_sign, increasing_tuples,
 )
 from .linalg import _kernel_rows, rank
@@ -179,26 +180,31 @@ def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
 class _Tower:
     """The prolongations D_tau(entries), |tau| <= max(levels), of one operator.
 
-    Built for one call, whose sample points share it.  ``rows(pt)`` are
-    (tau, s) in graded tau order, over the columns (j, mu) of the top
-    level's fiber map (declared order k), so level l is a prefix of them.
-    With constant coefficients the first point's ranks serve every point.
+    Built for one call, whose sample points share it; the prolongations are
+    made on the first ``rows`` call.  ``rows(pt)`` are (tau, s) in graded
+    tau order, over the columns (j, mu) of the top level's fiber map
+    (declared order k), so level l is a prefix of them.  With constant
+    coefficients the first point's ranks serve every point, and the
+    prolongations are dropped once those ranks are known.
     """
 
     def __init__(self, op: CDiffOp, k: int, levels):
+        self.op = op
         self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
-        top = max(self.ends)
-        self.mu_pos = {mu: c for c, mu in enumerate(multiindices_upto(op.ctx.n, k + top))}
-        prolonged = {(): op.entries}
-        for tau in multiindices_upto(op.ctx.n, top)[1:]:
-            prolonged[tau] = [[_left_Di(op.ctx, tau[-1], e) if e.terms else e for e in row]
-                              for row in prolonged[tau[:-1]]]
-        self.prolonged = [row for rows in prolonged.values() for row in rows]
+        self.mu_pos = {mu: c for c, mu in enumerate(
+            multiindices_upto(op.ctx.n, k + max(self.ends)))}
         self.constant = all(set(poly.terms) <= {()} for row in op.entries for e in row
                             for poly in e.terms.values())
+        self.prolonged = None
         self._ranks = None
 
     def rows(self, pt: JetPoint) -> list[dict]:
+        if self.prolonged is None:
+            step = partial(_left_Di, self.op.ctx)
+            tables = [[{(): e} for e in row] for row in self.op.entries]
+            self.prolonged = [[_along(t, tau, step) if t[()].terms else t[()] for t in row]
+                              for tau in multiindices_upto(self.op.ctx.n, max(self.ends))
+                              for row in tables]
         return [{j * len(self.mu_pos) + self.mu_pos[mu]: value for j, entry in enumerate(row)
                  for mu, poly in entry.terms.items() if (value := poly.evaluate(pt))}
                 for row in self.prolonged]
@@ -208,6 +214,8 @@ class _Tower:
         if self._ranks is None or not self.constant:
             rows = self.rows(pt)
             self._ranks = {l: rank(rows[:end]) for l, end in self.ends.items()}
+            if self.constant:
+                self.prolonged = None
         return self._ranks
 
 

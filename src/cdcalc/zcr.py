@@ -9,7 +9,7 @@ as [omega(X), omega(Y)]; it is fixed once and used consistently.
 from __future__ import annotations
 
 from .expr import DiffPoly, _accumulate, format_poly
-from .jet import JetContext, total_derivative
+from .jet import JetContext, _along, total_derivative
 from .ops import CDiffOp, ScalarCDiffOp
 
 
@@ -128,27 +128,15 @@ def covering_substitute(op: CDiffOp, omega: MatrixForm) -> CDiffOp:
     blocks = []
     for i in range(ctx.n):
         ad = _ad_entries(omega.matrix_at((i,)), d)
-        entries = [[ScalarCDiffOp() for _ in range(dim)] for _ in range(dim)]
-        for r in range(dim):
-            for c in range(dim):
-                terms = {}
-                if r == c:
-                    terms[(i,)] = DiffPoly.const(1)
-                if (r, c) in ad:
-                    terms[()] = ad[r, c]
-                entries[r][c] = ScalarCDiffOp(terms)
-        blocks.append(CDiffOp(ctx, entries))
-
-    products: dict[tuple, CDiffOp] = {(): CDiffOp.identity(ctx, dim)}
-
-    def product_for(sigma: tuple) -> CDiffOp:
-        if sigma not in products:
-            products[sigma] = blocks[sigma[0]] @ product_for(sigma[1:])
-        return products[sigma]
-
+        blocks.append(CDiffOp(ctx, [[ScalarCDiffOp({(i,): DiffPoly.const(int(r == c)),
+                                                     (): ad.get((r, c), DiffPoly.zero())})
+                                      for c in range(dim)] for r in range(dim)]))
+    # B_{s1} ... B_{sr}: each product is its prefix's times one block on the right
+    products = {(): CDiffOp.identity(ctx, dim)}
     total = CDiffOp.zero(ctx, dim, dim)
     for sigma, coeff in op.entries[0][0].terms.items():
-        total = total + product_for(sigma).scale(coeff)
+        product = _along(products, sigma, lambda i, prefix: prefix @ blocks[i])
+        total = total + product.scale(coeff)
     return total
 
 

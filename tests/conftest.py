@@ -85,6 +85,63 @@ def sympy_rank(matrix) -> int:
     return DomainMatrix(rows, (len(matrix), len(matrix[0])), QQ).rank()
 
 
+# ---------------------------------------------------------------------------
+# sympy oracle: the chain-rule sums written out independently of jet.py
+# ---------------------------------------------------------------------------
+
+class SympyJets:
+    """sympy symbols named by (kind, index, sorted sigma) alone."""
+
+    def __init__(self):
+        import sympy
+        self.sympy = sympy
+        self.jets = {}  # sympy symbol -> (dependent index, sorted sigma)
+
+    def coord(self, kind, index, sigma=()):
+        sigma = tuple(sorted(sigma))
+        sym = self.sympy.Symbol(f"c{kind}_{index}_" + "_".join(map(str, sigma)))
+        if kind == JET:
+            self.jets[sym] = (index, sigma)
+        return sym
+
+    def poly(self, f: DiffPoly):
+        out = self.sympy.Integer(0)
+        for mono, coeff in f.terms.items():
+            term = self.sympy.Rational(coeff.numerator, coeff.denominator)
+            for c, e in mono:
+                term *= self.coord(c.kind, c.index, c.sigma) ** e
+            out += term
+        return self.sympy.expand(out)
+
+    def jet_symbols(self, expr):
+        return sorted((s for s in expr.free_symbols if s in self.jets), key=str)
+
+    def total(self, expr, i):
+        """d/dx_i + sum u_{sigma+i} d/du_sigma."""
+        out = self.sympy.diff(expr, self.coord(INDEP, i))
+        for s in self.jet_symbols(expr):
+            j, sigma = self.jets[s]
+            out += self.coord(JET, j, sigma + (i,)) * self.sympy.diff(expr, s)
+        return self.sympy.expand(out)
+
+    def evolution_dt(self, expr, rhs):
+        """d/dt + sum D_x^r(f_j) d/du^j_{x^r}, with D_x^r taken by ``total``."""
+        out = self.sympy.diff(expr, self.coord(INDEP, 1))
+        for s in self.jet_symbols(expr):
+            j, sigma = self.jets[s]
+            g = rhs[j]
+            for _ in sigma:
+                g = self.total(g, 0)
+            out += g * self.sympy.diff(expr, s)
+        return self.sympy.expand(out)
+
+    def along(self, expr, sigma, rhs=None):
+        """D_sigma(expr) by ``total``, or by ``evolution_dt`` for t when ``rhs`` is given."""
+        for i in sigma:
+            expr = self.evolution_dt(expr, rhs) if rhs and i == 1 else self.total(expr, i)
+        return expr
+
+
 def rand_operator(rng: random.Random, ctx: JetContext, rows: int, cols: int,
                   max_op_order: int = 2, max_coeff_order: int = 1) -> CDiffOp:
     return CDiffOp(ctx, [[rand_scalar_op(rng, ctx, max_op_order, max_coeff_order)

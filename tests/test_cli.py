@@ -99,6 +99,14 @@ def test_kline_command():
     assert "C-cohomology vanishing: H^i = 0 for i >= 2" in out
 
 
+def test_kline_dimension_is_domain_checked():
+    for n in ("-5", "0"):
+        code, out, err = invoke("kline", "--k", "2", "--n", n)
+        assert (code, out, err) == (1, "", "error: dimension n must be at least 1\n")
+    code, out, _ = invoke("kline", "--k", "2", "--n", "1")
+    assert code == 0 and "q <= -1" in out
+
+
 def test_zcr_command():
     code, out, _ = invoke("zcr", KDV_PROB, "--forms", KDV_FORMS)
     assert code == 0

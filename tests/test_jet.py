@@ -9,7 +9,7 @@ from cdcalc import (
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS
 
-from conftest import rand_poly
+from conftest import SympyJets, rand_poly
 
 
 @pytest.fixture
@@ -198,6 +198,19 @@ def test_parse_problem_equations_and_metric():
     assert not prob.ctx.is_evolution
 
 
+def test_problem_metric_entries_are_domain_checked():
+    head = "independent x t\ndependent u\nequation u_t\n"
+    assert parse_problem(head + "metric diag(-1, +1)\n").metric == (-1, 1)
+    for entry in ("\u0661", "7" * 5000, "1.0", "1_1", ""):
+        with pytest.raises(ValueError) as err:
+            parse_problem(head + f"metric diag(1,{entry})\n")
+        assert str(err.value) == \
+            f"line 4: metric entries must be integers of at most {MAX_DIGITS} digits"
+    with pytest.raises(ValueError) as err:
+        parse_problem(head + "metric diag(1,2)\n")
+    assert str(err.value) == "line 4: metric entries must be +1 or -1"
+
+
 def test_parse_problem_rejects_mixed():
     text = """
     independent x t
@@ -210,58 +223,11 @@ def test_parse_problem_rejects_mixed():
 
 
 # ---------------------------------------------------------------------------
-# sympy oracle: the chain-rule sums written out independently of jet.py
+# sympy oracles: conftest.SympyJets writes the chain-rule sums out apart from jet.py
 # ---------------------------------------------------------------------------
 
-class _Sym:
-    """sympy symbols named by (kind, index, sorted sigma) alone."""
-
-    def __init__(self):
-        import sympy
-        self.sympy = sympy
-        self.jets = {}  # sympy symbol -> (dependent index, sorted sigma)
-
-    def coord(self, kind, index, sigma=()):
-        sigma = tuple(sorted(sigma))
-        sym = self.sympy.Symbol(f"c{kind}_{index}_" + "_".join(map(str, sigma)))
-        if kind == JET:
-            self.jets[sym] = (index, sigma)
-        return sym
-
-    def poly(self, f: DiffPoly):
-        out = self.sympy.Integer(0)
-        for mono, coeff in f.terms.items():
-            term = self.sympy.Rational(coeff.numerator, coeff.denominator)
-            for c, e in mono:
-                term *= self.coord(c.kind, c.index, c.sigma) ** e
-            out += term
-        return self.sympy.expand(out)
-
-    def jet_symbols(self, expr):
-        return sorted((s for s in expr.free_symbols if s in self.jets), key=str)
-
-    def total(self, expr, i):
-        """d/dx_i + sum u_{sigma+i} d/du_sigma."""
-        out = self.sympy.diff(expr, self.coord(INDEP, i))
-        for s in self.jet_symbols(expr):
-            j, sigma = self.jets[s]
-            out += self.coord(JET, j, sigma + (i,)) * self.sympy.diff(expr, s)
-        return self.sympy.expand(out)
-
-    def evolution_dt(self, expr, rhs):
-        """d/dt + sum D_x^r(f_j) d/du^j_{x^r}, with D_x^r taken by ``total``."""
-        out = self.sympy.diff(expr, self.coord(INDEP, 1))
-        for s in self.jet_symbols(expr):
-            j, sigma = self.jets[s]
-            g = rhs[j]
-            for _ in sigma:
-                g = self.total(g, 0)
-            out += g * self.sympy.diff(expr, s)
-        return self.sympy.expand(out)
-
-
 def test_total_derivative_matches_sympy_chain_rule():
-    sym = _Sym()
+    sym = SympyJets()
     rng = random.Random(8)
     for ctx in (JetContext.free("x t", "u"), JetContext.free("x y z", "u v", ("a",))):
         for _ in range(40):
@@ -272,7 +238,7 @@ def test_total_derivative_matches_sympy_chain_rule():
 
 
 def test_evolution_dt_matches_sympy_substitution():
-    sym = _Sym()
+    sym = SympyJets()
     rng = random.Random(9)
     for dep, texts, params in (("u", ["u*u_x + u_{x,x,x}"], ()),
                                ("u v", ["u*v_x + u_xxx - a*x", "v^2*u_xx + t*u"], ("a",))):
@@ -286,7 +252,7 @@ def test_evolution_dt_matches_sympy_substitution():
 
 
 def test_linearize_matches_sympy_partials():
-    sym = _Sym()
+    sym = SympyJets()
     rng = random.Random(10)
     ctx = JetContext.free("x y", "u v", ("a",))
     for _ in range(30):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cdcalc.ops
 from cdcalc import (
     CDiffOp, DiffPoly, JetContext, adjoint, compose, dbar_operator,
     format_operator, green_remainder, linearize, pairing,
@@ -9,7 +10,7 @@ from cdcalc import (
 )
 from cdcalc.ops import ScalarCDiffOp
 
-from conftest import rand_operator, rand_poly
+from conftest import SympyJets, rand_operator, rand_poly
 
 
 @pytest.fixture
@@ -193,6 +194,71 @@ def test_operator_algebra_in_evolution_mode():
         assert (a @ b)(v) == a(b(v))
         assert adjoint(adjoint(a)) == a
         assert adjoint(a @ b) == adjoint(b) @ adjoint(a)
+
+
+def test_composition_pushes_each_prefix_once(ctx, monkeypatch):
+    pushes = []
+    left_Di = cdcalc.ops._left_Di
+    monkeypatch.setattr(cdcalc.ops, "_left_Di",
+                        lambda *args: pushes.append(args[1]) or left_Di(*args))
+    outer = parse_operator_matrix("D_{x,x,x} + u*D_{x,x} + D_{x}", ctx)
+    inner = parse_operator_matrix("u_x*D_{t} + 1", ctx)
+    composed = outer @ inner
+    # D_{x,x,x} reuses the push for D_{x,x}, which reuses the one for D_{x}
+    assert pushes == [0, 0, 0]
+    v = [ctx.parse("u^2*u_t")]
+    assert composed(v) == outer(inner(v))
+
+
+def test_long_d_literals_need_no_recursion(ctx):
+    n = 3000
+    d = parse_operator_matrix("D_{" + ",".join(["x"] * n) + "}", ctx)
+    assert adjoint(d) == d  # (-1)^3000 D_sigma
+    assert d @ CDiffOp.total(ctx, "x") == CDiffOp.total(ctx, *["x"] * (n + 1))
+    assert d([ctx.parse("u")]) == [DiffPoly.var(ctx.jet_coord("u", ("x",) * n))]
+
+
+def _sym_apply(sym, rhs, op, vector):
+    """op(vector) from the definition: sum over j, sigma of f_sigma D_sigma(v_j)."""
+    return [sym.sympy.expand(sum((sym.poly(coeff) * sym.along(v, sigma, rhs)
+                                  for entry, v in zip(row, vector)
+                                  for sigma, coeff in entry.terms.items()), 0))
+            for row in op.entries]
+
+
+def _sym_adjoint_apply(sym, rhs, op, q):
+    """op*(q) from the definition: sum over s, sigma of (-1)^|sigma| D_sigma(f_sigma q_s)."""
+    out = []
+    for j in range(op.cols):
+        terms = [(-1) ** len(sigma) * sym.along(sym.poly(coeff) * qs, sigma, rhs)
+                 for row, qs in zip(op.entries, q) for sigma, coeff in row[j].terms.items()]
+        out.append(sym.sympy.expand(sum(terms, 0)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["free", "evolution"])
+def test_operator_algebra_matches_sympy_definitions(mode):
+    sym = SympyJets()
+    if mode == "free":
+        ctx, rhs, rng = JetContext.free("x y", "u v"), None, random.Random(21)
+    else:
+        ctx = JetContext.evolution("u v", ["u*v_x + u_{x,x,x}", "u^2 - v_{x,x}"])
+        rhs, rng = [sym.poly(f) for f in ctx.evolution_rhs], random.Random(22)
+    for _ in range(3):
+        a, b = (rand_operator(rng, ctx, 2, 2, max_op_order=2) for _ in range(2))
+        p, q = ([rand_poly(rng, ctx) for _ in range(2)] for _ in range(2))
+        ps, qs = [sym.poly(f) for f in p], [sym.poly(f) for f in q]
+        ap = _sym_apply(sym, rhs, a, ps)
+        assert [sym.poly(f) for f in a(p)] == ap
+        b_p = _sym_apply(sym, rhs, b, ps)
+        assert _sym_apply(sym, rhs, a @ b, ps) == _sym_apply(sym, rhs, a, b_p)
+        adj_q = _sym_adjoint_apply(sym, rhs, a, qs)
+        assert _sym_apply(sym, rhs, adjoint(a), qs) == adj_q
+        # q . L(p) - L*(q) . p is the divergence sum_i D_i(R_i) of the Green remainders
+        lhs = sum(x * y for x, y in zip(qs, ap)) - sum(x * y for x, y in zip(adj_q, ps))
+        div = sum(sym.along(sym.poly(r), (i,), rhs)
+                  for i, r in enumerate(green_remainder(a, p, q)))
+        assert sym.sympy.expand(lhs - div) == 0
 
 
 def test_scalar_op_keys_are_canonical(ctx):
