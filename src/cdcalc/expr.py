@@ -3,8 +3,9 @@
 Polynomials over the rationals in three families of symbols: independent
 variables, jet coordinates (a dependent variable tagged with a multi-index
 of independents), and named parameters.  Values are kept in a canonical
-sparse normal form (no zero coefficients, monomial keys sorted), so
-equality is literal term-map equality and every operation is exact.
+sparse normal form (int numerators over one positive denominator, no zero
+numerators, no common factor), so equality is literal and every operation
+is exact: fraction-free, with one gcd per result.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
+from types import MappingProxyType
 
 INDEP = 0
 JET = 1
@@ -75,8 +78,10 @@ def _raise(mono: Monomial, coord: Coord) -> Monomial:
 def _accumulate(out: dict, key, value) -> None:
     """Add ``value`` to ``out[key]`` in place, dropping the key when the sum is zero.
 
-    Polynomial terms and form and operator coefficients keep their
-    no-zero-values invariant through this one routine.
+    Form and operator coefficients keep their no-zero-values invariant
+    through this one routine.  The int numerator loops of ``_mul_into``,
+    ``_sum`` and ``jet.total_derivative`` write it inline: there a call per
+    term would cost more than the addition.
     """
     s = out[key] + value if key in out else value
     if s:
@@ -85,15 +90,36 @@ def _accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def _mul_into(out: dict, terms1: dict, terms2: dict) -> None:
-    """Accumulate the product of two term maps into ``out``."""
-    for m1, c1 in terms1.items():
+def _mul_into(out: dict, nums1: dict, nums2: dict, scale: int = 1) -> None:
+    """Accumulate ``scale`` times the product of two numerator maps into ``out``."""
+    for m1, c1 in nums1.items():
+        c1 *= scale
         d1 = dict(m1)
-        for m2, c2 in terms2.items():
+        for m2, c2 in nums2.items():
             d = dict(d1)
             for coord, e in m2:
                 d[coord] = d.get(coord, 0) + e
-            _accumulate(out, tuple(sorted(d.items())), c1 * c2)
+            m = tuple(sorted(d.items()))
+            if s := out.get(m, 0) + c1 * c2:
+                out[m] = s
+            else:
+                del out[m]
+
+
+def _rational(value) -> Fraction:
+    """``value`` as a Fraction; only int and Fraction are exact inputs."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+
+
+def _over_common_denominator(values: dict) -> tuple[int, dict]:
+    """``(den, nums)`` with ``values[k] == nums[k] / den``, den the lcm of the denominators."""
+    values = {k: _rational(v) for k, v in values.items()}
+    den = lcm(*(v.denominator for v in values.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
 class EvaluationError(ValueError):
@@ -101,17 +127,29 @@ class EvaluationError(ValueError):
 
 
 class DiffPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
-    Terms map monomials to nonzero rationals; the empty monomial carries the
-    constant term.  Instances are immutable by convention: no method mutates
-    ``terms`` after construction.
+    ``nums`` maps monomials to nonzero int numerators over the one positive
+    int denominator ``den``; the empty monomial carries the constant term.
+    The form is canonical: gcd(den, *nums.values()) == 1, so den == 1 when
+    every coefficient is an integer and the zero polynomial is ``{}`` over
+    1.  ``terms`` is a read-only view of the coefficients as Fractions.
+    Instances are immutable by convention: no method mutates ``nums``
+    after construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = dict(terms) if terms else {}
+        """From a map monomial -> int or Fraction; zero values are dropped."""
+        values = {m: q for m, c in terms.items() if (q := _rational(c))} if terms else {}
+        self.den, self.nums = _over_common_denominator(values)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Monomial -> nonzero Fraction coefficient (a view built on each access)."""
+        den = self.den
+        return MappingProxyType({m: Fraction(c, den) for m, c in self.nums.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -121,8 +159,9 @@ class DiffPoly:
 
     @staticmethod
     def const(value) -> "DiffPoly":
-        q = Fraction(value)
-        return DiffPoly({(): q} if q else None)
+        """The constant ``value``, an int or a Fraction (floats raise TypeError)."""
+        q = _rational(value)
+        return _poly({(): q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def var(coord: Coord, exp: int = 1) -> "DiffPoly":
@@ -130,19 +169,19 @@ class DiffPoly:
             raise ValueError("negative exponents are not supported")
         if exp == 0:
             return DiffPoly.const(1)
-        return DiffPoly({((coord, exp),): Fraction(1)})
+        return _poly({((coord, exp),): 1}, 1)
 
     # -- ring structure ------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == DiffPoly.const(other)
         return NotImplemented
@@ -153,15 +192,12 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _accumulate(out, mono, coeff)
-        return DiffPoly(out)
+        return _sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -176,9 +212,7 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict = {}
-        _mul_into(out, self.terms, other.terms)
-        return DiffPoly(out)
+        return _sum_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -200,49 +234,59 @@ class DiffPoly:
     def partial(self, coord: Coord) -> "DiffPoly":
         """Formal partial derivative; every Coord counts as independent."""
         out: dict = {}
-        for mono, coeff in self.terms.items():
-            for pos, (c, e) in enumerate(mono):
-                if c == coord:
-                    _accumulate(out, _lower(mono, pos, e), coeff * e if e > 1 else coeff)
+        for mono, c in self.nums.items():
+            for pos, (x, e) in enumerate(mono):
+                if x == coord:
+                    # lowering one coordinate maps distinct monomials apart
+                    out[_lower(mono, pos, e)] = c * e
                     break
-        return DiffPoly(out)
+        return _poly(out, self.den)
 
     def evaluate(self, assignment) -> Fraction:
         """Evaluate at a point.
 
-        ``assignment`` is either a mapping Coord -> Fraction or an object
-        with a ``value(coord)`` method (a jet-space point).  Raises
+        ``assignment`` is either a mapping Coord -> rational or a jet-space
+        point (an object with ``value(coord)`` and the values as
+        ``numerators`` over one ``den``).  The sum is taken in int over a
+        common denominator, with one Fraction at the end.  Raises
         EvaluationError naming the first unassigned coordinate.
         """
-        getter = assignment.value if hasattr(assignment, "value") else None
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            v = coeff
+        if hasattr(assignment, "value"):
+            vden, vals, missing = assignment.den, assignment.numerators, assignment.value
+        else:
+            vden, vals = _over_common_denominator(assignment)
+            missing = _unassigned
+        total = top = 0  # the sum so far is total / (den * vden^top)
+        for mono, v in self.nums.items():
+            degree = 0
             for coord, e in mono:
-                if getter is not None:
-                    val = getter(coord)
-                else:
-                    try:
-                        val = assignment[coord]
-                    except KeyError:
-                        raise EvaluationError(
-                            f"no value assigned to coordinate {coord!r}") from None
-                v *= Fraction(val) ** e
+                try:
+                    x = vals[coord]
+                except KeyError:
+                    missing(coord)
+                    raise
+                v *= x if e == 1 else x ** e
+                degree += e
+            if degree > top:
+                total *= vden ** (degree - top)
+                top = degree
+            elif degree < top:
+                v *= vden ** (top - degree)
             total += v
-        return total
+        return Fraction(total, self.den * vden ** top)
 
     # -- queries ---------------------------------------------------------
 
     def coords(self) -> set:
         out = set()
-        for mono in self.terms:
+        for mono in self.nums:
             out.update(c for c, _ in mono)
         return out
 
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates occurring here (0 if none)."""
         best = 0
-        for mono in self.terms:
+        for mono in self.nums:
             for c, _ in mono:
                 if c.kind == JET and len(c.sigma) > best:
                     best = len(c.sigma)
@@ -250,18 +294,96 @@ class DiffPoly:
 
     def degree(self) -> int:
         """Total degree (0 for constants and for the zero polynomial)."""
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max((sum(e for _, e in m) for m in self.nums), default=0)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        if set(self.terms) == {()}:
-            return self.terms[()]
+        if set(self.nums) == {()}:
+            return Fraction(self.nums[()], self.den)
         raise ValueError("polynomial is not constant")
 
     def __repr__(self) -> str:
-        return f"DiffPoly({len(self.terms)} terms)"
+        return f"DiffPoly({len(self.nums)} terms)"
+
+
+def _unassigned(coord: Coord):
+    raise EvaluationError(f"no value assigned to coordinate {coord!r}") from None
+
+
+_new = object.__new__
+
+
+def _poly(nums: dict, den: int) -> DiffPoly:
+    """The DiffPoly ``nums / den`` in canonical form.
+
+    ``nums`` has no zero values and is owned by the result from here on;
+    its content with ``den`` is divided out with one gcd.
+    """
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: c // g for m, c in nums.items()}
+    p = _new(DiffPoly)
+    p.nums = nums
+    p.den = den
+    return p
+
+
+def _sum(polys) -> DiffPoly:
+    """The sum of a nonempty sequence of DiffPolys, in one dict over the lcm of their denominators.
+
+    A summand already over that denominator is copied, not re-summed: a dict
+    copy keeps the monomials' hashes, which cost more than the ints.
+    """
+    base = polys[0]
+    if len(polys) == 1:
+        return base
+    den = lcm(*[p.den for p in polys])
+    if base.den != den:
+        base = next((p for p in polys if p.den == den), None)
+    out = dict(base.nums) if base is not None else {}
+    for p in polys:
+        if p is not base:
+            k = den // p.den
+            for m, c in p.nums.items():
+                if s := out.get(m, 0) + c * k:
+                    out[m] = s
+                else:
+                    del out[m]
+    return _poly(out, den)
+
+
+def _sum_by_key(pairs) -> dict:
+    """``{key: the sum of the DiffPolys given under it}`` over (key, poly) pairs; zero sums dropped."""
+    out: dict = {}
+    groups: dict = {}  # key -> all its polys, for the keys given more than once
+    for key, poly in pairs:
+        if poly.nums:
+            if key in out:
+                groups.setdefault(key, [out[key]]).append(poly)
+            else:
+                out[key] = poly
+    for key, polys in groups.items():
+        if s := _sum(polys):
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _sum_products(pairs) -> DiffPoly:
+    """The sum of ``a * b`` over (a, b) pairs of DiffPolys, in one dict over one denominator."""
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out: dict = {}
+    for a, b in pairs:
+        _mul_into(out, a.nums, b.nums, den // (a.den * b.den))
+    return _poly(out, den)
 
 
 def _coerce(value):
@@ -589,7 +711,8 @@ def _join_signed(terms) -> str:
 
 def format_poly(p: DiffPoly, ctx) -> str:
     """Deterministic printing; output re-parses to an equal polynomial."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
-    return _join_signed(_format_monomial(mono, p.terms[mono], ctx)
-                        for mono in sorted(p.terms, key=_monomial_key))
+    return _join_signed(_format_monomial(mono, terms[mono], ctx)
+                        for mono in sorted(terms, key=_monomial_key))

@@ -13,12 +13,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 from .expr import (
     INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _lower, _mul_into, _parse_integers, _parse_rational, _raise, format_coord,
-    format_poly, parse_coord, parse_expr,
+    _accumulate, _lower, _mul_into, _over_common_denominator, _parse_integers, _parse_rational,
+    _poly, _raise, format_coord, format_poly, parse_coord, parse_expr,
 )
 
 
@@ -59,9 +59,9 @@ class JetContext:
             for f in rhs:
                 _check_internal(f)
             self.evolution_rhs = rhs
-        # total-derivative tables: c -> c lifted by x_i, and per u^j (0,)*r -> D_x^r(f_j)
+        # total-derivative tables: c -> c lifted by x_i, and per u^j D_x^r(f_j) by _along
         self._lifts = tuple({} for _ in self.indep)
-        self._rhs_dx = tuple({(): f} for f in self.evolution_rhs or ())
+        self._rhs_dx = tuple(_table(f) for f in self.evolution_rhs or ())
 
     # -- construction ----------------------------------------------------
 
@@ -160,51 +160,67 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     idx = ctx._indep_idx(i)
     if ctx.is_evolution and idx == 1:
         return _evolution_dt(ctx, f)
-    # one pass: each term is lifted coordinate by coordinate into ``out``
+    # one pass over the numerators: each term is lifted coordinate by coordinate
     x = Coord(INDEP, idx)
     lifts = ctx._lifts[idx]
     out: dict = {}
-    for mono, coeff in f.terms.items():
+    for mono, coeff in f.nums.items():
         for pos, (c, e) in enumerate(mono):
             if c[0] == JET:
                 lifted = lifts.get(c)
                 if lifted is None:
                     lifted = lifts[c] = Coord(JET, c[1], c[2] + (idx,))
-                _accumulate(out, _raise(_lower(mono, pos, e), lifted),
-                            coeff * e if e > 1 else coeff)
+                m = _raise(_lower(mono, pos, e), lifted)
             elif c == x:
-                _accumulate(out, _lower(mono, pos, e), coeff * e if e > 1 else coeff)
-    return DiffPoly(out)
+                m = _lower(mono, pos, e)
+            else:
+                continue
+            if s := out.get(m, 0) + (coeff * e if e > 1 else coeff):
+                out[m] = s
+            else:
+                del out[m]
+    return _poly(out, f.den)
 
 
 def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
     """D_t in evolution mode: d/dt plus D_x^r(f_j) times d/du^j_{x..x}."""
     t = Coord(INDEP, 1)
     partials: dict = {}
-    for mono, coeff in f.terms.items():
+    for mono, coeff in f.nums.items():
         for pos, (c, e) in enumerate(mono):
             if c[0] == JET or c == t:
-                _accumulate(partials.setdefault(c, {}), _lower(mono, pos, e), coeff * e)
-    out = partials.pop(t, {})
+                # lowering one coordinate maps distinct monomials apart
+                partials.setdefault(c, {})[_lower(mono, pos, e)] = coeff * e
+    dt = partials.pop(t, {})
     dx = partial(total_derivative, ctx)
-    for c, part in partials.items():
-        _mul_into(out, part, _along(ctx._rhs_dx[c[1]], c[2], dx).terms)
-    return DiffPoly(out)
+    rhs = [(part, _along(ctx._rhs_dx[c[1]], c[2], dx)) for c, part in partials.items()]
+    den = lcm(*(g.den for _, g in rhs))
+    out = {m: c * den for m, c in dt.items()}
+    for part, g in rhs:
+        _mul_into(out, part, g.nums, den // g.den)
+    return _poly(out, f.den * den)
 
 
-def _along(table: dict, sigma: tuple, step):
-    """``table[sigma]``, building each missing prefix once from the one before it.
+def _table(value):
+    """A prefix table for ``_along`` holding ``value`` at the empty multi-index."""
+    return (value, {})
 
-    ``table`` holds at least ``()``; ``step(i, value)`` is the value one index
-    further along, such as D_i applied to it.  Iterative: no length bound.
+
+def _along(table, sigma: tuple, step):
+    """The value at ``sigma``, building each missing prefix once from the one before it.
+
+    ``table`` is a trie from ``_table``: a node is ``(value, {i: child})``,
+    so a walk costs one lookup per index.  ``step(i, value)`` is the value
+    one index further along, such as D_i applied to it.  Iterative: no
+    length bound.  A walk made only once needs no table: step along sigma.
     """
-    k = len(sigma)
-    while sigma[:k] not in table:
-        k -= 1
-    value = table[sigma[:k]]
-    for k in range(k, len(sigma)):
-        value = table[sigma[:k + 1]] = step(sigma[k], value)
-    return value
+    for i in sigma:
+        children = table[1]
+        child = children.get(i)
+        if child is None:
+            child = children[i] = (step(i, table[0]), {})
+        table = child
+    return table[0]
 
 
 def total_derivative_sigma(ctx: JetContext, sigma, f: DiffPoly) -> DiffPoly:
@@ -371,7 +387,8 @@ class JetPoint:
 
     ``values`` must cover the independents, the parameters, and every jet
     coordinate with |sigma| <= order_bound (internal coordinates only, in
-    evolution mode).  Lookups beyond the bound raise PointError.
+    evolution mode).  Lookups beyond the bound raise PointError.  The same
+    values as int ``numerators`` over one ``den`` serve ``DiffPoly.evaluate``.
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, values: dict):
@@ -382,6 +399,7 @@ class JetPoint:
             if coord not in self.values:
                 raise PointError(
                     f"point is missing {format_coord(coord, ctx)}")
+        self.den, self.numerators = _over_common_denominator(self.values)
 
     def value(self, coord: Coord) -> Fraction:
         try:

@@ -6,8 +6,10 @@ context.  Composition and adjoints are normalized back to that form by
 Leibniz rewriting (D_i after a coefficient f becomes f D_i + D_i(f)), so
 operator equality is literal normal-form equality.
 
-Apply, compose, adjoint and Green remainders take each D_sigma from a prefix
-table built for the call (``jet._along``) and sum each output cell in place.
+Apply, compose and Green remainders take each D_sigma from a prefix table
+built for the call (``jet._along``); adjoints step along each multi-index
+once.  Each output coefficient is summed in one dict of int numerators over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 from functools import partial
 
 from .expr import (
-    JET, DiffPoly, ExprParser, ParseError, _accumulate, _format_monomial, _join_signed,
-    _mul_into, format_poly,
+    JET, DiffPoly, ExprParser, ParseError, _format_monomial, _join_signed, _sum,
+    _sum_by_key, _sum_products, format_poly,
 )
-from .jet import JetContext, _along, _merge_sign, increasing_tuples, total_derivative
+from .jet import JetContext, _along, _merge_sign, _table, increasing_tuples, total_derivative
 
 MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
 
@@ -33,10 +35,15 @@ class ScalarCDiffOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for sigma, poly in terms.items():
-                _accumulate(self.terms, tuple(sorted(sigma)), poly)
+        self.terms = _sum_by_key((tuple(sorted(sigma)), poly)
+                                 for sigma, poly in terms.items()) if terms else {}
+
+    @staticmethod
+    def _normal(terms: dict) -> "ScalarCDiffOp":
+        """The operator with ``terms`` as they are: sorted keys, nonzero DiffPolys."""
+        op = object.__new__(ScalarCDiffOp)
+        op.terms = terms
+        return op
 
     @property
     def order(self) -> int:
@@ -54,20 +61,17 @@ class ScalarCDiffOp:
     __hash__ = None
 
     def __add__(self, other: "ScalarCDiffOp") -> "ScalarCDiffOp":
-        out = dict(self.terms)
-        for sigma, poly in other.terms.items():
-            _accumulate(out, sigma, poly)
-        return ScalarCDiffOp(out)
+        return ScalarCDiffOp._normal(_sum_by_key([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "ScalarCDiffOp":
-        return ScalarCDiffOp({s: -p for s, p in self.terms.items()})
+        return ScalarCDiffOp._normal({s: -p for s, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, poly: DiffPoly) -> "ScalarCDiffOp":
         """Left multiplication by a function (coefficient-wise)."""
-        return ScalarCDiffOp({s: poly * p for s, p in self.terms.items()})
+        return ScalarCDiffOp._normal({s: q for s, p in self.terms.items() if (q := poly * p)})
 
     def coefficient_jet_order(self) -> int:
         return max((p.jet_order() for p in self.terms.values()), default=0)
@@ -78,11 +82,17 @@ class ScalarCDiffOp:
 
 def _left_Di(ctx: JetContext, i: int, op: ScalarCDiffOp) -> ScalarCDiffOp:
     """Normalize D_i composed with ``op``: D_i (f D_sigma) = f D_{sigma i} + D_i(f) D_sigma."""
-    out: dict = {}
+    out = {tuple(sorted(sigma + (i,))): poly for sigma, poly in op.terms.items()}
     for sigma, poly in op.terms.items():
-        _accumulate(out, tuple(sorted(sigma + (i,))), poly)
-        _accumulate(out, sigma, total_derivative(ctx, i, poly))
-    return ScalarCDiffOp(out)
+        if d := total_derivative(ctx, i, poly):
+            # the one other term at sigma, if any, is the coefficient at sigma - i
+            if sigma not in out:
+                out[sigma] = d
+            elif s := _sum((out[sigma], d)):
+                out[sigma] = s
+            else:
+                del out[sigma]
+    return ScalarCDiffOp._normal(out)
 
 
 class CDiffOp:
@@ -159,16 +169,12 @@ class CDiffOp:
         vec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError(f"operator expects {self.cols} components, got {len(vec)}")
-        tables = [{(): v} for v in vec]
+        tables = [_table(v) for v in vec]
         step = partial(total_derivative, self.ctx)
-        out = []
-        for row in self.entries:
-            acc: dict = {}
-            for table, entry in zip(tables, row):
-                for sigma, coeff in entry.terms.items():
-                    _mul_into(acc, coeff.terms, _along(table, sigma, step).terms)
-            out.append(DiffPoly(acc))
-        return out
+        return [_sum_products([(coeff, _along(table, sigma, step))
+                               for table, entry in zip(tables, row)
+                               for sigma, coeff in entry.terms.items()])
+                for row in self.entries]
 
     def __matmul__(self, inner: "CDiffOp") -> "CDiffOp":
         if not isinstance(inner, CDiffOp):
@@ -179,20 +185,21 @@ class CDiffOp:
                 f"{inner.rows}x{inner.cols}")
         if self.ctx != inner.ctx:
             raise ValueError("operators live over different contexts")
-        tables = [[{(): b} for b in row] for row in inner.entries]
+        tables = [[_table(b) for b in row] for row in inner.entries]
         step = partial(_left_Di, self.ctx)
         out = []
         for outer_row in self.entries:
             row = []
             for j in range(inner.cols):
-                acc: dict = {}  # multi-index -> term map, summed in place
+                acc: dict = {}  # multi-index -> the (coefficient, polynomial) products to sum
                 for a, inner_row in zip(outer_row, tables):
                     table = inner_row[j]
-                    if table[()].terms:  # a zero inner entry adds nothing
+                    if table[0].terms:  # a zero inner entry adds nothing
                         for sigma, coeff in a.terms.items():
                             for tau, poly in _along(table, sigma, step).terms.items():
-                                _mul_into(acc.setdefault(tau, {}), coeff.terms, poly.terms)
-                row.append(ScalarCDiffOp({tau: DiffPoly(t) for tau, t in acc.items() if t}))
+                                acc.setdefault(tau, []).append((coeff, poly))
+                row.append(ScalarCDiffOp._normal(
+                    {tau: s for tau, pairs in acc.items() if (s := _sum_products(pairs))}))
             out.append(row)
         return CDiffOp(self.ctx, out)
 
@@ -234,15 +241,16 @@ def adjoint(op: CDiffOp) -> CDiffOp:
     the pairing uses the coordinate volume element, so no extra weights
     appear.
     """
-    step = partial(_left_Di, op.ctx)
+    ctx = op.ctx
 
     def entry_adjoint(entry: ScalarCDiffOp) -> ScalarCDiffOp:
-        acc: dict = {}
+        pairs = []
         for sigma, coeff in entry.terms.items():
-            start = ScalarCDiffOp({(): -coeff if len(sigma) % 2 else coeff})
-            for tau, poly in _along({(): start}, sigma, step).terms.items():
-                _accumulate(acc, tau, poly)
-        return ScalarCDiffOp(acc)
+            term = ScalarCDiffOp._normal({(): -coeff if len(sigma) % 2 else coeff})
+            for i in sigma:
+                term = _left_Di(ctx, i, term)
+            pairs.extend(term.terms.items())
+        return ScalarCDiffOp._normal(_sum_by_key(pairs))
 
     return CDiffOp(op.ctx, [[entry_adjoint(row[j]) for row in op.entries]
                             for j in range(op.cols)])
@@ -280,17 +288,17 @@ def green_remainder(op: CDiffOp, p, q) -> list[DiffPoly]:
     qvec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in q]
     if len(pvec) != op.cols or len(qvec) != op.rows:
         raise ValueError("green_remainder: vector lengths must match the operator")
-    tables = [{(): v} for v in pvec]
+    tables = [_table(v) for v in pvec]
     step = partial(total_derivative, ctx)
-    rems = [{} for _ in range(ctx.n)]
+    rems = [[] for _ in range(ctx.n)]  # per i, the (w, D_rest(p_j)) products to sum
     for row, qs in zip(op.entries, qvec):
         for table, entry in zip(tables, row):
             for sigma, coeff in entry.terms.items():
                 w = qs * coeff
                 for pos, i in enumerate(sigma):
-                    _mul_into(rems[i], w.terms, _along(table, sigma[pos + 1:], step).terms)
+                    rems[i].append((w, _along(table, sigma[pos + 1:], step)))
                     w = -total_derivative(ctx, i, w)
-    return [DiffPoly(r) for r in rems]
+    return [_sum_products(pairs) for pairs in rems]
 
 
 def pairing(a, b) -> DiffPoly:
@@ -420,7 +428,7 @@ def format_scalar_op(op: ScalarCDiffOp, ctx: JetContext) -> str:
     terms = []
     for sigma in sorted(op.terms, key=lambda s: (len(s), s)):
         poly = op.terms[sigma]
-        if len(poly.terms) == 1:
+        if len(poly.nums) == 1:
             ((mono, coeff),) = poly.terms.items()
             sign, body = _format_monomial(mono, coeff, ctx)
         else:

@@ -32,7 +32,7 @@ from math import comb
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
     JetContext, JetPoint, PointError, _along, _at_generic_points, _check_depth, _check_size,
-    _merge_sign, increasing_tuples,
+    _merge_sign, _table, increasing_tuples,
 )
 from .linalg import _kernel_rows, rank
 from .ops import CDiffOp, _left_Di
@@ -193,7 +193,7 @@ class _Tower:
         self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
         self.mu_pos = {mu: c for c, mu in enumerate(
             multiindices_upto(op.ctx.n, k + max(self.ends)))}
-        self.constant = all(set(poly.terms) <= {()} for row in op.entries for e in row
+        self.constant = all(set(poly.nums) <= {()} for row in op.entries for e in row
                             for poly in e.terms.values())
         self.prolonged = None
         self._ranks = None
@@ -201,8 +201,8 @@ class _Tower:
     def rows(self, pt: JetPoint) -> list[dict]:
         if self.prolonged is None:
             step = partial(_left_Di, self.op.ctx)
-            tables = [[{(): e} for e in row] for row in self.op.entries]
-            self.prolonged = [[_along(t, tau, step) if t[()].terms else t[()] for t in row]
+            tables = [[_table(e) for e in row] for row in self.op.entries]
+            self.prolonged = [[_along(t, tau, step) if t[0].terms else t[0] for t in row]
                               for tau in multiindices_upto(self.op.ctx.n, max(self.ends))
                               for row in tables]
         return [{j * len(self.mu_pos) + self.mu_pos[mu]: value for j, entry in enumerate(row)

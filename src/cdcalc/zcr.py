@@ -9,7 +9,7 @@ as [omega(X), omega(Y)]; it is fixed once and used consistently.
 from __future__ import annotations
 
 from .expr import DiffPoly, _accumulate, format_poly
-from .jet import JetContext, _along, total_derivative
+from .jet import JetContext, _along, _table, total_derivative
 from .ops import CDiffOp, ScalarCDiffOp
 
 
@@ -132,7 +132,7 @@ def covering_substitute(op: CDiffOp, omega: MatrixForm) -> CDiffOp:
                                                      (): ad.get((r, c), DiffPoly.zero())})
                                       for c in range(dim)] for r in range(dim)]))
     # B_{s1} ... B_{sr}: each product is its prefix's times one block on the right
-    products = {(): CDiffOp.identity(ctx, dim)}
+    products = _table(CDiffOp.identity(ctx, dim))
     total = CDiffOp.zero(ctx, dim, dim)
     for sigma, coeff in op.entries[0][0].terms.items():
         product = _along(products, sigma, lambda i, prefix: prefix @ blocks[i])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -140,6 +141,77 @@ class SympyJets:
         for i in sigma:
             expr = self.evolution_dt(expr, rhs) if rhs and i == 1 else self.total(expr, i)
         return expr
+
+
+# ---------------------------------------------------------------------------
+# Reference polynomials: plain monomial -> Fraction dicts, with the ring and
+# calculus written out from the definitions, apart from expr.py and jet.py
+# ---------------------------------------------------------------------------
+
+def ref_monomial(exps: dict) -> tuple:
+    """The canonical monomial of a coordinate -> exponent map (zero exponents dropped)."""
+    return tuple(sorted((c, e) for c, e in exps.items() if e))
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for coord, e in m2:
+                exps[coord] = exps.get(coord, 0) + e
+            m = ref_monomial(exps)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(a: dict, n: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a: dict, coord) -> dict:
+    out = {}
+    for m, c in a.items():
+        exps = dict(m)
+        e = exps.get(coord, 0)
+        if e:
+            exps[coord] = e - 1
+            key = ref_monomial(exps)
+            out[key] = out.get(key, 0) + c * e
+    return out
+
+
+def ref_total(i: int, a: dict, rhs=None) -> dict:
+    """D_i(a) = da/dx_i + sum over jets of u_{sigma+i} da/du_sigma.
+
+    With ``rhs`` (reference dicts f_j of an evolution rule u^j_t = f_j over
+    x, t) and i = 1, the jet factor of u^j_{x^r} is D_x^r(f_j) instead.
+    """
+    out = ref_partial(a, Coord(INDEP, i))
+    for c in {c for m in a for c, _ in m if c.kind == JET}:
+        if rhs is not None and i == 1:
+            factor = rhs[c.index]
+            for _ in c.sigma:
+                factor = ref_total(0, factor)
+        else:
+            factor = {((Coord(JET, c.index, c.sigma + (i,)), 1),): Fraction(1)}
+        out = ref_add(out, ref_mul(factor, ref_partial(a, c)))
+    return out
+
+
+def ref_evaluate(a: dict, values: dict) -> Fraction:
+    return sum((c * prod(Fraction(values[x]) ** e for x, e in m) for m, c in a.items()),
+               Fraction(0))
 
 
 def rand_operator(rng: random.Random, ctx: JetContext, rows: int, cols: int,

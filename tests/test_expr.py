@@ -2,16 +2,20 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdcalc import (
-    Coord, DiffPoly, JetContext, ParseError, evaluate, format_poly,
-    parse_coord, parse_expr, partial,
+    Coord, DiffPoly, JetContext, JetPoint, ParseError, evaluate, format_poly,
+    parse_coord, parse_expr, partial, random_point, total_derivative,
 )
-from cdcalc.expr import JET, MAX_DIGITS, EvaluationError
+from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, EvaluationError
 
-from conftest import rand_poly
+from conftest import (
+    rand_poly, ref_add, ref_evaluate, ref_monomial, ref_mul, ref_partial, ref_pow, ref_total,
+)
 
 
 @pytest.fixture
@@ -238,3 +242,114 @@ def test_only_ascii_digits_form_literals(ctx):
         with pytest.raises(ParseError, match="unexpected character") as err:
             parse_expr(text, ctx)
         assert err.value.pos == pos
+
+
+def test_const_takes_only_exact_values(ctx):
+    assert DiffPoly.const(Fraction(1, 6)).terms == {(): Fraction(1, 6)}
+    assert DiffPoly.const(-4) == -4
+    u = ctx.jet_coord("u")
+    for bad in (lambda: DiffPoly.const(0.1), lambda: DiffPoly.const("1/2"),
+                lambda: DiffPoly({(): 0.5}), lambda: evaluate(DiffPoly.var(u), {u: 0.5})):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            bad()
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free core against plain monomial -> Fraction dicts
+# ---------------------------------------------------------------------------
+
+# Internal coordinates of both contexts below, plus free-mode t-jets.
+_FREE = JetContext.free("x t", "u v", "lam")
+_EVOLUTION = JetContext.evolution("u v", ["u*u_x - 1/2*v_xx", "1/3*u_x*v + x"], "lam")
+_RHS = tuple(dict(f.terms) for f in _EVOLUTION.evolution_rhs)
+_INTERNAL = [Coord(INDEP, 0), Coord(INDEP, 1), Coord(PARAM, 0), Coord(JET, 0),
+             Coord(JET, 0, (0,)), Coord(JET, 0, (0, 0)), Coord(JET, 1), Coord(JET, 1, (0,))]
+_T_JETS = [Coord(JET, 0, (1,)), Coord(JET, 1, (0, 1))]
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+
+
+def _specs(coords):
+    """(coefficient, coordinate -> exponent) lists: a polynomial before it is summed."""
+    return st.lists(st.tuples(_rationals, st.dictionaries(st.sampled_from(coords),
+                                                          st.integers(1, 3), max_size=3)),
+                    max_size=5)
+
+
+def _build(spec):
+    """The spec summed by the reference, and through DiffPoly's own + and *."""
+    ref, poly = {}, DiffPoly.zero()
+    for coeff, exps in spec:
+        ref = ref_add(ref, {ref_monomial(exps): coeff})
+        term = DiffPoly.const(coeff)
+        for coord, e in exps.items():
+            term = term * DiffPoly.var(coord, e)
+        poly = poly + term
+    return ref, poly
+
+
+def _check(poly, ref):
+    """``poly`` equals the reference and is canonical."""
+    assert dict(poly.terms) == ref
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(c) is int and c for c in poly.nums.values())
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    assert (poly.den == 1) == all(q.denominator == 1 for q in ref.values())
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS), _specs(_INTERNAL + _T_JETS), st.integers(0, 3))
+def test_ring_matches_reference(a_spec, b_spec, n):
+    (a_ref, a), (b_ref, b) = _build(a_spec), _build(b_spec)
+    _check(a, a_ref)
+    _check(a + b, ref_add(a_ref, b_ref))
+    _check(a - b, ref_add(a_ref, ref_mul({(): Fraction(-1)}, b_ref)))
+    _check(-a, ref_mul({(): Fraction(-1)}, a_ref))
+    _check(a * b, ref_mul(a_ref, b_ref))
+    _check(a ** n, ref_pow(a_ref, n))
+    _check(a * Fraction(3, 4) + 1, ref_add(ref_mul(a_ref, {(): Fraction(3, 4)}), {(): 1}))
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS), st.sampled_from(_INTERNAL + _T_JETS))
+def test_free_calculus_matches_reference(spec, coord):
+    ref, a = _build(spec)
+    _check(a.partial(coord), ref_partial(ref, coord))
+    for i in (0, 1):
+        _check(total_derivative(_FREE, i, a), ref_total(i, ref))
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL))
+def test_evolution_calculus_matches_reference(spec):
+    ref, a = _build(spec)
+    _check(total_derivative(_EVOLUTION, "x", a), ref_total(0, ref))
+    _check(total_derivative(_EVOLUTION, "t", a), ref_total(1, ref, _RHS))
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS), st.integers(0, 10**6),
+       st.dictionaries(st.sampled_from(_INTERNAL + _T_JETS), _rationals | st.integers(-5, 5)))
+def test_evaluate_matches_reference(spec, seed, overrides):
+    ref, a = _build(spec)
+    pt = random_point(_FREE, 2, seed)
+    assert a.evaluate(pt) == ref_evaluate(ref, pt.values)
+    values = {**pt.values, **overrides}
+    assert a.evaluate(values) == ref_evaluate(ref, values)
+    moved = JetPoint(_FREE, 2, values)
+    assert a.evaluate(moved) == ref_evaluate(ref, values)
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS))
+def test_routes_to_one_polynomial_agree(spec):
+    ref, summed = _build(spec)
+    from_terms = DiffPoly(ref)
+    from_unsorted = DiffPoly({m: c for m, c in reversed(list(ref.items()))})
+    reparsed = parse_expr(format_poly(summed, _FREE), _FREE)
+    for p in (from_terms, from_unsorted, reparsed):
+        _check(p, ref)
+        assert p == summed and p.terms == summed.terms
+        assert (p.nums, p.den) == (summed.nums, summed.den)

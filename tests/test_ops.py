@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,16 @@ def test_apply_examples(ctx, kdv):
     assert ident([f]) == [f]
     lf = linearize(ctx, kdv)
     assert lf([ctx.parse("u_x")]) == [ctx.parse("u_xt - u*u_xx - u_x^2 - u_xxxx")]
+
+
+def test_float_coefficients_are_rejected(ctx):
+    op = CDiffOp.total(ctx, "x")
+    q = [ctx.parse("u")]
+    for bad in (lambda: op([0.1]), lambda: green_remainder(op, [0.5], q),
+                lambda: green_remainder(op, q, [0.5]), lambda: op.scale(0.5)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            bad()
+    assert op.scale(Fraction(1, 2)) == parse_operator_matrix("1/2*D_{x}", ctx)
 
 
 def test_apply_dimension_mismatch(ctx):
@@ -94,6 +105,13 @@ def test_adjoint_involution_and_contravariance(ctx):
         b = rand_operator(rng, ctx, 2, 2)
         assert adjoint(adjoint(a)) == a
         assert adjoint(a @ b) == adjoint(b) @ adjoint(a)
+
+
+def test_adjoint_keeps_zero_and_single_term_entries(ctx):
+    op = parse_operator_matrix("0 ; u*D_{x,x}\n1/2*D_{t} - u ; 0", ctx)
+    assert adjoint(op) == parse_operator_matrix(
+        "0 ; -1/2*D_{t} - u\nu*D_{x,x} + 2*u_x*D_{x} + u_xx ; 0", ctx)
+    assert adjoint(CDiffOp.zero(ctx, 2, 3)) == CDiffOp.zero(ctx, 3, 2)
 
 
 def test_adjoint_transposes_shape(ctx):
