@@ -80,8 +80,8 @@ def _accumulate(out: dict, key, value) -> None:
 
     Form and operator coefficients keep their no-zero-values invariant
     through this one routine.  The int numerator loops of ``_mul_into``,
-    ``_sum`` and ``jet.total_derivative`` write it inline: there a call per
-    term would cost more than the addition.
+    ``_sum`` and ``jet.total_derivative`` write it inline: calling it there
+    made the polynomial-heavy benchmark workload about 12% slower.
     """
     s = out[key] + value if key in out else value
     if s:
@@ -115,11 +115,26 @@ def _rational(value) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
-def _over_common_denominator(values: dict) -> tuple[int, dict]:
-    """``(den, nums)`` with ``values[k] == nums[k] / den``, den the lcm of the denominators."""
+def _over_common_denominator(values: dict, limit: int | None = None) -> tuple[int, dict] | None:
+    """``(den, nums)`` with ``values[k] == nums[k] / den``, den the lcm of the denominators.
+
+    None as soon as that lcm passes ``limit``: it is built one value at a
+    time and stops at the first value that takes it past the limit.
+    """
     values = {k: _rational(v) for k, v in values.items()}
-    den = lcm(*(v.denominator for v in values.values()))
+    den = 1
+    for v in values.values():
+        den = lcm(den, v.denominator)
+        if limit is not None and den > limit:
+            return None
     return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+# A point's values are brought to one common denominator for DiffPoly.evaluate
+# only while it stays at most this; past it the powers of the denominator that
+# scale each term cost more than a Fraction per value (see the README), and the
+# point's stored numerators would grow with its size times the lcm's digits.
+MAX_POINT_DENOMINATOR = 2 ** 512
 
 
 class EvaluationError(ValueError):
@@ -246,16 +261,29 @@ class DiffPoly:
         """Evaluate at a point.
 
         ``assignment`` is either a mapping Coord -> rational or a jet-space
-        point (an object with ``value(coord)`` and the values as
-        ``numerators`` over one ``den``).  The sum is taken in int over a
-        common denominator, with one Fraction at the end.  Raises
-        EvaluationError naming the first unassigned coordinate.
+        point (an object with ``value(coord)`` and ``scaled``).  At a point
+        whose values share a common denominator of at most
+        ``MAX_POINT_DENOMINATOR`` (``scaled`` is then that denominator and
+        the values' int numerators over it), the sum is taken in int, with
+        one Fraction at the end; otherwise each value is a Fraction.  Raises
+        EvaluationError naming the first unassigned coordinate of a mapping.
         """
         if hasattr(assignment, "value"):
-            vden, vals, missing = assignment.den, assignment.numerators, assignment.value
+            value = assignment.value
+            if assignment.scaled is not None:
+                return self._evaluate_scaled(*assignment.scaled, value)
         else:
-            vden, vals = _over_common_denominator(assignment)
-            missing = _unassigned
+            def value(coord):
+                return _assigned(assignment, coord)
+        total = Fraction(0)
+        for mono, v in self.nums.items():
+            for coord, e in mono:
+                v *= value(coord) ** e
+            total += v
+        return total / self.den
+
+    def _evaluate_scaled(self, vden: int, vals: dict, value) -> Fraction:
+        """The value where each coordinate is ``vals[coord] / vden``; ``value`` reports a missing one."""
         total = top = 0  # the sum so far is total / (den * vden^top)
         for mono, v in self.nums.items():
             degree = 0
@@ -263,7 +291,7 @@ class DiffPoly:
                 try:
                     x = vals[coord]
                 except KeyError:
-                    missing(coord)
+                    value(coord)
                     raise
                 v *= x if e == 1 else x ** e
                 degree += e
@@ -308,8 +336,11 @@ class DiffPoly:
         return f"DiffPoly({len(self.nums)} terms)"
 
 
-def _unassigned(coord: Coord):
-    raise EvaluationError(f"no value assigned to coordinate {coord!r}") from None
+def _assigned(mapping, coord: Coord) -> Fraction:
+    try:
+        return _rational(mapping[coord])
+    except KeyError:
+        raise EvaluationError(f"no value assigned to coordinate {coord!r}") from None
 
 
 _new = object.__new__
@@ -336,26 +367,20 @@ def _poly(nums: dict, den: int) -> DiffPoly:
 
 
 def _sum(polys) -> DiffPoly:
-    """The sum of a nonempty sequence of DiffPolys, in one dict over the lcm of their denominators.
-
-    A summand already over that denominator is copied, not re-summed: a dict
-    copy keeps the monomials' hashes, which cost more than the ints.
-    """
-    base = polys[0]
+    """The sum of a nonempty sequence of DiffPolys, in one dict over the lcm of their denominators."""
+    first = polys[0]
     if len(polys) == 1:
-        return base
+        return first
     den = lcm(*[p.den for p in polys])
-    if base.den != den:
-        base = next((p for p in polys if p.den == den), None)
-    out = dict(base.nums) if base is not None else {}
-    for p in polys:
-        if p is not base:
-            k = den // p.den
-            for m, c in p.nums.items():
-                if s := out.get(m, 0) + c * k:
-                    out[m] = s
-                else:
-                    del out[m]
+    k = den // first.den
+    out = {m: c * k for m, c in first.nums.items()}
+    for p in polys[1:]:
+        k = den // p.den
+        for m, c in p.nums.items():
+            if s := out.get(m, 0) + c * k:
+                out[m] = s
+            else:
+                del out[m]
     return _poly(out, den)
 
 

@@ -13,12 +13,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm
+from math import comb
 
 from .expr import (
-    INDEP, JET, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _lower, _mul_into, _over_common_denominator, _parse_integers, _parse_rational,
-    _poly, _raise, format_coord, format_poly, parse_coord, parse_expr,
+    INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
+    _accumulate, _lower, _over_common_denominator, _parse_integers, _parse_rational,
+    _poly, _rational, _raise, _sum_products, format_coord, format_poly, parse_coord, parse_expr,
 )
 
 
@@ -191,14 +191,11 @@ def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
             if c[0] == JET or c == t:
                 # lowering one coordinate maps distinct monomials apart
                 partials.setdefault(c, {})[_lower(mono, pos, e)] = coeff * e
-    dt = partials.pop(t, {})
+    one = DiffPoly.const(1)
     dx = partial(total_derivative, ctx)
-    rhs = [(part, _along(ctx._rhs_dx[c[1]], c[2], dx)) for c, part in partials.items()]
-    den = lcm(*(g.den for _, g in rhs))
-    out = {m: c * den for m, c in dt.items()}
-    for part, g in rhs:
-        _mul_into(out, part, g.nums, den // g.den)
-    return _poly(out, f.den * den)
+    return _sum_products([
+        (_poly(part, f.den), one if c == t else _along(ctx._rhs_dx[c[1]], c[2], dx))
+        for c, part in partials.items()])
 
 
 def _table(value):
@@ -387,19 +384,21 @@ class JetPoint:
 
     ``values`` must cover the independents, the parameters, and every jet
     coordinate with |sigma| <= order_bound (internal coordinates only, in
-    evolution mode).  Lookups beyond the bound raise PointError.  The same
-    values as int ``numerators`` over one ``den`` serve ``DiffPoly.evaluate``.
+    evolution mode).  Lookups beyond the bound raise PointError.  ``scaled``
+    is ``(den, numerators)``, the values over their common denominator, for
+    ``DiffPoly.evaluate``; None when that denominator exceeds
+    ``MAX_POINT_DENOMINATOR``.
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, values: dict):
         self.ctx = ctx
         self.order_bound = order_bound
-        self.values = dict(values)
+        self.values = {coord: _rational(v) for coord, v in values.items()}
         for coord in _point_coords(ctx, order_bound):
             if coord not in self.values:
                 raise PointError(
                     f"point is missing {format_coord(coord, ctx)}")
-        self.den, self.numerators = _over_common_denominator(self.values)
+        self.scaled = _over_common_denominator(self.values, MAX_POINT_DENOMINATOR)
 
     def value(self, coord: Coord) -> Fraction:
         try:

@@ -305,6 +305,7 @@ def test_ring_matches_reference(a_spec, b_spec, n):
     (a_ref, a), (b_ref, b) = _build(a_spec), _build(b_spec)
     _check(a, a_ref)
     _check(a + b, ref_add(a_ref, b_ref))
+    _check(a + a, ref_add(a_ref, a_ref))
     _check(a - b, ref_add(a_ref, ref_mul({(): Fraction(-1)}, b_ref)))
     _check(-a, ref_mul({(): Fraction(-1)}, a_ref))
     _check(a * b, ref_mul(a_ref, b_ref))
@@ -340,6 +341,24 @@ def test_evaluate_matches_reference(spec, seed, overrides):
     assert a.evaluate(values) == ref_evaluate(ref, values)
     moved = JetPoint(_FREE, 2, values)
     assert a.evaluate(moved) == ref_evaluate(ref, values)
+
+
+def test_points_with_large_coprime_denominators():
+    """No common denominator is built past MAX_POINT_DENOMINATOR; evaluate stays exact."""
+    from cdcalc.expr import MAX_POINT_DENOMINATOR, format_coord
+    from cdcalc.jet import _point_coords, parse_point_file
+    primes = [p for p in range(3, 2000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+    coords = list(_point_coords(_FREE, 7))  # the file also names coordinates beyond order 2
+    text = "\n".join(f"{format_coord(c, _FREE)} = {k - 40}/{primes[k] ** 20}"
+                     for k, c in enumerate(coords))
+    pt = parse_point_file(text, _FREE, 2)
+    assert pt.scaled is None and len(pt.values) == len(coords) > 60
+    small = random_point(_FREE, 2, 5)
+    assert small.scaled[0] <= min(12, MAX_POINT_DENOMINATOR)
+    for spec in ([], [(Fraction(3, 7), {})], [(Fraction(-5, 2), {c: 3}) for c in _INTERNAL]):
+        ref, a = _build(spec)
+        for point in (pt, small):
+            assert a.evaluate(point) == ref_evaluate(ref, point.values)
 
 
 @_PROPERTY

@@ -5,7 +5,7 @@ import pytest
 
 import cdcalc.ops
 from cdcalc import (
-    CDiffOp, DiffPoly, JetContext, adjoint, compose, dbar_operator,
+    CDiffOp, DiffPoly, HorizontalForm, JetContext, adjoint, compose, dbar_operator,
     format_operator, green_remainder, linearize, pairing,
     parse_operator_matrix, parse_scalar_op, total_derivative,
 )
@@ -285,6 +285,16 @@ def test_scalar_op_keys_are_canonical(ctx):
     a, b = ctx.parse("u"), ctx.parse("x")
     assert ScalarCDiffOp({(1, 0): a, (0, 1): b}) == ScalarCDiffOp({(0, 1): a + b})
     assert ScalarCDiffOp({(1, 0): a, (0, 1): -a}).is_zero()
+    assert ScalarCDiffOp({(1, 0): a, (0, 1): a}) == ScalarCDiffOp({(0, 1): 2 * a})
+
+
+def test_sums_of_one_object_with_itself(ctx):
+    ident = CDiffOp.identity(ctx, 2)
+    assert ident + ident == ident.scale(2)
+    mult = CDiffOp.multiplication(ctx, ctx.parse("1/3*u_x"))
+    assert mult + mult == CDiffOp.multiplication(ctx, ctx.parse("2/3*u_x"))
+    omega = HorizontalForm(2, 1, {(0,): ctx.parse("u"), (1,): ctx.parse("u")})
+    assert omega + omega == omega.scale(2)
 
 
 def test_zero_operator_order_convention(ctx):
