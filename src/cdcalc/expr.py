@@ -261,17 +261,18 @@ class DiffPoly:
         """Evaluate at a point.
 
         ``assignment`` is either a mapping Coord -> rational or a jet-space
-        point (an object with ``value(coord)`` and ``scaled``).  At a point
-        whose values share a common denominator of at most
-        ``MAX_POINT_DENOMINATOR`` (``scaled`` is then that denominator and
-        the values' int numerators over it), the sum is taken in int, with
-        one Fraction at the end; otherwise each value is a Fraction.  Raises
+        point (an object with ``value(coord)``).  At a point whose values
+        share a common denominator of at most ``MAX_POINT_DENOMINATOR``
+        (a JetPoint's ``scaled`` is then that denominator and the values'
+        int numerators over it), the sum is taken in int, with one Fraction
+        at the end; otherwise each value is a Fraction.  Raises
         EvaluationError naming the first unassigned coordinate of a mapping.
         """
         if hasattr(assignment, "value"):
             value = assignment.value
-            if assignment.scaled is not None:
-                return self._evaluate_scaled(*assignment.scaled, value)
+            scaled = getattr(assignment, "scaled", None)
+            if scaled is not None:
+                return self._evaluate_scaled(*scaled, value)
         else:
             def value(coord):
                 return _assigned(assignment, coord)

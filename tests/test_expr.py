@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +338,7 @@ def test_evaluate_matches_reference(spec, seed, overrides):
     ref, a = _build(spec)
     pt = random_point(_FREE, 2, seed)
     assert a.evaluate(pt) == ref_evaluate(ref, pt.values)
+    assert a.evaluate(SimpleNamespace(value=pt.value)) == ref_evaluate(ref, pt.values)
     values = {**pt.values, **overrides}
     assert a.evaluate(values) == ref_evaluate(ref, values)
     moved = JetPoint(_FREE, 2, values)
