@@ -11,7 +11,6 @@ is exact: fraction-free, with one gcd per result.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -55,24 +54,37 @@ class Coord(tuple):
         return f"Coord({_KIND_NAMES[self.kind]} {self.index})"
 
 
-# A monomial maps coordinates to positive integer exponents; stored as a
-# tuple of (Coord, exponent) pairs sorted by coordinate.
-Monomial = tuple
+# A monomial is stored as the sorted tuple of its coordinates' ids, each id
+# repeated once per unit of exponent: u*u_x^2 is (id(u), id(u_x), id(u_x)).
+# Ids are small ints from one append-only table, in order of first use, so they
+# can differ between runs; nothing printed or compared may depend on id order.
+# The public view (``DiffPoly.terms``) keeps (Coord, exponent) pairs in Coord order.
+_COORDS: list = []  # id -> Coord
+_IDS: dict = {}  # Coord -> id
 
 
-def _lower(mono: Monomial, pos: int, e: int) -> Monomial:
-    """``mono`` with the exponent ``e`` of its ``pos``-th coordinate lowered by one."""
-    if e == 1:
-        return mono[:pos] + mono[pos + 1:]
-    return mono[:pos] + ((mono[pos][0], e - 1),) + mono[pos + 1:]
+def _coord_id(coord: Coord) -> int:
+    """The id of ``coord``, interned on first use."""
+    i = _IDS.get(coord)
+    if i is None:
+        i = _IDS[coord] = len(_COORDS)
+        _COORDS.append(coord if type(coord) is Coord else Coord(*coord))
+    return i
 
 
-def _raise(mono: Monomial, coord: Coord) -> Monomial:
-    """``mono`` times ``coord``: its exponent raised by one, or a new pair in order."""
-    at = bisect_left(mono, (coord,))
-    if at < len(mono) and mono[at][0] == coord:
-        return mono[:at] + ((coord, mono[at][1] + 1),) + mono[at + 1:]
-    return mono[:at] + ((coord, 1),) + mono[at:]
+def _key(pairs) -> tuple:
+    """The id key of a monomial given as (Coord, exponent) pairs, in any order."""
+    ids = []
+    for coord, e in pairs:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponents must be non-negative integers")
+        ids += [_coord_id(coord)] * e
+    return tuple(sorted(ids))
+
+
+def _pairs(key: tuple) -> tuple:
+    """The (Coord, exponent) pairs of an id key, sorted by coordinate."""
+    return tuple(sorted((_COORDS[i], key.count(i)) for i in set(key)))
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -81,7 +93,7 @@ def _accumulate(out: dict, key, value) -> None:
     Form and operator coefficients keep their no-zero-values invariant
     through this one routine.  The int numerator loops of ``_mul_into``,
     ``_sum`` and ``jet.total_derivative`` write it inline: calling it there
-    made the polynomial-heavy benchmark workload about 12% slower.
+    made the polynomial-heavy benchmark workload about 7% slower.
     """
     s = out[key] + value if key in out else value
     if s:
@@ -94,12 +106,8 @@ def _mul_into(out: dict, nums1: dict, nums2: dict, scale: int = 1) -> None:
     """Accumulate ``scale`` times the product of two numerator maps into ``out``."""
     for m1, c1 in nums1.items():
         c1 *= scale
-        d1 = dict(m1)
         for m2, c2 in nums2.items():
-            d = dict(d1)
-            for coord, e in m2:
-                d[coord] = d.get(coord, 0) + e
-            m = tuple(sorted(d.items()))
+            m = tuple(sorted(m1 + m2))
             if s := out.get(m, 0) + c1 * c2:
                 out[m] = s
             else:
@@ -137,6 +145,12 @@ def _over_common_denominator(values: dict, limit: int | None = None) -> tuple[in
 MAX_POINT_DENOMINATOR = 2 ** 512
 
 
+# Powers expand in full, and a monomial's key grows with its degree, so
+# DiffPoly.var and ** reject a power of higher total degree, and the parser a
+# larger literal exponent.
+MAX_EXPONENT = 64
+
+
 class EvaluationError(ValueError):
     """A coordinate needed during evaluation has no assigned value."""
 
@@ -144,11 +158,13 @@ class EvaluationError(ValueError):
 class DiffPoly:
     """Sparse multivariate polynomial with rational coefficients.
 
-    ``nums`` maps monomials to nonzero int numerators over the one positive
-    int denominator ``den``; the empty monomial carries the constant term.
+    ``nums`` maps monomials (sorted tuples of coordinate ids, see ``_key``)
+    to nonzero int numerators over the one positive int denominator ``den``;
+    the empty monomial carries the constant term.
     The form is canonical: gcd(den, *nums.values()) == 1, so den == 1 when
     every coefficient is an integer and the zero polynomial is ``{}`` over
-    1.  ``terms`` is a read-only view of the coefficients as Fractions.
+    1.  ``terms`` is a read-only view of the coefficients as Fractions, keyed
+    by tuples of (Coord, exponent) pairs sorted by coordinate.
     Instances are immutable by convention: no method mutates ``nums``
     after construction.
     """
@@ -156,15 +172,25 @@ class DiffPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict | None = None):
-        """From a map monomial -> int or Fraction; zero values are dropped."""
-        values = {m: q for m, c in terms.items() if (q := _rational(c))} if terms else {}
-        self.den, self.nums = _over_common_denominator(values)
+        """From a map monomial -> int or Fraction, a monomial being (Coord, exponent) pairs.
+
+        Monomials that name the same exponents add up; zero sums are dropped.
+        """
+        values: dict = {}
+        for pairs, c in (terms or {}).items():
+            k = _key(pairs)
+            values[k] = values.get(k, 0) + _rational(c)
+        self.den, self.nums = _over_common_denominator({k: q for k, q in values.items() if q})
 
     @property
     def terms(self) -> MappingProxyType:
         """Monomial -> nonzero Fraction coefficient (a view built on each access)."""
         den = self.den
-        return MappingProxyType({m: Fraction(c, den) for m, c in self.nums.items()})
+        return MappingProxyType({_pairs(m): Fraction(c, den) for m, c in self.nums.items()})
+
+    def __reduce__(self):
+        # through the public terms: ids are local to one process
+        return DiffPoly, (dict(self.terms),)
 
     # -- constructors -------------------------------------------------
 
@@ -182,9 +208,9 @@ class DiffPoly:
     def var(coord: Coord, exp: int = 1) -> "DiffPoly":
         if exp < 0:
             raise ValueError("negative exponents are not supported")
-        if exp == 0:
-            return DiffPoly.const(1)
-        return _poly({((coord, exp),): 1}, 1)
+        if exp > MAX_EXPONENT:
+            raise ValueError(f"power of total degree {exp} exceeds {MAX_EXPONENT}")
+        return _poly({(_coord_id(coord),) * exp: 1}, 1)
 
     # -- ring structure ------------------------------------------------
 
@@ -234,6 +260,8 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if n > 1 and (degree := self.degree() * n) > MAX_EXPONENT:
+            raise ValueError(f"power of total degree {degree} exceeds {MAX_EXPONENT}")
         result = DiffPoly.const(1)
         base = self
         while n:
@@ -248,13 +276,13 @@ class DiffPoly:
 
     def partial(self, coord: Coord) -> "DiffPoly":
         """Formal partial derivative; every Coord counts as independent."""
+        i = _IDS.get(coord)
         out: dict = {}
         for mono, c in self.nums.items():
-            for pos, (x, e) in enumerate(mono):
-                if x == coord:
-                    # lowering one coordinate maps distinct monomials apart
-                    out[_lower(mono, pos, e)] = c * e
-                    break
+            if i in mono:
+                pos = mono.index(i)
+                # lowering one coordinate maps distinct monomials apart
+                out[mono[:pos] + mono[pos + 1:]] = c * mono.count(i)
         return _poly(out, self.den)
 
     def evaluate(self, assignment) -> Fraction:
@@ -264,9 +292,10 @@ class DiffPoly:
         point (an object with ``value(coord)``).  At a point whose values
         share a common denominator of at most ``MAX_POINT_DENOMINATOR``
         (a JetPoint's ``scaled`` is then that denominator and the values'
-        int numerators over it), the sum is taken in int, with one Fraction
-        at the end; otherwise each value is a Fraction.  Raises
-        EvaluationError naming the first unassigned coordinate of a mapping.
+        int numerators over it, keyed by coordinate id), the sum is taken in
+        int, with one Fraction at the end; otherwise each value is a
+        Fraction.  Raises EvaluationError naming the first unassigned
+        coordinate of a mapping.
         """
         if hasattr(assignment, "value"):
             value = assignment.value
@@ -278,24 +307,23 @@ class DiffPoly:
                 return _assigned(assignment, coord)
         total = Fraction(0)
         for mono, v in self.nums.items():
-            for coord, e in mono:
+            for coord, e in _pairs(mono):
                 v *= value(coord) ** e
             total += v
         return total / self.den
 
     def _evaluate_scaled(self, vden: int, vals: dict, value) -> Fraction:
-        """The value where each coordinate is ``vals[coord] / vden``; ``value`` reports a missing one."""
+        """The value where coordinate id i is ``vals[i] / vden``; ``value`` reports a missing one."""
         total = top = 0  # the sum so far is total / (den * vden^top)
         for mono, v in self.nums.items():
-            degree = 0
-            for coord, e in mono:
-                try:
-                    x = vals[coord]
-                except KeyError:
+            try:
+                for i in mono:
+                    v *= vals[i]
+            except KeyError:
+                for coord, _ in _pairs(mono):  # the first missing one in coordinate order
                     value(coord)
-                    raise
-                v *= x if e == 1 else x ** e
-                degree += e
+                raise
+            degree = len(mono)
             if degree > top:
                 total *= vden ** (degree - top)
                 top = degree
@@ -307,23 +335,15 @@ class DiffPoly:
     # -- queries ---------------------------------------------------------
 
     def coords(self) -> set:
-        out = set()
-        for mono in self.nums:
-            out.update(c for c, _ in mono)
-        return out
+        return {_COORDS[i] for i in set().union(*self.nums)}
 
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates occurring here (0 if none)."""
-        best = 0
-        for mono in self.nums:
-            for c, _ in mono:
-                if c.kind == JET and len(c.sigma) > best:
-                    best = len(c.sigma)
-        return best
+        return max((len(c.sigma) for c in self.coords() if c.kind == JET), default=0)
 
     def degree(self) -> int:
         """Total degree (0 for constants and for the zero polynomial)."""
-        return max((sum(e for _, e in m) for m in self.nums), default=0)
+        return max(map(len, self.nums), default=0)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
@@ -438,8 +458,6 @@ _DIGITS = frozenset("0123456789")
 # Parentheses and unary minus recurse through the grammar (up to four frames a
 # level); this bound keeps malformed input far below Python's recursion limit.
 MAX_NESTING = 100
-# Powers expand in full, so a large literal exponent is a size blow-up.
-MAX_EXPONENT = 64
 # Longer integer literals are rejected before int() meets Python's own limit.
 MAX_DIGITS = 1000
 
@@ -579,7 +597,10 @@ class ExprParser:
             if int(lex) > MAX_EXPONENT:
                 raise ParseError(f"exponent {lex} exceeds {MAX_EXPONENT}", off)
             self.advance()
-            value = value ** int(lex)
+            try:
+                value = value ** int(lex)
+            except ValueError as exc:
+                raise ParseError(str(exc), off) from None
         return value
 
     def base(self) -> DiffPoly:
@@ -707,11 +728,11 @@ def format_coord(coord: Coord, ctx) -> str:
     return name + "_{" + ",".join(ctx.indep[i] for i in coord.sigma) + "}"
 
 
-def _monomial_key(mono: Monomial) -> tuple:
+def _monomial_key(mono: tuple) -> tuple:
     return (sum(e for _, e in mono), mono)
 
 
-def _format_monomial(mono: Monomial, coeff: Fraction, ctx) -> tuple[int, str]:
+def _format_monomial(mono: tuple, coeff: Fraction, ctx) -> tuple[int, str]:
     """Return (sign, body) with body the unsigned printed monomial."""
     sign = 1 if coeff > 0 else -1
     mag = abs(coeff)

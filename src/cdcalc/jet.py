@@ -16,9 +16,9 @@ from functools import partial
 from math import comb
 
 from .expr import (
-    INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _lower, _over_common_denominator, _parse_integers, _parse_rational,
-    _poly, _rational, _raise, _sum_products, format_coord, format_poly, parse_coord, parse_expr,
+    _COORDS, INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
+    _accumulate, _coord_id, _over_common_denominator, _parse_integers, _parse_rational,
+    _poly, _rational, _sum_products, format_coord, format_poly, parse_coord, parse_expr,
 )
 
 
@@ -59,8 +59,7 @@ class JetContext:
             for f in rhs:
                 _check_internal(f)
             self.evolution_rhs = rhs
-        # total-derivative tables: c -> c lifted by x_i, and per u^j D_x^r(f_j) by _along
-        self._lifts = tuple({} for _ in self.indep)
+        # per u^j, the table of D_x^r(f_j) that _along builds for evolution-mode D_t
         self._rhs_dx = tuple(_table(f) for f in self.evolution_rhs or ())
 
     # -- construction ----------------------------------------------------
@@ -161,20 +160,26 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     if ctx.is_evolution and idx == 1:
         return _evolution_dt(ctx, f)
     # one pass over the numerators: each term is lifted coordinate by coordinate
-    x = Coord(INDEP, idx)
-    lifts = ctx._lifts[idx]
+    lift = _LIFTS.setdefault(idx, {})
     out: dict = {}
     for mono, coeff in f.nums.items():
-        for pos, (c, e) in enumerate(mono):
-            if c[0] == JET:
-                lifted = lifts.get(c)
-                if lifted is None:
-                    lifted = lifts[c] = Coord(JET, c[1], c[2] + (idx,))
-                m = _raise(_lower(mono, pos, e), lifted)
-            elif c == x:
-                m = _lower(mono, pos, e)
-            else:
+        prev = None
+        for pos, c in enumerate(mono):
+            if c == prev:
                 continue
+            prev = c
+            if (up := lift.get(c)) is None:
+                up = lift[c] = _lifted(c, idx)
+            if up < 0:
+                if up == _ZERO:
+                    continue
+                m = mono[:pos] + mono[pos + 1:]
+            else:
+                m = list(mono)
+                m[pos] = up
+                m.sort()
+                m = tuple(m)
+            e = mono.count(c)
             if s := out.get(m, 0) + (coeff * e if e > 1 else coeff):
                 out[m] = s
             else:
@@ -182,19 +187,38 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     return _poly(out, f.den)
 
 
+# Per direction i, coordinate id -> the id of that coordinate lifted by x_i (a
+# jet), _X (x_i itself) or _ZERO (D_i of it is 0), filled as ids are met.  A
+# Coord means the same in every context, so the tables are global.
+_X = -1
+_ZERO = -2
+_LIFTS: dict = {}
+
+
+def _lifted(c: int, i: int) -> int:
+    """The lift table entry of coordinate id ``c`` in direction ``i``."""
+    kind, index, sigma = _COORDS[c]
+    if kind == JET:
+        return _coord_id(Coord(JET, index, sigma + (i,)))
+    return _X if kind == INDEP and index == i else _ZERO
+
+
 def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
     """D_t in evolution mode: d/dt plus D_x^r(f_j) times d/du^j_{x..x}."""
-    t = Coord(INDEP, 1)
+    t = _coord_id(Coord(INDEP, 1))
     partials: dict = {}
     for mono, coeff in f.nums.items():
-        for pos, (c, e) in enumerate(mono):
-            if c[0] == JET or c == t:
+        prev = None
+        for pos, c in enumerate(mono):
+            if c != prev and (c == t or _COORDS[c].kind == JET):
                 # lowering one coordinate maps distinct monomials apart
-                partials.setdefault(c, {})[_lower(mono, pos, e)] = coeff * e
+                partials.setdefault(c, {})[mono[:pos] + mono[pos + 1:]] = coeff * mono.count(c)
+            prev = c
     one = DiffPoly.const(1)
     dx = partial(total_derivative, ctx)
     return _sum_products([
-        (_poly(part, f.den), one if c == t else _along(ctx._rhs_dx[c[1]], c[2], dx))
+        (_poly(part, f.den), one if c == t else _along(ctx._rhs_dx[_COORDS[c].index],
+                                                       _COORDS[c].sigma, dx))
         for c, part in partials.items()])
 
 
@@ -203,8 +227,13 @@ def _table(value):
     return (value, {})
 
 
-def _along(table, sigma: tuple, step):
-    """The value at ``sigma``, building each missing prefix once from the one before it.
+def _along(table, sigma, step):
+    """The value at ``sigma``; see ``_walk``."""
+    return _walk(table, sigma, step)[0]
+
+
+def _walk(table, sigma, step):
+    """The node at ``sigma``, building each missing prefix once from the one before it.
 
     ``table`` is a trie from ``_table``: a node is ``(value, {i: child})``,
     so a walk costs one lookup per index.  ``step(i, value)`` is the value
@@ -217,7 +246,7 @@ def _along(table, sigma: tuple, step):
         if child is None:
             child = children[i] = (step(i, table[0]), {})
         table = child
-    return table[0]
+    return table
 
 
 def total_derivative_sigma(ctx: JetContext, sigma, f: DiffPoly) -> DiffPoly:
@@ -385,9 +414,9 @@ class JetPoint:
     ``values`` must cover the independents, the parameters, and every jet
     coordinate with |sigma| <= order_bound (internal coordinates only, in
     evolution mode).  Lookups beyond the bound raise PointError.  ``scaled``
-    is ``(den, numerators)``, the values over their common denominator, for
-    ``DiffPoly.evaluate``; None when that denominator exceeds
-    ``MAX_POINT_DENOMINATOR``.
+    is ``(den, numerators)``, the values over their common denominator keyed
+    by coordinate id, for ``DiffPoly.evaluate``; None when that denominator
+    exceeds ``MAX_POINT_DENOMINATOR``.
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, values: dict):
@@ -398,7 +427,12 @@ class JetPoint:
             if coord not in self.values:
                 raise PointError(
                     f"point is missing {format_coord(coord, ctx)}")
-        self.scaled = _over_common_denominator(self.values, MAX_POINT_DENOMINATOR)
+        self.scaled = _over_common_denominator(
+            {_coord_id(c): v for c, v in self.values.items()}, MAX_POINT_DENOMINATOR)
+
+    def __reduce__(self):
+        # rebuilt from the values: ``scaled`` is keyed by ids local to one process
+        return JetPoint, (self.ctx, self.order_bound, self.values)
 
     def value(self, coord: Coord) -> Fraction:
         try:

@@ -20,7 +20,9 @@ from .expr import (
     JET, DiffPoly, ExprParser, ParseError, _format_monomial, _join_signed, _sum,
     _sum_by_key, _sum_products, format_poly,
 )
-from .jet import JetContext, _along, _merge_sign, _table, increasing_tuples, total_derivative
+from .jet import (
+    JetContext, _along, _merge_sign, _table, _walk, increasing_tuples, total_derivative,
+)
 
 MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
 
@@ -294,10 +296,16 @@ def green_remainder(op: CDiffOp, p, q) -> list[DiffPoly]:
     for row, qs in zip(op.entries, qvec):
         for table, entry in zip(tables, row):
             for sigma, coeff in entry.terms.items():
+                # D_{sigma[pos+1:]}(p_j) for pos = r-1, ..., 0: along each suffix
+                # reversed, so each node is one step past the one before
+                rest = [table]
+                for i in reversed(sigma[1:]):
+                    rest.append(_walk(rest[-1], (i,), step))
                 w = qs * coeff
                 for pos, i in enumerate(sigma):
-                    rems[i].append((w, _along(table, sigma[pos + 1:], step)))
-                    w = -total_derivative(ctx, i, w)
+                    if pos:
+                        w = -total_derivative(ctx, sigma[pos - 1], w)
+                    rems[i].append((w, rest[-1 - pos][0]))
     return [_sum_products(pairs) for pairs in rems]
 
 

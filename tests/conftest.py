@@ -209,6 +209,18 @@ def ref_total(i: int, a: dict, rhs=None) -> dict:
     return out
 
 
+def ref_coords(a: dict) -> set:
+    return {c for m in a for c, _ in m}
+
+
+def ref_degree(a: dict) -> int:
+    return max((sum(e for _, e in m) for m in a), default=0)
+
+
+def ref_jet_order(a: dict) -> int:
+    return max((len(c.sigma) for c in ref_coords(a) if c.kind == JET), default=0)
+
+
 def ref_evaluate(a: dict, values: dict) -> Fraction:
     return sum((c * prod(Fraction(values[x]) ** e for x, e in m) for m, c in a.items()),
                Fraction(0))

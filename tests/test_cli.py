@@ -211,6 +211,10 @@ def test_huge_exponent_is_domain_error(tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: exponent 1000000 exceeds")
     assert "Traceback" not in err
+    bad.write_text("independent x t\ndependent u\nequation u_t - ((u+1)^64)^64\n")
+    code, out, err = invoke("linearize", str(bad))
+    assert (code, out, err) == \
+        (1, "", "error: power of total degree 4096 exceeds 64 at offset 17\n")
 
 
 def test_long_integer_literal_is_domain_error(tmp_path):

@@ -1,8 +1,12 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,10 +16,11 @@ from cdcalc import (
     Coord, DiffPoly, JetContext, JetPoint, ParseError, evaluate, format_poly,
     parse_coord, parse_expr, partial, random_point, total_derivative,
 )
-from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, EvaluationError
+from cdcalc.expr import INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError
 
 from conftest import (
-    rand_poly, ref_add, ref_evaluate, ref_monomial, ref_mul, ref_partial, ref_pow, ref_total,
+    rand_poly, ref_add, ref_coords, ref_degree, ref_evaluate, ref_jet_order, ref_monomial,
+    ref_mul, ref_partial, ref_pow, ref_total,
 )
 
 
@@ -91,6 +96,21 @@ def test_exponent_is_bounded(ctx):
     with pytest.raises(ParseError, match="exponent 1000000 exceeds"):
         parse_expr("(u+1)^1000000", ctx)
     assert parse_expr("(u+1)^64", ctx) == parse_expr("u+1", ctx) ** 64
+    # nested powers are bounded by their total degree, before they expand
+    for text, pos, degree in (("((u+u_x)^64)^64", 13, 4096), ("(u^2*x)^22", 8, 66),
+                              ("(u_x^2)^33", 8, 66)):
+        with pytest.raises(ParseError, match=f"total degree {degree} exceeds 64") as err:
+            parse_expr(text, ctx)
+        assert err.value.pos == pos
+    u = ctx.jet_coord("u")
+    with pytest.raises(ValueError, match="total degree 65 exceeds"):
+        DiffPoly.var(u, MAX_EXPONENT + 1)
+    with pytest.raises(ValueError, match="total degree 66 exceeds"):
+        DiffPoly.var(u, 2) ** 33
+    p = parse_expr("(u^2*x)^21*u_x", ctx)  # a product may pass the bound
+    assert p == DiffPoly.var(u, 42) * DiffPoly.var(ctx.indep_coord("x"), 21) * \
+        DiffPoly.var(ctx.jet_coord("u", "x"))
+    assert p.degree() == 64 and (p * p).degree() == 128 and p ** 1 == p
 
 
 def test_power_matches_repeated_product(ctx):
@@ -298,6 +318,10 @@ def _check(poly, ref):
     assert all(type(c) is int and c for c in poly.nums.values())
     assert gcd(poly.den, *poly.nums.values()) == 1
     assert (poly.den == 1) == all(q.denominator == 1 for q in ref.values())
+    assert DiffPoly(poly.terms) == poly and pickle.loads(pickle.dumps(poly)) == poly
+    assert poly.degree() == ref_degree(ref)
+    assert poly.coords() == ref_coords(ref)
+    assert poly.jet_order() == ref_jet_order(ref)
 
 
 @_PROPERTY
@@ -374,3 +398,51 @@ def test_routes_to_one_polynomial_agree(spec):
         _check(p, ref)
         assert p == summed and p.terms == summed.terms
         assert (p.nums, p.den) == (summed.nums, summed.den)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate ids are interned per process, in order of first use
+# ---------------------------------------------------------------------------
+
+_INTERNING_SCRIPT = """
+import pickle, sys
+from cdcalc import JetContext, adjoint, format_operator, format_poly, random_point
+from cdcalc.expr import _IDS
+from cdcalc.ops import parse_operator_matrix
+ctx = JetContext.free("x t", "u v", "lam")
+names = ["x", "t", "lam", "u", "v", "u_x", "v_t", "u_xt", "v_xx", "u_ttx"]
+ctx.parse(" + ".join(names if sys.argv[1] == "forward" else names[::-1]))
+f = ctx.parse("lam*u_xt^2*v - 1/3*x*u_ttx + v_xx*u")
+pt = random_point(ctx, 3, 7)
+a = parse_operator_matrix("u*D_{x} + lam ; v_t*D_{x,t}\\n1 ; x*u_x*D_{t,t}", ctx)
+b = parse_operator_matrix("D_{x} ; u*v\\nv_xx ; 1/2*D_{t}", ctx)
+print(_IDS[ctx.jet_coord("u", "x")])
+print(format_poly(f, ctx))
+print(format_operator(adjoint(a @ b)))
+print(f.evaluate(pt))
+if len(sys.argv) > 2:
+    other, other_pt = pickle.loads(bytes.fromhex(sys.argv[2]))
+    print(other == f, format_poly(other, ctx), other.evaluate(other_pt))
+else:
+    print(pickle.dumps((f, pt)).hex())
+"""
+
+
+def _interning_run(*args) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p)
+    result = subprocess.run([sys.executable, "-c", _INTERNING_SCRIPT, *args], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    return result.stdout.splitlines()
+
+
+def test_ids_stay_inside_the_process():
+    """Pickles carry no ids, and no output depends on the order ids were given in."""
+    forward = _interning_run("forward")
+    backward = _interning_run("backward", forward[-1])
+    assert forward[0] != backward[0]  # u_x was given a different id
+    # the polynomial, adjoint(a @ b) and a value, byte for byte
+    assert forward[1:-1] == backward[1:-1]
+    assert backward[-1] == f"True {forward[1]} {forward[-2]}"

@@ -234,6 +234,12 @@ def test_long_d_literals_need_no_recursion(ctx):
     assert adjoint(d) == d  # (-1)^3000 D_sigma
     assert d @ CDiffOp.total(ctx, "x") == CDiffOp.total(ctx, *["x"] * (n + 1))
     assert d([ctx.parse("u")]) == [DiffPoly.var(ctx.jet_coord("u", ("x",) * n))]
+    # the Green remainder of D_{x^n}: sum over pos of (-1)^pos u_{t x^pos} u_{x^(n-1-pos)}
+    rems = green_remainder(d, [ctx.parse("u")], [ctx.parse("u_t")])
+    u = [ctx.jet_coord("u", ("x",) * k) for k in range(n)]
+    u_t = [ctx.jet_coord("u", ("t",) + ("x",) * k) for k in range(n)]
+    assert rems == [DiffPoly({((u_t[k], 1), (u[n - 1 - k], 1)): (-1) ** k for k in range(n)}),
+                    DiffPoly.zero()]
 
 
 def _sym_apply(sym, rhs, op, vector):
