@@ -293,7 +293,9 @@ class DiffPoly:
         share a common denominator of at most ``MAX_POINT_DENOMINATOR``
         (a JetPoint's ``scaled`` is then that denominator and the values'
         int numerators over it, keyed by coordinate id), the sum is taken in
-        int, with one Fraction at the end; otherwise each value is a
+        int by ``_evaluate_scaled``, and its unreduced (numerator,
+        denominator) pair becomes one Fraction here (the rank rows of
+        ``spencer._Tower`` take the pair as it is); otherwise each value is a
         Fraction.  Raises EvaluationError naming the first unassigned
         coordinate of a mapping.
         """
@@ -301,7 +303,7 @@ class DiffPoly:
             value = assignment.value
             scaled = getattr(assignment, "scaled", None)
             if scaled is not None:
-                return self._evaluate_scaled(*scaled, value)
+                return Fraction(*self._evaluate_scaled(*scaled, value))
         else:
             def value(coord):
                 return _assigned(assignment, coord)
@@ -312,8 +314,12 @@ class DiffPoly:
             total += v
         return total / self.den
 
-    def _evaluate_scaled(self, vden: int, vals: dict, value) -> Fraction:
-        """The value where coordinate id i is ``vals[i] / vden``; ``value`` reports a missing one."""
+    def _evaluate_scaled(self, vden: int, vals: dict, value) -> tuple[int, int]:
+        """The value where coordinate id i is ``vals[i] / vden``; ``value`` reports a missing one.
+
+        Returned as the unreduced pair ``(numerator, den * vden^top)``, top
+        being the highest degree met.
+        """
         total = top = 0  # the sum so far is total / (den * vden^top)
         for mono, v in self.nums.items():
             try:
@@ -330,7 +336,7 @@ class DiffPoly:
             elif degree < top:
                 v *= vden ** (top - degree)
             total += v
-        return Fraction(total, self.den * vden ** top)
+        return total, self.den * vden ** top
 
     # -- queries ---------------------------------------------------------
 
@@ -728,21 +734,25 @@ def format_coord(coord: Coord, ctx) -> str:
     return name + "_{" + ",".join(ctx.indep[i] for i in coord.sigma) + "}"
 
 
-def _monomial_key(mono: tuple) -> tuple:
-    return (sum(e for _, e in mono), mono)
+def _signed_terms(p: DiffPoly, ctx) -> list[tuple[int, str]]:
+    """(sign, unsigned body) of each term of ``p`` in printing order.
 
-
-def _format_monomial(mono: tuple, coeff: Fraction, ctx) -> tuple[int, str]:
-    """Return (sign, body) with body the unsigned printed monomial."""
-    sign = 1 if coeff > 0 else -1
-    mag = abs(coeff)
-    parts = []
-    if mag != 1 or not mono:
-        parts.append(str(mag))
-    for coord, e in mono:
-        name = format_coord(coord, ctx)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return sign, "*".join(parts)
+    Terms go by total degree, then by their (coordinate, exponent) pairs in
+    Coord order; the pairs are compared through each coordinate's rank among
+    the coordinates of ``p``, sorted once per call.
+    """
+    ids = sorted(set().union(*p.nums), key=_COORDS.__getitem__)
+    rank = {i: r for r, i in enumerate(ids)}
+    names = [format_coord(_COORDS[i], ctx) for i in ids]
+    keyed = [(len(mono), sorted((rank[i], mono.count(i)) for i in set(mono)), c)
+             for mono, c in p.nums.items()]
+    out = []
+    for _, pairs, c in sorted(keyed):
+        mag = Fraction(abs(c), p.den)
+        parts = [str(mag)] if mag != 1 or not pairs else []
+        parts += [names[r] if e == 1 else f"{names[r]}^{e}" for r, e in pairs]
+        out.append((1 if c > 0 else -1, "*".join(parts)))
+    return out
 
 
 def _join_signed(terms) -> str:
@@ -758,8 +768,4 @@ def _join_signed(terms) -> str:
 
 def format_poly(p: DiffPoly, ctx) -> str:
     """Deterministic printing; output re-parses to an equal polynomial."""
-    terms = p.terms
-    if not terms:
-        return "0"
-    return _join_signed(_format_monomial(mono, terms[mono], ctx)
-                        for mono in sorted(terms, key=_monomial_key))
+    return _join_signed(_signed_terms(p, ctx)) if p.nums else "0"

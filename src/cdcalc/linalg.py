@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 The package builds every matrix as a list of sparse ``{column: value}``
-rows (``{}`` for a zero row); ``rank`` and ``kernel_basis`` also accept
-dense sequences of Fractions (or ints) as rows.  One fraction-free sparse
-elimination serves both: each row is cleared of denominators once, then
-reduced over ``int`` against the pivot rows found so far in ascending
-column order, divided by the gcd of its entries after each step.
+rows (``{}`` for a zero row) of Fractions or ints; ``rank`` and
+``kernel_basis`` also accept dense sequences as rows.  One fraction-free
+sparse elimination serves both: each row is cleared of denominators once
+(a row of ints passes straight through), then reduced over ``int`` against
+the pivot rows found so far in ascending column order, divided by the gcd
+of its entries after each step.  The column order is the caller's: a rank
+does not depend on it, but the elimination's cost and a kernel basis do.
 ``_kernel_rows`` back-substitutes the same pivot rows to the reduced row
 echelon form and returns the kernel as sparse rows; ``kernel_basis`` is its
 dense view.  No floating point anywhere.
@@ -30,8 +32,10 @@ def _primitive(row: dict) -> dict:
 def _int_row(row) -> dict[int, int]:
     """The nonzero entries of ``row``, cleared of denominators, primitive."""
     row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
-    scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+    if not all(type(v) is int for v in row.values()):
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    return _primitive(row)
 
 
 def _reduce(row: dict, pivots: dict, to_lead: bool) -> int | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import partial
 
 from .expr import (
-    JET, DiffPoly, ExprParser, ParseError, _format_monomial, _join_signed, _sum,
+    JET, DiffPoly, ExprParser, ParseError, _join_signed, _signed_terms, _sum,
     _sum_by_key, _sum_products, format_poly,
 )
 from .jet import (
@@ -437,8 +437,7 @@ def format_scalar_op(op: ScalarCDiffOp, ctx: JetContext) -> str:
     for sigma in sorted(op.terms, key=lambda s: (len(s), s)):
         poly = op.terms[sigma]
         if len(poly.nums) == 1:
-            ((mono, coeff),) = poly.terms.items()
-            sign, body = _format_monomial(mono, coeff, ctx)
+            ((sign, body),) = _signed_terms(poly, ctx)
         else:
             sign, body = 1, f"({format_poly(poly, ctx)})"
         if sigma:

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
@@ -178,19 +178,28 @@ def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
 
 
 class _Tower:
-    """The prolongations D_tau(entries), |tau| <= max(levels), of one operator.
+    """The level-l fiber maps, l in ``levels``, of one operator.
 
-    Built for one call, whose sample points share it; the prolongations are
-    made on the first ``rows`` call.  ``rows(pt)`` are (tau, s) in graded
-    tau order, over the columns (j, mu) of the top level's fiber map
-    (declared order k), so level l is a prefix of them.  With constant
-    coefficients the first point's ranks serve every point, and the
-    prolongations are dropped once those ranks are known.
+    Built for one call, whose sample points share it.  Rows are (tau, s) in
+    graded tau order, over the columns (j, mu) of the top level's fiber map
+    (declared order k), so level l is a prefix of them.  ``rows(pt)`` are
+    the ``fiber_map`` rows: Fractions at column j * width + (graded position
+    of mu), from the prolongations D_tau(entries), made on the first call.
+
+    ``ranks`` eliminates its own integer rows, each cleared of denominators
+    with one lcm, in an orderly ranking: column keys fall as |mu| rises, so
+    the elimination (ascending keys) meets the highest-order columns first,
+    where the prolonged rows are nearly in echelon form and the integers
+    stay small.  A rank does not depend on the column order; a kernel basis
+    would, so ``rows`` keep theirs.  With constant coefficients row (tau, s)
+    is row s of the operator shifted by tau, so nothing is prolonged, and
+    the first point's ranks serve every point.
     """
 
     def __init__(self, op: CDiffOp, k: int, levels):
         self.op = op
         self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
+        self.taus = multiindices_upto(op.ctx.n, max(self.ends))
         self.mu_pos = {mu: c for c, mu in enumerate(
             multiindices_upto(op.ctx.n, k + max(self.ends)))}
         self.constant = all(set(poly.nums) <= {()} for row in op.entries for e in row
@@ -198,24 +207,59 @@ class _Tower:
         self.prolonged = None
         self._ranks = None
 
-    def rows(self, pt: JetPoint) -> list[dict]:
+    def _prolong(self) -> list:
         if self.prolonged is None:
             step = partial(_left_Di, self.op.ctx)
             tables = [[_table(e) for e in row] for row in self.op.entries]
             self.prolonged = [[_along(t, tau, step) if t[0].terms else t[0] for t in row]
-                              for tau in multiindices_upto(self.op.ctx.n, max(self.ends))
-                              for row in tables]
-        return [{j * len(self.mu_pos) + self.mu_pos[mu]: value for j, entry in enumerate(row)
+                              for tau in self.taus for row in tables]
+        return self.prolonged
+
+    def rows(self, pt: JetPoint) -> list[dict]:
+        width = len(self.mu_pos)
+        return [{j * width + self.mu_pos[mu]: value for j, entry in enumerate(row)
                  for mu, poly in entry.terms.items() if (value := poly.evaluate(pt))}
-                for row in self.prolonged]
+                for row in self._prolong()]
+
+    def _shifted_rows(self) -> list[dict]:
+        """Constant rank rows: row s over one lcm, its (j, sigma) moved to (j, sigma + tau)."""
+        cols, mu_pos = self.op.cols, self.mu_pos
+        table = []
+        for row in self.op.entries:
+            den = lcm(*(poly.den for e in row for poly in e.terms.values()))
+            table.append([(j, sigma, poly.nums[()] * (den // poly.den))
+                          for j, e in enumerate(row) for sigma, poly in e.terms.items()])
+        return [{-mu_pos[tuple(sorted(sigma + tau))] * cols - j: c for j, sigma, c in entries}
+                for tau in self.taus for entries in table]
+
+    def _rank_rows(self, pt: JetPoint) -> list[dict]:
+        """The rows ``ranks`` eliminates, (j, mu) at column -(graded position of mu) * cols - j.
+
+        Integer rows, each over one lcm; Fraction rows at a point past
+        ``MAX_POINT_DENOMINATOR``.
+        """
+        if self.constant:
+            return self._shifted_rows()
+        cols, mu_pos = self.op.cols, self.mu_pos
+        if pt.scaled is None:
+            width = len(mu_pos)
+            return [{-(c % width) * cols - c // width: v for c, v in row.items()}
+                    for row in self.rows(pt)]
+        vden, vals = pt.scaled
+        out = []
+        for row in self._prolong():
+            pairs = [(-mu_pos[mu] * cols - j, value)
+                     for j, entry in enumerate(row) for mu, poly in entry.terms.items()
+                     if (value := poly._evaluate_scaled(vden, vals, pt.value))[0]]
+            scale = lcm(*(den for _, (_, den) in pairs))
+            out.append({c: num * (scale // den) for c, (num, den) in pairs})
+        return out
 
     def ranks(self, pt: JetPoint) -> dict[int, int]:
         """The rank of the level-l fiber map at ``pt``, for each level l."""
         if self._ranks is None or not self.constant:
-            rows = self.rows(pt)
+            rows = self._rank_rows(pt)
             self._ranks = {l: rank(rows[:end]) for l, end in self.ends.items()}
-            if self.constant:
-                self.prolonged = None
         return self._ranks
 
 

@@ -3,15 +3,17 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import cdcalc.jet
+import cdcalc.ops
 import cdcalc.spencer
 from cdcalc import (
-    CDiffOp, JetContext, Metric, OperatorComplex, PointError, check_formal_exactness,
-    cokernel_rank, dbar_operator, evaluate, kline_report, linearize, parse_complex,
-    parse_operator_matrix, random_point, star_operator,
+    CDiffOp, DiffPoly, JetContext, JetPoint, Metric, OperatorComplex, PointError,
+    check_formal_exactness, cokernel_rank, dbar_operator, evaluate, kline_report, linearize,
+    parse_complex, parse_operator_matrix, parse_problem, random_point, star_operator,
 )
 from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
@@ -226,6 +228,33 @@ def test_prolongation_bounds_at_their_edge():
         check_formal_exactness(derham3, 12, pt=pt)
 
 
+# Nonconstant coefficients near the bounds.  Each answer is pinned from the
+# elimination in ascending graded column order, which took 64 s (the first
+# system at k1 = 10) and 8 s (the two-equation system) in fresh processes;
+# at k1 = 15 the first system did not finish there, so it is timed only.
+_XYZ = "independent x y z\ndependent u\nequation u_{x,y} - u*u_{z} + x*u_{z,z}\n"
+_XYZW = ("independent x y z w\ndependent u v\nequation u_{x,y} - v_{z,w} + u*v\n"
+         "equation u_{z} + v_{x,x} - u_{w,w}\n")
+_THREE = ("independent x y z\ndependent u\nequation u_{x,y} - u*u_{z}\n"
+          "equation u_{y,z} - x*u_{x}\nequation u_{x,z} + y*u*u_{y}\n")
+_KDV = (Path(__file__).resolve().parent.parent / "demos" / "data" / "kdv.prob").read_text()
+
+
+@pytest.mark.parametrize("text, k1, expected", [
+    (_XYZ, 10, 0), (_XYZ, MAX_PROLONGATION, None), (_XYZW, 7, 0),
+    (_KDV, MAX_PROLONGATION, 0), (_THREE, 7, 143),
+], ids=["xyz-10", "xyz-15", "xyzw-7", "kdv-15", "three-equations-7"])
+def test_nonconstant_cokernels_near_the_bounds(text, k1, expected):
+    # the linearization that `coker` ranks, under the three-point policy
+    problem = parse_problem(text)
+    op = linearize(problem.ctx_free, problem.equations)
+    start = time.perf_counter()
+    value = cokernel_rank(op, k1, seed=0)
+    assert time.perf_counter() - start < 10
+    if expected is not None:
+        assert value == expected
+
+
 # ---------------------------------------------------------------------------
 # Prolongation towers against fiber maps built from their definition
 # ---------------------------------------------------------------------------
@@ -264,9 +293,10 @@ def _oracle_rank(op, l, k, pt):
     return sympy_rank(_oracle_fiber_map(op, l, k, pt))
 
 
-def _chain_matches_the_oracle(cplx, l_max, seed):
-    """Ranks and fiber maps of a two-operator chain at a seeded point."""
-    pt = random_point(cplx.ctx, cplx.required_point_order(l_max), seed)
+def _chain_matches_the_oracle(cplx, l_max, seed, pt=None):
+    """Ranks and fiber maps of a two-operator chain at ``pt`` or a seeded point."""
+    if pt is None:
+        pt = random_point(cplx.ctx, cplx.required_point_order(l_max), seed)
     (a, b), (ka, kb) = cplx.operators, cplx.orders
     for c in check_formal_exactness(cplx, l_max, pt=pt).checks:
         assert c.ranks == (_oracle_rank(a, kb + c.l, ka, pt), _oracle_rank(b, c.l, kb, pt))
@@ -275,19 +305,27 @@ def _chain_matches_the_oracle(cplx, l_max, seed):
                 _oracle_fiber_map(op, l, k, pt)
 
 
-def _towers_match_the_oracle(op, l_max, k1_max, seed):
+def _roles_match_the_oracle(op, l_max, seed, pt=None):
     ctx = op.ctx
     # op as the incoming map, declared one order above its actual order,
     # and as the outgoing map
     _chain_matches_the_oracle(OperatorComplex([op, CDiffOp.zero(ctx, 1, op.rows)],
-                                              orders=[op.order + 1, 1]), l_max, seed)
+                                              orders=[op.order + 1, 1]), l_max, seed, pt)
     _chain_matches_the_oracle(OperatorComplex([CDiffOp.zero(ctx, op.cols, 1), op],
-                                              orders=[1, op.order]), l_max, seed)
-    pt = random_point(ctx, op.coefficient_jet_order() + k1_max, seed)
+                                              orders=[1, op.order]), l_max, seed, pt)
+
+
+def _cokernels_match_the_oracle(op, k1_max, pt):
     assert _oracle_rank(op, 0, op.order, pt) == op.rows  # the cokernel needs an onto base
     for k1 in range(1, k1_max + 1):
-        codim = op.rows * jet_fiber_dim(ctx.n, k1) - _oracle_rank(op, k1, op.order, pt)
+        codim = op.rows * jet_fiber_dim(op.ctx.n, k1) - _oracle_rank(op, k1, op.order, pt)
         assert cokernel_rank(op, k1, pt=pt) == codim
+
+
+def _towers_match_the_oracle(op, l_max, k1_max, seed):
+    _roles_match_the_oracle(op, l_max, seed)
+    _cokernels_match_the_oracle(
+        op, k1_max, random_point(op.ctx, op.coefficient_jet_order() + k1_max, seed))
 
 
 def test_random_operator_towers_match_the_oracle(ctx):
@@ -307,21 +345,65 @@ def test_declared_order_tower_matches_the_oracle(ctx):
     _chain_matches_the_oracle(cplx, 2, seed=3)
 
 
+def test_constant_rational_tower_matches_the_oracle(ctx):
+    # constant, non-integral coefficients: each row is shifted, not prolonged,
+    # over its own scale; in the second operator row 2 is 6 times row 1, so
+    # only exact scales keep its ranks
+    op = parse_operator_matrix("3/2*D_{x,x} - 1/3*D_{t} ; 2/5\n"
+                               "1/7*D_{x,t} ; -5/4*D_{t} + 1/6", ctx)
+    _towers_match_the_oracle(op, 2, 3, seed=4)
+    _roles_match_the_oracle(parse_operator_matrix("1/2*D_{x} + 1/3*D_{t} ; 2/5\n"
+                                                  "3*D_{x} + 2*D_{t} ; 12/5", ctx), 2, seed=4)
+
+
+# Row 2 is x times row 1, so every prolonged row of it is a combination of
+# prolonged rows of row 1 with coefficients that vary with the point: its
+# ranks stay below full only if every entry is scaled exactly.
+_DEPENDENT_ROWS = ("u*D_{x} + 1/3*u_x ; x*D_{t} - 1/2\n"
+                   "x*u*D_{x} + 1/3*x*u_x ; x^2*D_{t} - 1/2*x")
+
+
+def test_dependent_rows_match_the_oracle(ctx):
+    _roles_match_the_oracle(parse_operator_matrix(_DEPENDENT_ROWS, ctx), 2, seed=7)
+
+
+def test_point_past_the_denominator_bound_matches_the_oracle(ctx):
+    # one value over 2^600 + 1 takes the point past MAX_POINT_DENOMINATOR,
+    # so the towers rank Fraction rows
+    pt = random_point(ctx, 6, seed=3)
+    pt = JetPoint(ctx, pt.order_bound,
+                  {**pt.values, ctx.jet_coord("u"): Fraction(5, 2 ** 600 + 1)})
+    assert pt.scaled is None
+    _roles_match_the_oracle(parse_operator_matrix(_DEPENDENT_ROWS, ctx), 2, None, pt)
+    _cokernels_match_the_oracle(linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")]), 3, pt)
+
+
+def test_evolution_mode_tower_matches_the_oracle():
+    # D_t acts through u_t = u*u_x + u_{x,x,x} inside the prolonged
+    # coefficients and raises their x-order by three each time, so the point
+    # is drawn to order 1 + 3 * 3 for the level-3 maps
+    ectx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
+    pt = random_point(ectx, 10, seed=6)
+    _roles_match_the_oracle(parse_operator_matrix(_DEPENDENT_ROWS, ectx), 2, None, pt)
+    _cokernels_match_the_oracle(
+        parse_operator_matrix("D_{t} - u*D_{x} - u_x - D_{x,x,x}", ectx), 2, pt)
+
+
 # ---------------------------------------------------------------------------
 # One tower per call: the work it saves, and the work it must not skip
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of ``cdcalc.spencer.<name>``, passing them through."""
-    counts = Counter()
-    original = getattr(cdcalc.spencer, name)
+def _count_calls(monkeypatch, name, owner=cdcalc.spencer, counts=None):
+    """Count the calls of ``owner.<name>`` into ``counts``, passing them through."""
+    counts = Counter() if counts is None else counts
+    original = getattr(owner, name)
 
     def counted(*args):
         counts[name] += 1
         return original(*args)
 
-    monkeypatch.setattr(cdcalc.spencer, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -368,3 +450,16 @@ def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
     counts["_left_Di"] = 0
     cokernel_rank(op, 2, seed=0)
     assert counts["_left_Di"] == 3 * (jet_fiber_dim(2, 2) - 1)
+
+
+def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
+    cplx = derham2(ctx)  # built first: its composition check prolongs
+    grad = dbar_operator(ctx, 0)
+    counts = Counter()
+    for owner, name in ((cdcalc.spencer, "_left_Di"), (cdcalc.spencer, "_along"),
+                        (cdcalc.ops, "total_derivative"), (DiffPoly, "evaluate")):
+        _count_calls(monkeypatch, name, owner, counts)
+    assert check_formal_exactness(cplx, 3, seed=0).all_exact
+    # the order-3 jets of u beyond u itself, in the 2 * C(4, 2) rows
+    assert cokernel_rank(grad, 2, seed=0) == 2 * jet_fiber_dim(2, 2) - (jet_fiber_dim(2, 3) - 1)
+    assert sum(counts.values()) == 0

@@ -16,7 +16,7 @@ from cdcalc import (
     Coord, DiffPoly, JetContext, JetPoint, ParseError, evaluate, format_poly,
     parse_coord, parse_expr, partial, random_point, total_derivative,
 )
-from cdcalc.expr import INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError
+from cdcalc.expr import INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError, format_coord
 
 from conftest import (
     rand_poly, ref_add, ref_coords, ref_degree, ref_evaluate, ref_jet_order, ref_monomial,
@@ -385,6 +385,21 @@ def test_points_with_large_coprime_denominators():
         ref, a = _build(spec)
         for point in (pt, small):
             assert a.evaluate(point) == ref_evaluate(ref, point.values)
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS))
+def test_printing_matches_reference(spec):
+    # the printing order from its definition: terms by total degree, then by
+    # their (Coord, exponent) pairs in Coord order
+    ref, poly = _build(spec)
+    text = ""
+    for mono in sorted(ref, key=lambda m: (sum(e for _, e in m), m)):
+        c = ref[mono]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not mono else [])
+                        + [format_coord(x, _FREE) + (f"^{e}" if e > 1 else "") for x, e in mono])
+        text += ("-" if c < 0 else "") + body if not text else (" - " if c < 0 else " + ") + body
+    assert format_poly(poly, _FREE) == (text or "0")
 
 
 @_PROPERTY
