@@ -3,6 +3,11 @@
 Reports are line-oriented ``key: value`` text (or JSON with the same keys
 under --json); identical arguments, files, and seed produce byte-identical
 output.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Every ``run`` call in a process parses with one shared parser, built by
+``build_parser`` on the first call: argparse makes a new namespace per
+parse and lays help out when it prints it, so a call leaves nothing behind
+for the next, and a batch of calls pays for the parser once.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ def _cmd_exactness(args):
 
 def _cmd_coker(args):
     ctx, op = _linearization(args.problem)
-    pt = _point_for(args, ctx, op.coefficient_jet_order() + args.k1)
+    pt = _point_for(args, ctx, op.point_order(args.k1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = cokernel_rank(op, args.k1, pt=pt, seed=args.seed)
@@ -264,6 +269,7 @@ _SUBCOMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of its own for each call; ``run`` keeps the first it builds."""
     parser = argparse.ArgumentParser(
         prog="cdcalc",
         description="Exact operator calculus on jet spaces")
@@ -281,10 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # the parser every run() call shares, built on first use
+
+
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -64,9 +64,8 @@ class OperatorComplex:
         needed = 0
         for idx in range(len(self.operators) - 1):
             needed = max(needed,
-                         self.operators[idx].coefficient_jet_order()
-                         + self.orders[idx + 1] + l_max,
-                         self.operators[idx + 1].coefficient_jet_order() + l_max)
+                         self.operators[idx].point_order(self.orders[idx + 1] + l_max),
+                         self.operators[idx + 1].point_order(l_max))
         return needed
 
 
@@ -178,7 +177,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
         return ranks[k1], (ranks[k1],)
 
     best, notes = _at_generic_points(
-        op.ctx, op.coefficient_jet_order() + k1, pt, seed, run)
+        op.ctx, op.point_order(k1), pt, seed, run)
     for message in notes:
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     return op.rows * jet_fiber_dim(op.ctx.n, k1) - best

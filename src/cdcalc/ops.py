@@ -158,6 +158,16 @@ class CDiffOp:
     def coefficient_jet_order(self) -> int:
         return max(e.coefficient_jet_order() for row in self.entries for e in row)
 
+    def point_order(self, depth: int) -> int:
+        """Jet order a point needs for the coefficients and ``depth`` derivatives of them.
+
+        A total derivative raises a coefficient's jet order by one, except
+        that in evolution mode D_t substitutes the right-hand sides, of order
+        r, and raises it by r.
+        """
+        r = max((f.jet_order() for f in self.ctx.evolution_rhs or ()), default=0)
+        return self.coefficient_jet_order() + depth * max(1, r)
+
     def __eq__(self, other):
         if not isinstance(other, CDiffOp):
             return NotImplemented

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .expr import DiffPoly, _accumulate
-from .jet import HorizontalForm, JetContext, increasing_tuples, _merge_sign
+from .jet import HorizontalForm, JetContext, _check_size, increasing_tuples, _merge_sign
 from .linalg import rank
 from .ops import CDiffOp, ScalarCDiffOp
 
@@ -89,10 +89,12 @@ def star_operator(ctx: JetContext, metric: Metric, q: int,
     n = metric.n
     if ctx.n != n:
         raise MetricError("context and metric have different dimensions")
+    _check_size(comb(n, q), f"Lambda^{q} in dimension {n}")
     sources = increasing_tuples(n, q)
     targets = increasing_tuples(n, n - q)
     tpos = {key: i for i, key in enumerate(targets)}
-    entries = [[ScalarCDiffOp() for _ in sources] for _ in targets]
+    zero = ScalarCDiffOp()  # entries are never mutated, so the zeros share one
+    entries = [[zero] * len(sources) for _ in targets]
     for c, key in enumerate(sources):
         comp, sign = star_basis(metric, key, orientation)
         entries[tpos[comp]][c] = ScalarCDiffOp({(): DiffPoly.const(sign)})
@@ -133,6 +135,11 @@ def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
     """
     if not 1 <= p < n - 1:
         raise ValueError(f"need 1 <= p < n-1, got p={p}, n={n}")
+    m = n - p - 1
+    # Lambda^m has at least n coordinates, so n is checked before C(n, k) is computed
+    _check_size(n, f"Lambda^1 in dimension {n}")
+    for k in (m - 1, m, m + 1):
+        _check_size(comb(n, k), f"Lambda^{k} in dimension {n}")
     if metric.n != n:
         raise MetricError("metric dimension does not match n")
     xi = [Fraction(v) for v in xi]
@@ -141,7 +148,6 @@ def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
     if all(v == 0 for v in xi):
         raise ValueError("covector must be nonzero (degenerate input)")
 
-    m = n - p - 1
     mids = increasing_tuples(n, m)
     highs = increasing_tuples(n, m + 1)
     offset = comb(n, m - 1)
@@ -192,6 +198,7 @@ def e1_table(n: int, p: int) -> E1Table:
     """Enumerate the generator monomials surviving the degree cut q <= n-2."""
     if not 1 <= p < n - 1:
         raise ValueError(f"need 1 <= p < n-1, got p={p}, n={n}")
+    _check_size(n, f"Lambda^1 in dimension {n}")
     d = n - p - 1
     q_max = n - 2
     w1_odd = d % 2 == 1          # parity of (0, d) generator

@@ -275,7 +275,7 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
     k = op.order if declared_order is None else declared_order
     if k < op.order:
         raise ValueError(f"declared order {k} below actual order {op.order}")
-    needed = op.coefficient_jet_order() + l
+    needed = op.point_order(l)
     if pt.order_bound < needed:
         raise PointError(
             f"point order {pt.order_bound} insufficient; need {needed}")

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -272,6 +273,21 @@ def test_oversized_prolongation_is_domain_error(tmp_path):
     for argv, message in cases:
         code, out, err = invoke(*argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_oversized_pform_requests_are_domain_errors():
+    # rejected before any form space is built: without the bound the first
+    # ran out of memory and the second printed 600003 lines
+    ones, xi = ",".join(["1"] * 30), ",".join(["1"] + ["0"] * 29)
+    cases = ((("pform-epi", "--n", "30", "--p", "15", "--metric", f"diag({ones})",
+               f"--xi={xi}"), "Lambda^13 in dimension 30 has 119759850 coordinates"),
+             (("pform-table", "--n", "300000", "--p", "299998"),
+              "Lambda^1 in dimension 300000 has 300000 coordinates"))
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {message}, more than 2000\n")
 
 
 def test_non_ascii_digit_is_domain_error(tmp_path):

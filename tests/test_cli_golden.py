@@ -12,12 +12,14 @@ with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 import io
 import json
 import os
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from cdcalc.cli import run
+import cdcalc.cli
+from cdcalc.cli import build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,15 +74,56 @@ def _invoke(argv):
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, monkeypatch):
+def _golden_env(monkeypatch):
     monkeypatch.chdir(ROOT)
     for name, value in _SET_ENV.items():
         monkeypatch.setenv(name, value)
     for name in _CLEARED_ENV:
         monkeypatch.delenv(name, raising=False)
-    expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-    assert _invoke(CASES[case]) == expected
+
+
+def _golden(case):
+    return json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, monkeypatch):
+    _golden_env(monkeypatch)
+    assert _invoke(CASES[case]) == _golden(case)
+
+
+def test_one_parser_serves_every_case_in_any_order(monkeypatch):
+    # run() keeps the parser it builds first; here it is built under a
+    # narrower terminal, and every case then runs through it in one process
+    _golden_env(monkeypatch)
+    monkeypatch.setattr(cdcalc.cli, "_PARSER", None)
+    monkeypatch.setenv("COLUMNS", "20")
+    assert _invoke(["kline", "--k", "2", "--n", "3"])["exit_code"] == 0
+    shared = cdcalc.cli._PARSER
+    monkeypatch.setenv("COLUMNS", "80")
+    order = sorted(CASES)
+    random.Random(12).shuffle(order)
+    codes = []
+    for case in order:
+        record = _invoke(CASES[case])
+        assert record == _golden(case), case
+        codes.append((record["exit_code"], "--help" in CASES[case]))
+    assert cdcalc.cli._PARSER is shared
+    # usage errors and help both come before some valid call
+    last_valid = max(i for i, (code, helps) in enumerate(codes) if code == 0 and not helps)
+    assert (2, False) in codes[:last_valid] and (0, True) in codes[:last_valid]
+
+
+def test_build_parser_gives_a_parser_of_its_own(monkeypatch):
+    _golden_env(monkeypatch)
+    run(["kline", "--k", "2", "--n", "3"])
+    own = build_parser()
+    assert own is not build_parser() and own is not cdcalc.cli._PARSER
+    own.add_argument("--extra")
+    assert own.parse_args(["--extra", "1", "kline", "--k", "2", "--n", "3"]).extra == "1"
+    assert _invoke(["--extra", "1", "kline", "--k", "2", "--n", "3"])["exit_code"] == 2
+    for case in ("help", "kline", "usage-no-command"):
+        assert _invoke(CASES[case]) == _golden(case)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ import cdcalc.ops
 import cdcalc.spencer
 from cdcalc import (
     CDiffOp, DiffPoly, JetContext, JetPoint, Metric, OperatorComplex, PointError,
-    check_formal_exactness, cokernel_rank, dbar_operator, evaluate, kline_report, linearize,
-    parse_complex, parse_operator_matrix, parse_problem, random_point, star_operator,
+    check_formal_exactness, cokernel_rank, dbar_operator, evaluate, generic_points,
+    kline_report, linearize, parse_complex, parse_operator_matrix, parse_problem,
+    random_point, star_operator,
 )
 from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
@@ -387,6 +388,31 @@ def test_evolution_mode_tower_matches_the_oracle():
     _roles_match_the_oracle(parse_operator_matrix(_DEPENDENT_ROWS, ectx), 2, None, pt)
     _cokernels_match_the_oracle(
         parse_operator_matrix("D_{t} - u*D_{x} - u_x - D_{x,x,x}", ectx), 2, pt)
+
+
+def test_evolution_mode_cokernels_under_the_policy():
+    # each D_t raises a coefficient's x-order by the right-hand side's order
+    # r = 3, so the policy draws its three samples to order 1 + 3 * k1; the
+    # answer is the codimension of the largest oracle rank among them
+    ectx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
+    op = parse_operator_matrix("D_{t} - u*D_{x} - u_x - D_{x,x,x}", ectx)
+    for k1, seed in ((1, 0), (2, 3)):
+        assert op.point_order(k1) == 1 + 3 * k1
+        best = max(_oracle_rank(op, k1, op.order, pt)
+                   for pt in generic_points(ectx, op.point_order(k1), seed))
+        assert cokernel_rank(op, k1, seed=seed) == \
+            op.rows * jet_fiber_dim(ectx.n, k1) - best
+    # the same order bounds a chain of nonconstant evolution-mode operators
+    op = parse_operator_matrix(_DEPENDENT_ROWS, ectx)
+    cplx = OperatorComplex([op, CDiffOp.zero(ectx, 1, op.rows)], orders=[op.order, 1])
+    assert cplx.required_point_order(1) == 1 + 3 * (1 + 1)
+    profiles = [(_oracle_rank(op, 1, op.order, pt), 0, _oracle_rank(op, 2, op.order, pt), 0)
+                for pt in generic_points(ectx, cplx.required_point_order(1), 5)]
+    report = check_formal_exactness(cplx, 1, seed=5)
+    assert tuple(r for c in report.checks for r in c.ranks) == max(profiles)
+    # a right-hand side of order 0 still lets D_x raise the order by one
+    lin = parse_operator_matrix("D_{t} - u*D_{x}", JetContext.evolution("u", ["x*u"]))
+    assert lin.point_order(2) == 2
 
 
 # ---------------------------------------------------------------------------

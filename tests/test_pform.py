@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+import cdcalc.pform
 from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, Metric, MetricError, dbar_operator,
     e1_table, epi_check, hodge_star, star_operator, wedge,
@@ -187,6 +189,39 @@ def test_e1_table_range_validation():
         e1_table(4, 0)
     with pytest.raises(ValueError):
         e1_table(4, 3)
+
+
+def _refuse(*args):
+    raise AssertionError("a form space was enumerated past its bound")
+
+
+def test_form_spaces_are_bounded_before_they_are_built(monkeypatch):
+    # each Lambda^k counts against jet.MAX_FIBER_DIM = 2000 like a jet fiber:
+    # C(13, 6) = 1716 and C(14, 4) = 1001 are accepted, C(14, 7) = 3432 is not
+    assert epi_check(13, 6, Metric.diag([1] * 13), [1] + [0] * 12).rank == 1716
+    ctx14 = JetContext.free(" ".join(f"x{i}" for i in range(14)), "u")
+    g14 = Metric.diag([1] * 14)
+    assert star_operator(ctx14, g14, 4).rows == 1001
+    assert e1_table(2000, 1998).dim(1998, 1998) == 1
+    # past the bound nothing is enumerated: neither a basis of forms nor a
+    # table entry, however large n is
+    monkeypatch.setattr(cdcalc.pform, "increasing_tuples", _refuse)
+    monkeypatch.setattr(cdcalc.pform, "itertools", SimpleNamespace(count=_refuse))
+    cases = ((lambda: epi_check(30, 15, Metric.diag([1] * 30), [1] + [0] * 29),
+              "Lambda^13 in dimension 30 has 119759850 coordinates"),
+             (lambda: epi_check(14, 6, g14, [1] + [0] * 13),
+              "Lambda^6 in dimension 14 has 3003 coordinates"),
+             (lambda: epi_check(10 ** 9, 5 * 10 ** 8, Metric.diag([1]), [1]),
+              "Lambda^1 in dimension 1000000000 has 1000000000 coordinates"),
+             (lambda: star_operator(ctx14, g14, 7),
+              "Lambda^7 in dimension 14 has 3432 coordinates"),
+             (lambda: e1_table(2001, 1), "Lambda^1 in dimension 2001 has 2001 coordinates"),
+             (lambda: e1_table(300000, 299998),
+              "Lambda^1 in dimension 300000 has 300000 coordinates"))
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{message}, more than 2000"
 
 
 def _wedge_dense(n, xi, k):
