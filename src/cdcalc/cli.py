@@ -46,7 +46,7 @@ def _linearization(path: str):
 
 
 def _point_for(args, ctx, needed_order: int):
-    """Explicit point file, or None to engage the seeded three-point policy."""
+    """Explicit point file, or None to engage the seeded sample-point policy."""
     if args.point:
         return parse_point_file(_read(args.point), ctx, needed_order)
     return None

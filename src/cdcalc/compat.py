@@ -113,6 +113,9 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     nonnegative by the complex property.  Each operator's prolongation
     tower is built once per call, never kept between calls, and ranked only
     at the levels of its two roles (once, if its coefficients are constant).
+    With no explicit point the policy takes one sample when every operator
+    has constant coefficients (every sample gives the same ranks) and three
+    otherwise.
     """
     ops, orders = cplx.operators, cplx.orders
     if len(ops) < 2:
@@ -146,7 +149,8 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
         return checks, tuple(r for c in checks for r in c.ranks)
 
     checks, notes = _at_generic_points(
-        cplx.ctx, cplx.required_point_order(l_max), pt, seed, run)
+        cplx.ctx, cplx.required_point_order(l_max), pt, seed, run,
+        constant=all(op.has_constant_coefficients() for op in ops))
     return ExactnessReport(l_max=l_max, checks=checks, warnings=notes)
 
 
@@ -157,9 +161,10 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     This is the rank of the next module in the compatibility construction;
     zero means the complex terminates here.  The order-0 fiber map must be
     surjective (checked, not normalized away).  A disagreement between the
-    policy's samples is reported as a RuntimeWarning.  One prolongation
-    tower, built for this call alone, gives the ranks at levels 0 and k1,
-    at the first sample only when the coefficients are constant.
+    policy's samples is reported as a RuntimeWarning; with constant
+    coefficients the policy takes one sample, since every sample gives the
+    same ranks.  One prolongation tower, built for this call alone, gives
+    the ranks at levels 0 and k1.
     """
     _check_depth("prolongation depth k1", k1, low=1)
     towers = []
@@ -177,7 +182,8 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
         return ranks[k1], (ranks[k1],)
 
     best, notes = _at_generic_points(
-        op.ctx, op.point_order(k1), pt, seed, run)
+        op.ctx, op.point_order(k1), pt, seed, run,
+        constant=op.has_constant_coefficients())
     for message in notes:
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     return op.rows * jet_fiber_dim(op.ctx.n, k1) - best

@@ -510,14 +510,19 @@ _DISAGREEMENT = ("rank profiles disagree between sample points; using the maxima
                  "profile (non-generic sample or variable rank)")
 
 
-def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, compute):
+def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, compute,
+                       constant: bool = False):
     """The sample-point policy shared by every rank computation.
 
     ``compute(point)`` returns ``(result, rank_profile)``.  It runs at the
     explicit point ``pt`` (which must cover ``needed_order``) or, when ``pt``
-    is None, at each of the seeded ``generic_points``.  Returns the result
-    with the lexicographically maximal profile and the list of warnings: one
-    when the samples' profiles disagree.
+    is None, at each of the seeded ``generic_points``: three of them, or one
+    when ``constant`` says that no coefficient ``compute`` reads can vary.
+    Random samples only guard against a draw on the zero set of a nonzero
+    polynomial minor (Schwartz, J. ACM 27, 1980); with constant coefficients
+    the matrices, hence the ranks, are the same at every point, so one sample
+    is exact.  Returns the result with the lexicographically maximal profile
+    and the list of warnings: one when the samples' profiles disagree.
     """
     if pt is not None:
         if pt.order_bound < needed_order:
@@ -525,7 +530,7 @@ def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, comput
                 f"point order {pt.order_bound} insufficient; need {needed_order}")
         points = [pt]
     else:
-        points = generic_points(ctx, needed_order, seed)
+        points = generic_points(ctx, needed_order, seed, count=1 if constant else 3)
     runs = [compute(point) for point in points]
     result, _ = max(runs, key=lambda run: run[1])
     disagree = len({profile for _, profile in runs}) > 1
@@ -533,18 +538,65 @@ def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, comput
 
 
 def parse_point_file(text: str, ctx: JetContext, order_bound: int) -> JetPoint:
-    """Point file: one ``coord = rational`` per line, '#' comments."""
+    """Point file: one ``coord = rational`` per line, '#' comments.
+
+    Each name is looked up in a table of the context's coordinate names
+    (``_coord_names``), which holds ``u_{x,t}`` and, when every independent
+    name is one character, ``u_xt``, up to the highest jet order whose
+    coordinates are no more than the file's lines (files often name jets
+    past ``order_bound``).  Any other spelling (``u_{t,x}``, ``u_{x, t}``)
+    and every malformed name go to ``parse_coord``, which reads them as it
+    reads them in expressions and raises its errors.
+    """
+    lines = text.splitlines()
+    names = _coord_names(ctx, len(lines))
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'coord = rational'")
         lhs, rhs = line.split("=", 1)
-        coord = parse_coord(lhs.strip(), ctx)
+        lhs = lhs.strip()
+        coord = names.get(lhs)
+        if coord is None:
+            coord = parse_coord(lhs, ctx)
         values[coord] = _parse_rational(rhs, f"line {lineno}")
     return JetPoint(ctx, order_bound, values)
+
+
+def _coord_names(ctx: JetContext, limit: int) -> dict:
+    """Name -> Coord for at most ``limit`` of the coordinates a point assigns.
+
+    Jets go order by order while the count stays within ``limit`` and an
+    order adds any.  Empty unless every declared name is a single
+    identifier token, since only then does ``parse_coord`` read these
+    names back as these coordinates.
+    """
+    names = ctx.indep + ctx.params
+    size = len(names)
+    if size > limit or not all(nm[:1].isalpha() and nm.isalnum() for nm in names + ctx.dep):
+        return {}
+    table = {nm: Coord(INDEP, i) for i, nm in enumerate(ctx.indep)}
+    table.update((nm, Coord(PARAM, i)) for i, nm in enumerate(ctx.params))
+    short = all(len(nm) == 1 for nm in ctx.indep)
+    for r in itertools.count():
+        sigmas = ([(0,) * r] if ctx.is_evolution
+                  else list(itertools.combinations_with_replacement(range(ctx.n), r)))
+        size += ctx.m * len(sigmas)
+        if not sigmas or size > limit:
+            return table
+        for sigma in sigmas:
+            spelled = [ctx.indep[i] for i in sigma]
+            for j, u in enumerate(ctx.dep):
+                coord = Coord(JET, j, sigma)
+                if not sigma:
+                    table[u] = coord
+                    continue
+                table[f"{u}_{{{','.join(spelled)}}}"] = coord
+                if short:
+                    table[f"{u}_{''.join(spelled)}"] = coord
 
 
 # ---------------------------------------------------------------------------

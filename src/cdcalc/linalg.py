@@ -30,12 +30,17 @@ def _primitive(row: dict) -> dict:
 
 
 def _int_row(row) -> dict[int, int]:
-    """The nonzero entries of ``row``, cleared of denominators, primitive."""
+    """The nonzero entries of ``row``, cleared of denominators, primitive.
+
+    A row of ints (bools included) goes to ``_primitive`` unscanned: its gcd
+    raises TypeError at the first Fraction, and only then is the row scaled.
+    """
     row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
-    if not all(type(v) is int for v in row.values()):
+    try:
+        return _primitive(row)
+    except TypeError:
         scale = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-    return _primitive(row)
+        return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
 
 
 def _reduce(row: dict, pivots: dict, to_lead: bool) -> int | None:

@@ -168,6 +168,15 @@ class CDiffOp:
         r = max((f.jet_order() for f in self.ctx.evolution_rhs or ()), default=0)
         return self.coefficient_jet_order() + depth * max(1, r)
 
+    def has_constant_coefficients(self, order: int | None = None) -> bool:
+        """Whether no coefficient can vary with the point: every coefficient,
+        or with ``order`` those of the terms of that order (what ``symbol``
+        reads).  Total derivatives of a constant vanish, so every
+        prolongation of such an operator is constant too.
+        """
+        return all(set(poly.nums) <= {()} for row in self.entries for e in row
+                   for sigma, poly in e.terms.items() if order in (None, len(sigma)))
+
     def __eq__(self, other):
         if not isinstance(other, CDiffOp):
             return NotImplemented

@@ -193,7 +193,8 @@ class _Tower:
     stay small.  A rank does not depend on the column order; a kernel basis
     would, so ``rows`` keep theirs.  With constant coefficients row (tau, s)
     is row s of the operator shifted by tau, so nothing is prolonged, and
-    the first point's ranks serve every point.
+    the first point's ranks serve every point (a chain samples three points
+    when another of its operators varies).
     """
 
     def __init__(self, op: CDiffOp, k: int, levels):
@@ -202,8 +203,7 @@ class _Tower:
         self.taus = multiindices_upto(op.ctx.n, max(self.ends))
         self.mu_pos = {mu: c for c, mu in enumerate(
             multiindices_upto(op.ctx.n, k + max(self.ends)))}
-        self.constant = all(set(poly.nums) <= {()} for row in op.entries for e in row
-                            for poly in e.terms.values())
+        self.constant = op.has_constant_coefficients()
         self.prolonged = None
         self._ranks = None
 
@@ -445,7 +445,8 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
     With no explicit point, coefficients are frozen at three seeded random
     points; ranks are taken at the sample maximizing them and a warning is
     recorded if the samples disagree (a non-generic draw or genuinely
-    variable rank).
+    variable rank).  When the symbol's coefficients (the top-order ones) are
+    constant, every sample gives the same table, so one point is drawn.
     """
     _check_depth("l_max", l_max)
     n = op.ctx.n
@@ -455,7 +456,8 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
                 f"Lambda (x) S^r (x) P up to l_max = {l_max}")
     dims, warnings = _at_generic_points(
         op.ctx, op.coefficient_jet_order(), pt, seed,
-        lambda point: _dims_table(symbol(op, point), op.cols, l_max, n))
+        lambda point: _dims_table(symbol(op, point), op.cols, l_max, n),
+        constant=op.has_constant_coefficients(op.order))
     return SpencerReport(order=op.order, l_max=l_max, n=n, dims=dims,
                          warnings=warnings)
 

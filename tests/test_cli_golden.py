@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 KDV = "demos/data/kdv.prob"
 POINT = "tests/golden/kdv.point"
+SPELLINGS = "tests/golden/kdv-spellings.point"
 
 _COMMANDS = {
     "linearize": ["linearize", KDV],
@@ -40,6 +41,8 @@ _COMMANDS = {
     "exactness-maxwell": ["exactness", "demos/data/maxwell4.cplx", "--l-max", "1"],
     "coker": ["coker", KDV, "--k1", "1"],
     "coker-point": ["coker", KDV, "--k1", "1", "--point", POINT],
+    "spencer-point-spellings": ["spencer", KDV, "--l-max", "1", "--point", SPELLINGS],
+    "coker-point-spellings": ["coker", KDV, "--k1", "1", "--point", SPELLINGS],
     "kline": ["kline", "--k", "3", "--n", "4"],
     "zcr": ["zcr", KDV, "--forms", "demos/data/kdv_sl2.forms"],
     "two-line": ["two-line", "--k", "3", "--p", "2", "--sign", "+"],
@@ -60,6 +63,7 @@ for _sub in ("linearize", "adjoint", "symbol", "spencer", "involutive", "exactne
 CASES["usage-no-command"] = []
 CASES["usage-missing-argument"] = ["two-line", "--k", "2"]
 CASES["error-missing-file"] = ["linearize", "demos/data/no-such-file.prob"]
+CASES["error-point-name"] = ["symbol", KDV, "--point", "tests/golden/kdv-bad.point"]
 
 
 _SET_ENV = {"COLUMNS": "80", "NO_COLOR": "1"}
@@ -90,6 +94,14 @@ def _golden(case):
 def test_cli_output_matches_golden(case, monkeypatch):
     _golden_env(monkeypatch)
     assert _invoke(CASES[case]) == _golden(case)
+
+
+def test_point_spellings_give_the_same_reports(monkeypatch):
+    # kdv-spellings.point holds kdv.point's values under other spellings
+    _golden_env(monkeypatch)
+    for case in ("spencer-point", "coker-point", "spencer-point-json", "coker-point-json"):
+        spelled = _golden(case.replace("-point", "-point-spellings"))
+        assert spelled["stdout"] == _golden(case)["stdout"]
 
 
 def test_one_parser_serves_every_case_in_any_order(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from cdcalc import (
     CDiffOp, DiffPoly, JetContext, JetPoint, Metric, OperatorComplex, PointError,
     check_formal_exactness, cokernel_rank, dbar_operator, evaluate, generic_points,
     kline_report, linearize, parse_complex, parse_operator_matrix, parse_problem,
-    random_point, star_operator,
+    random_point, spencer_cohomology, star_operator,
 )
 from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
@@ -489,3 +490,101 @@ def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
     # the order-3 jets of u beyond u itself, in the 2 * C(4, 2) rows
     assert cokernel_rank(grad, 2, seed=0) == 2 * jet_fiber_dim(2, 2) - (jet_fiber_dim(2, 3) - 1)
     assert sum(counts.values()) == 0
+
+
+# ---------------------------------------------------------------------------
+# One policy sample when no coefficient a call reads can vary
+# ---------------------------------------------------------------------------
+
+
+def _drawn_points(monkeypatch):
+    """The number of points of each ``generic_points`` draw, in order."""
+    drawn = []
+    original = cdcalc.jet.generic_points
+
+    def counted(*args, **kwargs):
+        points = original(*args, **kwargs)
+        drawn.append(len(points))
+        return points
+
+    monkeypatch.setattr(cdcalc.jet, "generic_points", counted)
+    return drawn
+
+
+def _exactness(cplx, l_max):
+    def call(pt, seed):
+        report = check_formal_exactness(cplx, l_max, pt=pt, seed=seed)
+        return report.checks, report.warnings
+    return cplx.ctx, cplx.required_point_order(l_max), call
+
+
+def _cokernel(op, k1):
+    def call(pt, seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = cokernel_rank(op, k1, pt=pt, seed=seed)
+        return value, [str(w.message) for w in caught]
+    return op.ctx, op.point_order(k1), call
+
+
+def _spencer_table(op, l_max):
+    def call(pt, seed):
+        report = spencer_cohomology(op, l_max, pt=pt, seed=seed)
+        return report.dims, report.warnings
+    return op.ctx, op.coefficient_jet_order(), call
+
+
+def _wave(ctx, first, star_q, last):
+    g = Metric.diag([1] * ctx.n)
+    return dbar_operator(ctx, last) @ star_operator(ctx, g, star_q) @ dbar_operator(ctx, first)
+
+
+def _free(names):
+    return JetContext.free(names, "u")
+
+
+def _derham(ctx):
+    return OperatorComplex([dbar_operator(ctx, q) for q in range(ctx.n)])
+
+
+_ONE_SAMPLE = {
+    "derham2": lambda: _exactness(_derham(_free("x t")), 3),
+    "derham3": lambda: _exactness(_derham(_free("x y z")), 2),
+    "maxwell": lambda: _exactness(OperatorComplex(
+        [_wave(c := _free("x y z w"), 1, 2, 2), dbar_operator(c, 3)]), 1),
+    "gauge-p2n5": lambda: _exactness(OperatorComplex(
+        [_wave(c := _free("a b c d e"), 2, 3, 2), dbar_operator(c, 3), dbar_operator(c, 4)]), 0),
+    "broken2": lambda: _exactness(OperatorComplex(
+        [dbar_operator(c := _free("x t"), 0), CDiffOp.zero(c, 1, 2)], orders=[1, 1]), 2),
+    "grad2-coker": lambda: _cokernel(dbar_operator(_free("x t"), 0), 3),
+    "grad3-coker": lambda: _cokernel(dbar_operator(_free("x y z"), 0), 2),
+    # a constant symbol over nonconstant lower-order terms
+    "kdv-spencer": lambda: _spencer_table(
+        linearize(c := _free("x t"), [c.parse("u_t - u*u_x - u_{x,x,x}")]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_SAMPLE))
+def test_constant_coefficients_take_one_sample(case, monkeypatch):
+    ctx, needed, call = _ONE_SAMPLE[case]()
+    drawn = _drawn_points(monkeypatch)
+    for seed in (0, 7):
+        policy = call(None, seed)
+        assert drawn == [1]
+        # the answer at each of the three samples the policy used to take
+        for pt in generic_points(ctx, needed, seed):
+            assert call(pt, seed) == policy
+        drawn.clear()
+
+
+def test_variable_coefficients_take_three_samples(ctx, monkeypatch):
+    drawn = _drawn_points(monkeypatch)
+    # a chain whose first operator varies, though its second is constant
+    op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
+    check_formal_exactness(OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1]),
+                           1, seed=0)
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    cokernel_rank(kdv, 1, seed=0)
+    # a symbol with a nonconstant coefficient
+    spencer_cohomology(linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")]), 1, seed=0)
+    assert drawn == [3, 3, 3]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, PointError, dbar, linearize,
     parse_point_file, parse_problem, random_point, total_derivative, wedge,
 )
-from cdcalc.expr import INDEP, JET, MAX_DIGITS
+from cdcalc.expr import INDEP, JET, MAX_DIGITS, Coord, ParseError
+from cdcalc.jet import _coord_names
 
 from conftest import SympyJets, rand_poly
 
@@ -287,3 +289,98 @@ def test_point_file_values_are_bounded(ctx):
         with pytest.raises(ValueError) as err:
             parse_point_file(head + f"u = {value}\n", ctx, 1)
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Point files: names found in the context's table, the rest parsed
+# ---------------------------------------------------------------------------
+
+_SPELLINGS = {
+    "brace": lambda u, s: f"{u}_{{{','.join(s)}}}",
+    "shorthand": lambda u, s: f"{u}_{''.join(s)}",
+    "unsorted": lambda u, s: f"{u}_{{{','.join(reversed(s))}}}",
+    "unsorted shorthand": lambda u, s: f"{u}_{''.join(reversed(s))}",
+    "spaced": lambda u, s: f"{u} _{{ {' , '.join(s)} }}",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_point_file_spellings_give_equal_values(spelling):
+    # order bound 1, but the file names every jet up to order 3, as
+    # generated point files do
+    ctx = JetContext.free("x t", "u v", "lam")
+    rng = random.Random(5)
+    want, lines = {}, []
+    for name, coord in (("x", Coord(INDEP, 0)), ("t", Coord(INDEP, 1)), ("lam", ctx.param_coord(0))):
+        want[coord] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        lines.append(f"{name} = {want[coord]}")
+    for r in range(4):
+        for sigma in itertools.combinations_with_replacement(ctx.indep, r):
+            for u in ctx.dep:
+                coord = ctx.jet_coord(u, sigma)
+                want[coord] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                name = _SPELLINGS[spelling](u, sigma) if sigma else u
+                lines.append(f"{name} = {want[coord]}")
+    rng.shuffle(lines)
+    pt = parse_point_file("\n".join(lines) + "\n", ctx, 1)
+    assert pt.values == want and pt.order_bound == 1
+
+
+def test_point_file_reads_names_past_its_table():
+    # a jet beyond what a file of this many lines could list, and names over
+    # independent variables of more than one character
+    ctx = JetContext.free("x1 x2", "u")
+    text = "x1 = 1\nx2 = 2\nu = 3\nu_{x1} = 4\nu_{x2} = 7\nu_{x2,x1} = 5\nu_{x2,x2,x2,x2,x2} = 6\n"
+    assert _coord_names(ctx, 6) == {"x1": Coord(INDEP, 0), "x2": Coord(INDEP, 1),
+                                    "u": Coord(JET, 0), "u_{x1}": Coord(JET, 0, (0,)),
+                                    "u_{x2}": Coord(JET, 0, (1,))}
+    pt = parse_point_file(text, ctx, 1)
+    assert pt.values[ctx.jet_coord("u", ("x1", "x2"))] == 5
+    assert pt.values[ctx.jet_coord("u", ("x2",) * 5)] == 6
+    with pytest.raises(ParseError) as err:
+        parse_point_file(text + "u_x1 = 1\n", ctx, 1)
+    assert str(err.value) == ("shorthand jet suffix needs single-character independent "
+                              "names; use u_{i,j,...} at offset 2")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("w = 1", "undeclared identifier 'w' at offset 0"),
+    ("x_t = 1", "jet suffix on non-dependent identifier 'x' at offset 0"),
+    ("lam_{x} = 1", "jet suffix on non-dependent identifier 'lam' at offset 0"),
+    ("u_q = 1", "malformed jet suffix: 'q' is not independent at offset 2"),
+    ("u_{x,} = 1", "malformed jet suffix: expected independent name at offset 5"),
+    ("u__x = 1", "malformed jet suffix at offset 1"),
+    ("1 = 2", "expected a coordinate name at offset 0"),
+    ("u_x u_t = 1", "unexpected 'u' at offset 4"),
+])
+def test_point_file_errors_are_the_parsers(line, message):
+    ctx = JetContext.free("x t", "u", "lam")
+    with pytest.raises(ParseError) as err:
+        parse_point_file(f"x = 1\nt = 2\nlam = 0\nu = 3\n{line}\n", ctx, 0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["u_t", "u_{x,t}", "u_tx"])
+def test_point_file_rejects_t_derivatives_in_evolution_mode(name):
+    ctx = JetContext.evolution("u", ["u_{x,x,x}"])
+    with pytest.raises(ParseError) as err:
+        parse_point_file(f"x = 1\nt = 2\nu = 3\nu_x = 4\n{name} = 1\n", ctx, 1)
+    assert str(err.value) == ("u_... with t-derivatives is not an internal coordinate "
+                              "in evolution mode at offset 0")
+
+
+def test_point_file_name_table_stops():
+    # evolution mode adds one jet per order, up to the file's line count
+    ctx = JetContext.evolution("u", ["u_{x,x,x}"])
+    names = ["x", "t"] + ["u"] + [f"u_{'x' * r}" for r in range(1, 40)]
+    text = "".join(f"{name} = {r}\n" for r, name in enumerate(names))
+    pt = parse_point_file(text, ctx, 39)
+    assert pt.values[ctx.jet_coord("u", ("x",) * 39)] == len(names) - 1
+    assert len(_coord_names(ctx, len(names))) == 2 + 1 + 2 * 39
+    # with no independent variable (which JetContext refuses) no order past
+    # 0 adds a coordinate, so the table ends there
+    flat = JetContext.free("x", "u")
+    flat.indep, flat.indep_index = (), {}
+    assert _coord_names(flat, 10 ** 9) == {"u": Coord(JET, 0)}
+    assert parse_point_file("u = 1/2\n" + "# blank\n" * 100, flat, 3).values == \
+        {Coord(JET, 0): Fraction(1, 2)}

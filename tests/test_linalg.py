@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc.linalg import kernel_basis, rank
+from cdcalc.linalg import _echelon, kernel_basis, rank
 
 from conftest import matmul, sympy_rank
 
@@ -70,6 +70,24 @@ def test_integer_and_mixed_entries():
     m = [[2, Fraction(1, 3), 0], [4, Fraction(2, 3), 0], [0, 0, Fraction(-5, 7)]]
     assert rank(m) == 2
     assert kernel_basis(m) == [[Fraction(-1, 6), Fraction(1), Fraction(0)]]
+
+
+def test_int_bool_and_fraction_rows_give_the_same_pivots():
+    # int rows skip the scan for Fractions; a Fraction anywhere, even after
+    # ints or as an integral Fraction, still sends the row to be scaled
+    rng = random.Random(3)
+    for _ in range(30):
+        bits = [[rng.random() < 0.4 for _ in range(8)] for _ in range(6)]
+        ints = [[int(b) for b in row] for row in bits]
+        pivots = _echelon(ints)
+        scales = [Fraction(rng.choice((1, 2, 3, 5)), rng.randint(1, 4)) for _ in ints]
+        for rows in (bits, [[Fraction(v) for v in row] for row in ints],
+                     [[v * f for v in row] for row, f in zip(ints, scales)],
+                     [row[:4] + [Fraction(v) for v in row[4:]] for row in ints]):
+            sparse_rows = [{c: v for c, v in enumerate(row) if v} for row in rows]
+            kept = [dict(row) for row in sparse_rows]
+            assert _echelon(rows) == pivots == _echelon(sparse_rows)
+            assert sparse_rows == kept  # the caller's rows are left as they were
 
 
 def test_edge_cases():
