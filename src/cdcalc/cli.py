@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--json", action="store_true", help="structured output")
         if points:
             sub.add_argument("--seed", type=int, default=0,
-                             help="seed for the three-point generic policy (default 0)")
+                             help="seed for the generic sample points (default 0)")
             sub.add_argument("--point", help="explicit point file (coord = rational)")
         sub.set_defaults(func=handler)
     return parser

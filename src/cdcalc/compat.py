@@ -261,14 +261,13 @@ def parse_complex(text: str) -> OperatorComplex:
     orders = []
     while pos < len(lines):
         header = lines[pos].split()
-        if header[0] != "operator" or len(header) < 4 or header[2] != "->":
-            raise ValueError(f"bad operator header: {lines[pos]!r}")
-        cols, rows = int(header[1]), int(header[3])
-        declared = None
-        if len(header) > 4:
-            if len(header) != 6 or header[4] != "order":
-                raise ValueError(f"bad operator header: {lines[pos]!r}")
-            declared = int(header[5])
+        try:
+            if header[0::2] not in (["operator", "->"], ["operator", "->", "order"]) \
+                    or len(header) % 2:
+                raise ValueError
+            cols, rows, *declared = map(int, header[1::2])  # "operator c -> r [order k]"
+        except ValueError:
+            raise ValueError(f"bad operator header: {lines[pos]!r}") from None
         pos += 1
         if pos + rows > len(lines):
             raise ValueError("operator block is missing matrix rows")
@@ -282,5 +281,5 @@ def parse_complex(text: str) -> OperatorComplex:
         pos += rows
         op = CDiffOp(ctx, matrix)
         operators.append(op)
-        orders.append(declared if declared is not None else op.order)
+        orders.append(declared[0] if declared else op.order)
     return OperatorComplex(operators, orders)

@@ -294,10 +294,10 @@ class DiffPoly:
         (a JetPoint's ``scaled`` is then that denominator and the values'
         int numerators over it, keyed by coordinate id), the sum is taken in
         int by ``_evaluate_scaled``, and its unreduced (numerator,
-        denominator) pair becomes one Fraction here (the rank rows of
-        ``spencer._Tower`` take the pair as it is); otherwise each value is a
-        Fraction.  Raises EvaluationError naming the first unassigned
-        coordinate of a mapping.
+        denominator) pair becomes one Fraction here (a prolongation tower's
+        rows, ``spencer._Tower.rows``, take the pair as it is and clear each
+        row with one lcm); otherwise each value is a Fraction.  Raises
+        EvaluationError naming the first unassigned coordinate of a mapping.
         """
         if hasattr(assignment, "value"):
             value = assignment.value

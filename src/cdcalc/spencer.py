@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
+from operator import methodcaller
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
@@ -168,7 +169,10 @@ class FiberMap:
         return [[row.get(c, zero) for c in range(self.domain_dim)] for row in self.rows]
 
     def rank(self) -> int:
-        return rank(self.rows)
+        """Eliminated in the orderly ranking of ``_Tower.ranks``: highest graded position first."""
+        width = self.domain_dim // max(self.source_rank, 1) or 1
+        return rank([{-(c % width) * self.domain_dim - c: v for c, v in row.items()}
+                     for row in self.rows])
 
 
 def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
@@ -182,19 +186,21 @@ class _Tower:
 
     Built for one call, whose sample points share it.  Rows are (tau, s) in
     graded tau order, over the columns (j, mu) of the top level's fiber map
-    (declared order k), so level l is a prefix of them.  ``rows(pt)`` are
-    the ``fiber_map`` rows: Fractions at column j * width + (graded position
-    of mu), from the prolongations D_tau(entries), made on the first call.
+    (declared order k), so level l is a prefix of them.  ``rows(pt)`` gives
+    row (tau, s) as ``(scale, {-(graded position of mu) * cols - j: c})``,
+    entry (j, mu) being c / scale.  With constant coefficients it is row s
+    of the operator over one lcm, shifted by tau: nothing is prolonged or
+    evaluated.  Otherwise the prolongations D_tau(entries), made on the
+    first call, are evaluated to unreduced (numerator, denominator) pairs
+    and cleared with one lcm.
 
-    ``ranks`` eliminates its own integer rows, each cleared of denominators
-    with one lcm, in an orderly ranking: column keys fall as |mu| rises, so
-    the elimination (ascending keys) meets the highest-order columns first,
-    where the prolonged rows are nearly in echelon form and the integers
-    stay small.  A rank does not depend on the column order; a kernel basis
-    would, so ``rows`` keep theirs.  With constant coefficients row (tau, s)
-    is row s of the operator shifted by tau, so nothing is prolonged, and
-    the first point's ranks serve every point (a chain samples three points
-    when another of its operators varies).
+    ``ranks`` eliminates these rows as they are, in an orderly ranking:
+    column keys fall as |mu| rises, so the elimination (ascending keys)
+    meets the highest-order columns first, where the prolonged rows are
+    nearly in echelon form and the integers stay small.  ``fiber_map``
+    re-keys the same rows.  With constant coefficients the first point's
+    ranks serve every point (a chain samples three points when another of
+    its operators varies).
     """
 
     def __init__(self, op: CDiffOp, k: int, levels):
@@ -215,50 +221,33 @@ class _Tower:
                               for tau in self.taus for row in tables]
         return self.prolonged
 
-    def rows(self, pt: JetPoint) -> list[dict]:
-        width = len(self.mu_pos)
-        return [{j * width + self.mu_pos[mu]: value for j, entry in enumerate(row)
-                 for mu, poly in entry.terms.items() if (value := poly.evaluate(pt))}
-                for row in self._prolong()]
-
-    def _shifted_rows(self) -> list[dict]:
-        """Constant rank rows: row s over one lcm, its (j, sigma) moved to (j, sigma + tau)."""
+    def rows(self, pt: JetPoint) -> list[tuple[int, dict]]:
         cols, mu_pos = self.op.cols, self.mu_pos
-        table = []
-        for row in self.op.entries:
-            den = lcm(*(poly.den for e in row for poly in e.terms.values()))
-            table.append([(j, sigma, poly.nums[()] * (den // poly.den))
-                          for j, e in enumerate(row) for sigma, poly in e.terms.items()])
-        return [{-mu_pos[tuple(sorted(sigma + tau))] * cols - j: c for j, sigma, c in entries}
-                for tau in self.taus for entries in table]
-
-    def _rank_rows(self, pt: JetPoint) -> list[dict]:
-        """The rows ``ranks`` eliminates, (j, mu) at column -(graded position of mu) * cols - j.
-
-        Integer rows, each over one lcm; Fraction rows at a point past
-        ``MAX_POINT_DENOMINATOR``.
-        """
         if self.constant:
-            return self._shifted_rows()
-        cols, mu_pos = self.op.cols, self.mu_pos
-        if pt.scaled is None:
-            width = len(mu_pos)
-            return [{-(c % width) * cols - c // width: v for c, v in row.items()}
-                    for row in self.rows(pt)]
-        vden, vals = pt.scaled
+            table = []
+            for row in self.op.entries:
+                scale = lcm(*(poly.den for e in row for poly in e.terms.values()))
+                table.append((scale, [(j, sigma, poly.nums[()] * (scale // poly.den))
+                                      for j, e in enumerate(row)
+                                      for sigma, poly in e.terms.items()]))
+            return [(scale, {-mu_pos[tuple(sorted(sigma + tau))] * cols - j: c
+                             for j, sigma, c in entries})
+                    for tau in self.taus for scale, entries in table]
+        pair = (methodcaller("_evaluate_scaled", *pt.scaled, pt.value) if pt.scaled
+                else lambda poly: poly.evaluate(pt).as_integer_ratio())
         out = []
         for row in self._prolong():
-            pairs = [(-mu_pos[mu] * cols - j, value)
+            pairs = {-mu_pos[mu] * cols - j: value
                      for j, entry in enumerate(row) for mu, poly in entry.terms.items()
-                     if (value := poly._evaluate_scaled(vden, vals, pt.value))[0]]
-            scale = lcm(*(den for _, (_, den) in pairs))
-            out.append({c: num * (scale // den) for c, (num, den) in pairs})
+                     if (value := pair(poly))[0]}
+            scale = lcm(*(den for _, den in pairs.values()))
+            out.append((scale, {c: num * (scale // den) for c, (num, den) in pairs.items()}))
         return out
 
     def ranks(self, pt: JetPoint) -> dict[int, int]:
         """The rank of the level-l fiber map at ``pt``, for each level l."""
         if self._ranks is None or not self.constant:
-            rows = self._rank_rows(pt)
+            rows = [row for _, row in self.rows(pt)]
             self._ranks = {l: rank(rows[:end]) for l, end in self.ends.items()}
         return self._ranks
 
@@ -270,7 +259,8 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
     Maps the order-(k+l) fiber on the source to the order-l fiber on the
     target, k being the (declared) operator order.  The point must cover
     the operator's coefficients and their first l total derivatives.  The
-    rows are a level-l prolongation tower's, built for this call, s-major.
+    rows are a level-l prolongation tower's, built for this call, s-major,
+    each entry a Fraction at column j * width + (graded position of mu).
     """
     k = op.order if declared_order is None else declared_order
     if k < op.order:
@@ -280,9 +270,12 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
         raise PointError(
             f"point order {pt.order_bound} insufficient; need {needed}")
     _check_fiber_size(op, k, l)
-    rows = _Tower(op, k, (l,)).rows(pt)
+    width = jet_fiber_dim(op.ctx.n, k + l)
+    rows = [{j * width + pos: Fraction(c, scale)
+             for key, c in row.items() for pos, j in [divmod(-key, op.cols)]}
+            for scale, row in _Tower(op, k, (l,)).rows(pt)]
     rows = [row for s in range(op.rows) for row in rows[s::op.rows]]
-    return FiberMap(rows=rows, domain_dim=op.cols * jet_fiber_dim(op.ctx.n, k + l),
+    return FiberMap(rows=rows, domain_dim=op.cols * width,
                     codomain_dim=len(rows), source_rank=op.cols, source_order=k + l,
                     target_rank=op.rows, target_order=l)
 

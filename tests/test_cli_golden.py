@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 KDV = "demos/data/kdv.prob"
 POINT = "tests/golden/kdv.point"
 SPELLINGS = "tests/golden/kdv-spellings.point"
+SPLIT = "tests/golden/uxx-utt.prob"
 
 _COMMANDS = {
     "linearize": ["linearize", KDV],
@@ -37,6 +38,7 @@ _COMMANDS = {
     "spencer": ["spencer", KDV, "--l-max", "2"],
     "spencer-point": ["spencer", KDV, "--l-max", "1", "--point", POINT],
     "involutive": ["involutive", KDV, "--l-max", "3", "--seed", "2"],
+    "involutive-failure": ["involutive", SPLIT],
     "exactness-derham": ["exactness", "demos/data/derham2.cplx", "--l-max", "2"],
     "exactness-maxwell": ["exactness", "demos/data/maxwell4.cplx", "--l-max", "1"],
     "coker": ["coker", KDV, "--k1", "1"],

@@ -192,6 +192,12 @@ def test_parse_complex_file(ctx):
 def test_parse_complex_bad_header():
     with pytest.raises(ValueError, match="header"):
         parse_complex("independent x t\ndependent u\noperator 1 2\nD_{x}")
+    # a shape or order that is not an integer is a bad header too
+    for header in ("operator 1 -> y", "operator x -> 1", "operator 1 -> 1 order k",
+                   "operator 1 -> 1 order", "operator 1 -> 1 degree 1"):
+        with pytest.raises(ValueError) as info:
+            parse_complex(f"independent x t\ndependent u\n{header}\nD_{{x}}")
+        assert str(info.value) == f"bad operator header: {header!r}"
 
 
 def test_prolongation_requests_are_bounded(ctx):
@@ -358,6 +364,20 @@ def test_constant_rational_tower_matches_the_oracle(ctx):
                                                   "3*D_{x} + 2*D_{t} ; 12/5", ctx), 2, seed=4)
 
 
+def test_fiber_map_rank_takes_the_tower_order():
+    # eliminated lowest order first, the level-7 map's integers blow up; in
+    # the tower's orderly ranking its rank is the tower's, and the oracle's
+    ctx3 = JetContext.free("x y z", "u")
+    lin = linearize(ctx3, [ctx3.parse("u_{x,y} - u*u_{z} + x*u_{z,z}")])
+    pt = random_point(ctx3, lin.point_order(7), seed=0)
+    for l in (2, 7):
+        tower_rank = cdcalc.spencer._Tower(lin, lin.order, (l,)).ranks(pt)[l]
+        assert fiber_map(lin, l, pt).rank() == tower_rank
+    assert tower_rank == jet_fiber_dim(3, 7)
+    assert fiber_map(lin, 2, pt).rank() == _oracle_rank(lin, 2, lin.order, pt)
+    assert fiber_map(lin, 3, pt, declared_order=3).rank() == _oracle_rank(lin, 3, 3, pt)
+
+
 # Row 2 is x times row 1, so every prolonged row of it is a combination of
 # prolonged rows of row 1 with coefficients that vary with the point: its
 # ranks stay below full only if every entry is scaled exactly.
@@ -482,6 +502,7 @@ def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
 def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
     cplx = derham2(ctx)  # built first: its composition check prolongs
     grad = dbar_operator(ctx, 0)
+    pt = random_point(ctx, 2, seed=1)
     counts = Counter()
     for owner, name in ((cdcalc.spencer, "_left_Di"), (cdcalc.spencer, "_along"),
                         (cdcalc.ops, "total_derivative"), (DiffPoly, "evaluate")):
@@ -489,7 +510,10 @@ def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
     assert check_formal_exactness(cplx, 3, seed=0).all_exact
     # the order-3 jets of u beyond u itself, in the 2 * C(4, 2) rows
     assert cokernel_rank(grad, 2, seed=0) == 2 * jet_fiber_dim(2, 2) - (jet_fiber_dim(2, 3) - 1)
+    # a fiber map re-keys the same shifted rows
+    fm = fiber_map(grad, 2, pt)
     assert sum(counts.values()) == 0
+    assert fm.matrix == _oracle_fiber_map(grad, 2, 1, pt)
 
 
 # ---------------------------------------------------------------------------

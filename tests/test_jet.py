@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from cdcalc import (
-    DiffPoly, HorizontalForm, JetContext, PointError, dbar, linearize,
-    parse_point_file, parse_problem, random_point, total_derivative, wedge,
+    DiffPoly, HorizontalForm, JetContext, PointError, dbar, format_form, format_poly,
+    linearize, parse_point_file, parse_problem, random_point, total_derivative,
+    total_derivative_sigma, wedge,
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS, Coord, ParseError
 from cdcalc.jet import _coord_names
@@ -44,6 +45,24 @@ def test_total_derivatives_commute_free():
                 dij = total_derivative(ctx3, i, total_derivative(ctx3, j, f))
                 dji = total_derivative(ctx3, j, total_derivative(ctx3, i, f))
                 assert dij == dji
+
+
+def test_total_derivative_sigma_nests_total_derivatives(ctx):
+    f = ctx.parse("u*u_x")
+    assert total_derivative_sigma(ctx, (), f) == f
+    assert format_poly(total_derivative_sigma(ctx, ("x", "t"), f), ctx) == \
+        "u*u_xxt + 2*u_x*u_xt + u_xx*u_t"
+    rng = random.Random(6)
+    for ctx_ in (JetContext.free("x y z", "u v"),
+                 JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])):
+        for _ in range(10):
+            f = rand_poly(rng, ctx_, max_order=2)
+            sigma = tuple(rng.randrange(ctx_.n) for _ in range(rng.randint(0, 3)))
+            nested = f
+            for i in sigma:
+                nested = total_derivative(ctx_, i, nested)
+            for order in set(itertools.permutations(sigma)):
+                assert total_derivative_sigma(ctx_, order, f) == nested
 
 
 def test_evolution_dt_kdv():
@@ -101,6 +120,20 @@ def test_dbar_top_degree_is_zero(ctx):
 def test_dbar_closed_one_form(ctx):
     omega = HorizontalForm(2, 1, {(0,): ctx.parse("u_x"), (1,): ctx.parse("u_t")})
     assert dbar(ctx, omega).is_zero()
+
+
+def test_format_form(ctx):
+    assert format_form(HorizontalForm.zero(2, 1), ctx) == "0"
+    assert format_form(HorizontalForm.function(2, ctx.parse("u*u_x - 1/2")), ctx) == \
+        "-1/2 + u*u_x"
+    one = HorizontalForm(2, 1, {(1,): ctx.parse("x - u_t"), (0,): ctx.parse("u_x")})
+    assert format_form(one, ctx) == "(u_x) dx + (x - u_t) dt"
+    # D_x(x) - D_t(t*u) on dx^dt
+    two = dbar(ctx, HorizontalForm(2, 1, {(0,): ctx.parse("t*u"), (1,): ctx.parse("x")}))
+    assert format_form(two, ctx) == "(1 - u - t*u_t) dx^dt"
+    ctx3 = JetContext.free("x y z", "u")
+    three = HorizontalForm(3, 2, {(1, 2): ctx3.parse("u_z"), (0, 2): ctx3.parse("2")})
+    assert format_form(three, ctx3) == "(2) dx^dz + (u_z) dy^dz"
 
 
 def test_wedge_basics(ctx):
