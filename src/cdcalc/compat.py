@@ -266,6 +266,8 @@ def parse_complex(text: str) -> OperatorComplex:
                     or len(header) % 2:
                 raise ValueError
             cols, rows, *declared = map(int, header[1::2])  # "operator c -> r [order k]"
+            if min(cols, rows) < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad operator header: {lines[pos]!r}") from None
         pos += 1

@@ -395,14 +395,19 @@ def _poly(nums: dict, den: int) -> DiffPoly:
 
 def _sum(polys) -> DiffPoly:
     """The sum of a nonempty sequence of DiffPolys, in one dict over the lcm of their denominators."""
-    first = polys[0]
-    if len(polys) == 1:
+    return _sum_multiples([(1, p) for p in polys])
+
+
+def _sum_multiples(pairs) -> DiffPoly:
+    """The sum of ``k * p`` over a nonempty list of (int k, DiffPoly p) pairs, in one dict."""
+    (k, first), *rest = pairs
+    if not rest and k == 1:
         return first
-    den = lcm(*[p.den for p in polys])
-    k = den // first.den
+    den = lcm(first.den, *[p.den for _, p in rest])
+    k *= den // first.den
     out = {m: c * k for m, c in first.nums.items()}
-    for p in polys[1:]:
-        k = den // p.den
+    for k, p in rest:
+        k *= den // p.den
         for m, c in p.nums.items():
             if s := out.get(m, 0) + c * k:
                 out[m] = s
@@ -467,7 +472,8 @@ MAX_NESTING = 100
 # Longer integer literals are rejected before int() meets Python's own limit.
 MAX_DIGITS = 1000
 
-_RATIONAL = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)", re.ASCII)
+# sign, then p/q or a plain decimal's digits before and after its point
+_RATIONAL = re.compile(r"([+-]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)", re.ASCII)
 _INTEGER = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
 
 
@@ -478,12 +484,16 @@ def _parse_rational(text: str, where: str) -> Fraction:
     or argument the value came from.
     """
     text = text.strip()
-    if not _RATIONAL.fullmatch(text):
+    if not (match := _RATIONAL.fullmatch(text)):
         raise ValueError(f"{where}: expected an integer, p/q or plain decimal")
     if sum(ch.isdigit() for ch in text) > MAX_DIGITS:
         raise ValueError(f"{where}: value longer than {MAX_DIGITS} digits")
+    sign, p, q, whole, frac = match.groups()
+    if p is None:
+        frac = frac or ""
+        p, q = whole + frac, 10 ** len(frac)
     try:
-        return Fraction(text)
+        return Fraction(-int(p) if sign == "-" else int(p), int(q))
     except ZeroDivisionError:
         raise ValueError(f"{where}: zero denominator") from None
 

@@ -160,51 +160,49 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     idx = ctx._indep_idx(i)
     if ctx.is_evolution and idx == 1:
         return _evolution_dt(ctx, f)
-    # one pass over the numerators: each term is lifted coordinate by coordinate
-    lift = _LIFTS.setdefault(idx, {})
+    # one pass over the numerators: each monomial's terms come from the table
+    table = _DERIVATIVES.setdefault(idx, {})
     out: dict = {}
     for mono, coeff in f.nums.items():
-        prev = None
-        for pos, c in enumerate(mono):
-            if c == prev:
-                continue
-            prev = c
-            if (up := lift.get(c)) is None:
-                up = lift[c] = _lifted(c, idx)
-            if up < 0:
-                if up == _ZERO:
-                    continue
-                m = mono[:pos] + mono[pos + 1:]
-            else:
-                m = list(mono)
-                m[pos] = up
-                m.sort()
-                m = tuple(m)
-            e = mono.count(c)
-            if s := out.get(m, 0) + (coeff * e if e > 1 else coeff):
+        if (terms := table.get(mono)) is None:
+            terms = table[mono] = _monomial_derivative(mono, idx)
+        for m, e in terms:
+            if s := out.get(m, 0) + coeff * e:
                 out[m] = s
             else:
                 del out[m]
     return _poly(out, f.den)
 
 
-# Per direction i, coordinate id -> the id of that coordinate lifted by x_i (a
-# jet), _X (x_i itself) or _ZERO (D_i of it is 0), filled as ids are met.  A
-# Coord means the same in every context, so the tables are global.
-_X = -1
-_ZERO = -2
-_LIFTS: dict = {}
+# Per direction i, monomial -> the ((monomial', multiplicity), ...) terms of
+# its D_i, filled as monomials are met.  Ids, hence monomials, mean the same
+# in every context of one process, so the tables are global.
+_DERIVATIVES: dict = {}
 
 
-def _lifted(c: int, i: int) -> int:
-    """The lift table entry of coordinate id ``c`` in direction ``i``."""
-    kind, index, sigma = _COORDS[c]
-    if kind == JET:
-        sigma = list(sigma)
-        insort(sigma, i)
-        # sorted already: built as a tuple, past the sort in Coord.__new__
-        return _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma))))
-    return _X if kind == INDEP and index == i else _ZERO
+def _monomial_derivative(mono: tuple, i: int) -> tuple:
+    """The terms of D_i of ``mono``, each distinct coordinate lifted once."""
+    terms = []
+    prev = None
+    for pos, c in enumerate(mono):
+        if c == prev:
+            continue
+        prev = c
+        kind, index, sigma = _COORDS[c]
+        if kind == JET:
+            sigma = list(sigma)
+            insort(sigma, i)
+            # sorted already: built as a tuple, past the sort in Coord.__new__
+            m = list(mono)
+            m[pos] = _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma))))
+            m.sort()
+            m = tuple(m)
+        elif kind == INDEP and index == i:
+            m = mono[:pos] + mono[pos + 1:]
+        else:
+            continue
+        terms.append((m, mono.count(c)))
+    return tuple(terms)
 
 
 def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:

@@ -7,9 +7,10 @@ Leibniz rewriting (D_i after a coefficient f becomes f D_i + D_i(f)), so
 operator equality is literal normal-form equality.
 
 Apply, compose and Green remainders take each D_sigma from a prefix table
-built for the call (``jet._along``); adjoints step along each multi-index
-once.  Each output coefficient is summed in one dict of int numerators over
-one common denominator.
+built for the call (``jet._along``); adjoints expand each term by the
+Leibniz rule and take each derivative of its coefficient once.  Each output
+coefficient is summed in one dict of int numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 
 from .expr import (
     JET, DiffPoly, ExprParser, ParseError, _join_signed, _signed_terms, _sum,
-    _sum_by_key, _sum_products, format_poly,
+    _sum_by_key, _sum_multiples, _sum_products, format_poly,
 )
 from .jet import (
     JetContext, _along, _merge_sign, _table, _walk, increasing_tuples, total_derivative,
@@ -260,21 +261,43 @@ def adjoint(op: CDiffOp) -> CDiffOp:
 
     With this convention (D_t - L)* = -D_t - L* for any x-only operator L;
     the pairing uses the coordinate volume element, so no extra weights
-    appear.
+    appear.  Each term is expanded by the Leibniz rule, (f D_sigma)* =
+    (-1)^|sigma| sum over rho <= sigma of C(sigma, rho) D_{sigma-rho}(f) D_rho.
     """
-    ctx = op.ctx
+    step = partial(total_derivative, op.ctx)
 
     def entry_adjoint(entry: ScalarCDiffOp) -> ScalarCDiffOp:
-        pairs = []
+        acc: dict = {}  # rho -> the (multiplier, D_{sigma-rho}(f)) pairs to sum
         for sigma, coeff in entry.terms.items():
-            term = ScalarCDiffOp._normal({(): -coeff if len(sigma) % 2 else coeff})
-            for i in sigma:
-                term = _left_Di(ctx, i, term)
-            pairs.extend(term.terms.items())
-        return ScalarCDiffOp._normal(_sum_by_key(pairs))
+            runs = [(i, sigma.count(i)) for i in sorted(set(sigma))]
+            _leibniz(acc, runs, 0, coeff, (), -1 if len(sigma) % 2 else 1, step)
+        return ScalarCDiffOp._normal(
+            {rho: s for rho, pairs in acc.items() if (s := _sum_multiples(pairs))})
 
     return CDiffOp(op.ctx, [[entry_adjoint(row[j]) for row in op.entries]
                             for j in range(op.cols)])
+
+
+def _leibniz(acc: dict, runs: list, r: int, value: DiffPoly, rho: tuple, k: int, step) -> None:
+    """Add to ``acc`` the Leibniz terms of ``value`` over the runs from ``r`` on.
+
+    ``runs`` are the (index, count) runs of sigma in index order.  Run r
+    puts j of its n indices into nu and the other n - j into ``rho``, for
+    j = 0..n, taking D_nu(value) one total derivative further and C(n, j)
+    into the multiplier ``k`` at each j.  A zero derivative ends its branch,
+    since every longer one is zero too.  The recursion is one level a run.
+    """
+    if r == len(runs):
+        acc.setdefault(rho, []).append((k, value))
+        return
+    i, n = runs[r]
+    for j in range(n + 1):
+        if j:
+            value = step(i, value)
+            if not value:
+                return
+            k = k * (n - j + 1) // j  # C(n, j) from C(n, j - 1)
+        _leibniz(acc, runs, r + 1, value, rho + (i,) * (n - j), k, step)
 
 
 def linearize(ctx: JetContext, components) -> CDiffOp:

@@ -226,6 +226,36 @@ def ref_evaluate(a: dict, values: dict) -> Fraction:
                Fraction(0))
 
 
+def ref_adjoint(op: CDiffOp, rhs=None) -> list[list[dict]]:
+    """op* from the definition, as multi-index -> reference dict maps.
+
+    Entry (j, s) is the sum over sigma of (-1)^|sigma| D_sigma o f_sigma for
+    the terms f_sigma D_sigma of entry (s, j), each D_i composed on the left
+    by D_i o a D_tau = D_i(a) D_tau + a D_{tau + i}.  ``rhs`` is as for
+    ``ref_total``.
+    """
+    out = []
+    for j in range(op.cols):
+        row = []
+        for entry in (r[j] for r in op.entries):
+            total = {}
+            for sigma, coeff in entry.terms.items():
+                sign = Fraction((-1) ** len(sigma))
+                term = {(): ref_mul({(): sign}, dict(coeff.terms))}
+                for i in sigma:
+                    composed = {}
+                    for tau, a in term.items():
+                        up = tuple(sorted(tau + (i,)))
+                        composed[up] = ref_add(composed.get(up, {}), a)
+                        composed[tau] = ref_add(composed.get(tau, {}), ref_total(i, a, rhs))
+                    term = composed
+                for tau, a in term.items():
+                    total[tau] = ref_add(total.get(tau, {}), a)
+            row.append({tau: a for tau, a in total.items() if a})
+        out.append(row)
+    return out
+
+
 def rand_operator(rng: random.Random, ctx: JetContext, rows: int, cols: int,
                   max_op_order: int = 2, max_coeff_order: int = 1) -> CDiffOp:
     return CDiffOp(ctx, [[rand_scalar_op(rng, ctx, max_op_order, max_coeff_order)

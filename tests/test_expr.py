@@ -16,7 +16,10 @@ from cdcalc import (
     Coord, DiffPoly, JetContext, JetPoint, ParseError, evaluate, format_poly,
     parse_coord, parse_expr, partial, random_point, total_derivative,
 )
-from cdcalc.expr import INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError, format_coord
+from cdcalc.expr import (
+    INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError, _parse_rational, format_coord,
+)
+from cdcalc.jet import _DERIVATIVES
 
 from conftest import (
     rand_poly, ref_add, ref_coords, ref_degree, ref_evaluate, ref_jet_order, ref_monomial,
@@ -265,6 +268,31 @@ def test_only_ascii_digits_form_literals(ctx):
         assert err.value.pos == pos
 
 
+def test_rational_values_match_fractions_parser():
+    rng = random.Random(17)
+
+    def digits():
+        return str(rng.randrange(10 ** rng.randint(1, 30)))
+
+    texts = ["3.", ".5", "-0/7", "+.25", "-0", "007.100", "-12/36", "0.0"]
+    for _ in range(300):
+        sign = rng.choice(("", "+", "-"))
+        texts += [sign + digits(), f"{sign}{digits()}/{rng.randint(1, 10 ** 12)}",
+                  f"{sign}{digits()}.{digits()}", f"{sign}{digits()}.", f"{sign}.{digits()}"]
+    for text in texts:
+        assert _parse_rational(f" {text} ", "w") == Fraction(text), text
+    for text, message in (("1/0", "w: zero denominator"), ("-0/0", "w: zero denominator"),
+                          (".", "w: expected an integer, p/q or plain decimal"),
+                          ("1.2.3", "w: expected an integer, p/q or plain decimal"),
+                          ("-", "w: expected an integer, p/q or plain decimal"),
+                          ("1/-2", "w: expected an integer, p/q or plain decimal"),
+                          ("." + "1" * (MAX_DIGITS + 1),
+                           f"w: value longer than {MAX_DIGITS} digits")):
+        with pytest.raises(ValueError) as err:
+            _parse_rational(text, "w")
+        assert str(err.value) == message
+
+
 def test_const_takes_only_exact_values(ctx):
     assert DiffPoly.const(Fraction(1, 6)).terms == {(): Fraction(1, 6)}
     assert DiffPoly.const(-4) == -4
@@ -345,6 +373,18 @@ def test_free_calculus_matches_reference(spec, coord):
     _check(a.partial(coord), ref_partial(ref, coord))
     for i in (0, 1):
         _check(total_derivative(_FREE, i, a), ref_total(i, ref))
+
+
+@_PROPERTY
+@given(_specs(_INTERNAL + _T_JETS))
+def test_monomial_derivative_table_is_only_a_cache(spec):
+    _, a = _build(spec)
+    for ctx, i in ((_FREE, 0), (_FREE, 1), (_EVOLUTION, 0)):
+        kept = total_derivative(ctx, i, a)
+        _DERIVATIVES.clear()
+        fresh = total_derivative(ctx, i, a)
+        assert (fresh.nums, fresh.den) == (kept.nums, kept.den)
+        assert total_derivative(ctx, i, a) == fresh  # from the table just filled
 
 
 @_PROPERTY

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,7 +13,7 @@ from cdcalc import (
 )
 from cdcalc.ops import ScalarCDiffOp
 
-from conftest import SympyJets, rand_operator, rand_poly
+from conftest import SympyJets, rand_operator, rand_poly, ref_adjoint
 
 
 @pytest.fixture
@@ -112,6 +114,57 @@ def test_adjoint_keeps_zero_and_single_term_entries(ctx):
     assert adjoint(op) == parse_operator_matrix(
         "0 ; -1/2*D_{t} - u\nu*D_{x,x} + 2*u_x*D_{x} + u_xx ; 0", ctx)
     assert adjoint(CDiffOp.zero(ctx, 2, 3)) == CDiffOp.zero(ctx, 3, 2)
+
+
+def test_adjoint_takes_each_derivative_once(ctx, monkeypatch):
+    calls = []
+    total = cdcalc.ops.total_derivative
+    monkeypatch.setattr(cdcalc.ops, "total_derivative",
+                        lambda *args: calls.append(args[1]) or total(*args))
+    op = parse_operator_matrix("u*D_{x,x,x}", ctx)
+    # D_x(u), D_{x,x}(u) and D_{x,x,x}(u), one step each
+    assert adjoint(op) == parse_operator_matrix(
+        "-u*D_{x,x,x} - 3*u_x*D_{x,x} - 3*u_xx*D_{x} - u_xxx", ctx)
+    assert calls == [0, 0, 0]
+
+
+def test_adjoint_of_long_mixed_literals(ctx):
+    sigma = ("x",) * 1500 + ("t",) * 1500
+    d = CDiffOp.total(ctx, *sigma)
+    x_d = d.scale(ctx.parse("x"))
+    start = time.perf_counter()
+    assert adjoint(d) == d  # D_x(1) = D_t(1) = 0 end every other split at once
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    # (x D_sigma)* = x D_sigma + C(1500, 1) D_x(x) D_{sigma - x}
+    assert adjoint(x_d) == x_d + CDiffOp.total(ctx, *sigma[1:]).scale(1500)
+    assert time.perf_counter() - start < 1
+
+
+def test_adjoint_gives_each_binomial_term(ctx):
+    sigma = ("x",) * 20 + ("t",) * 20
+    adj = adjoint(CDiffOp.total(ctx, *sigma).scale(ctx.parse("u"))).entries[0][0]
+    # (u D_{x^20 t^20})* = sum over a, b of C(20, a) C(20, b) u_{x^(20-a) t^(20-b)} D_{x^a t^b}
+    assert len(adj.terms) == 441
+    assert adj == ScalarCDiffOp({
+        (0,) * a + (1,) * b: comb(20, a) * comb(20, b) * DiffPoly.var(
+            ctx.jet_coord("u", sigma[a:20] + sigma[20 + b:]))
+        for a in range(21) for b in range(21)})
+
+
+@pytest.mark.parametrize("mode", ["free", "evolution", "u_t = 0"])
+def test_adjoint_matches_reference_definition(mode):
+    if mode == "free":
+        ctx, rng = JetContext.free("x y z", "u v", ("a",)), random.Random(31)
+    else:
+        rule = ["0"] if mode == "u_t = 0" else ["u*u_x + a*u_{x,x,x}"]
+        ctx, rng = JetContext.evolution("u", rule, ("a",)), random.Random(32)
+    rhs = [dict(f.terms) for f in ctx.evolution_rhs] if ctx.is_evolution else None
+    for _ in range(12):
+        op = rand_operator(rng, ctx, 2, 2, max_op_order=3)
+        got = [[{tau: dict(p.terms) for tau, p in e.terms.items()} for e in row]
+               for row in adjoint(op).entries]
+        assert got == ref_adjoint(op, rhs)
 
 
 def test_adjoint_transposes_shape(ctx):
