@@ -12,7 +12,10 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import product
 
-from .jet import JetContext, JetPoint, _at_generic_points, _check_depth
+from .expr import _INTEGER
+from .jet import (
+    _DECLARED, JetContext, JetPoint, _at_generic_points, _check_depth, _declare, _statements,
+)
 from .ops import CDiffOp, parse_scalar_op
 from .spencer import _Tower, _check_fiber_size, jet_fiber_dim
 
@@ -234,42 +237,26 @@ def parse_complex(text: str) -> OperatorComplex:
 
     Entries use the operator-literal grammar; '#' starts a comment.
     """
-    indep: list[str] = []
-    dep: list[str] = []
-    params: list[str] = []
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            lines.append(line.strip())
-
+    lines = [line for _, line in _statements(text)]
+    names = {word: [] for word in _DECLARED}
     pos = 0
     while pos < len(lines) and not lines[pos].startswith("operator"):
-        head, _, rest = lines[pos].partition(" ")
-        if head == "independent":
-            indep.extend(rest.split())
-        elif head == "dependent":
-            dep.extend(rest.split())
-        elif head == "parameter":
-            params.extend(rest.split())
-        else:
+        head = _declare(lines[pos], names)
+        if head is not None:
             raise ValueError(f"unexpected statement before operators: {head!r}")
         pos += 1
-    ctx = JetContext(indep, dep or ("u",), params)
+    ctx = JetContext(names["independent"], names["dependent"] or ("u",), names["parameter"])
 
     operators = []
     orders = []
     while pos < len(lines):
-        header = lines[pos].split()
-        try:
-            if header[0::2] not in (["operator", "->"], ["operator", "->", "order"]) \
-                    or len(header) % 2:
-                raise ValueError
-            cols, rows, *declared = map(int, header[1::2])  # "operator c -> r [order k]"
-            if min(cols, rows) < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad operator header: {lines[pos]!r}") from None
+        header = lines[pos].split()  # "operator c -> r [order k]"
+        numbers = header[1::2]
+        if header[0::2] not in (["operator", "->"], ["operator", "->", "order"]) \
+                or len(header) % 2 or not all(map(_INTEGER.fullmatch, numbers)) \
+                or min(map(int, numbers[:2])) < 1:
+            raise ValueError(f"bad operator header: {lines[pos]!r}")
+        cols, rows, *declared = map(int, numbers)
         pos += 1
         if pos + rows > len(lines):
             raise ValueError("operator block is missing matrix rows")

@@ -535,24 +535,40 @@ def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, comput
     return result, [_DISAGREEMENT] if disagree else []
 
 
+def _statements(text: str) -> list[tuple[int, str]]:
+    """(line number, statement) for each line with text left once a '#' comment is cut."""
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
+_DECLARED = ("independent", "dependent", "parameter")  # JetContext's argument order
+
+
+def _declare(line: str, names: dict) -> str | None:
+    """Extend ``names[head]`` by a declaration's names and give None; give any other head."""
+    head, _, rest = line.partition(" ")
+    if head not in names:
+        return head
+    names[head].extend(rest.split())
+    return None
+
+
 def parse_point_file(text: str, ctx: JetContext, order_bound: int) -> JetPoint:
     """Point file: one ``coord = rational`` per line, '#' comments.
 
     Each name is looked up in a table of the context's coordinate names
     (``_coord_names``), which holds ``u_{x,t}`` and, when every independent
     name is one character, ``u_xt``, up to the highest jet order whose
-    coordinates are no more than the file's lines (files often name jets
+    coordinates are no more than the file's statements (files often name jets
     past ``order_bound``).  Any other spelling (``u_{t,x}``, ``u_{x, t}``)
     and every malformed name go to ``parse_coord``, which reads them as it
-    reads them in expressions and raises its errors.
+    reads them in expressions and raises its errors.  A coordinate given
+    twice is an error.
     """
-    lines = text.splitlines()
-    names = _coord_names(ctx, len(lines))
+    statements = _statements(text)
+    names = _coord_names(ctx, len(statements))
     values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in statements:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'coord = rational'")
         lhs, rhs = line.split("=", 1)
@@ -560,6 +576,8 @@ def parse_point_file(text: str, ctx: JetContext, order_bound: int) -> JetPoint:
         coord = names.get(lhs)
         if coord is None:
             coord = parse_coord(lhs, ctx)
+        if coord in values:
+            raise ValueError(f"line {lineno}: {lhs} is assigned twice")
         values[coord] = _parse_rational(rhs, f"line {lineno}")
     return JetPoint(ctx, order_bound, values)
 
@@ -619,26 +637,15 @@ class Problem:
 
 
 def parse_problem(text: str) -> Problem:
-    indep: list[str] = []
-    dep: list[str] = []
-    params: list[str] = []
+    names = {word: [] for word in _DECLARED}
     equations_src: list[str] = []
     evolution_src: list[tuple[str, str]] = []
     metric = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "independent":
-            indep.extend(rest.split())
-        elif head == "dependent":
-            dep.extend(rest.split())
-        elif head == "parameter":
-            params.extend(rest.split())
-        elif head == "equation":
+    for lineno, line in _statements(text):
+        head = _declare(line, names)
+        rest = line.partition(" ")[2].strip()
+        if head == "equation":
             equations_src.append(rest)
         elif head == "evolution":
             name, eq, rhs = rest.partition("=")
@@ -646,10 +653,13 @@ def parse_problem(text: str) -> Problem:
                 raise ValueError(f"line {lineno}: expected 'evolution u = expr'")
             evolution_src.append((name.strip(), rhs.strip()))
         elif head == "metric":
+            if metric is not None:
+                raise ValueError(f"line {lineno}: a second 'metric' statement")
             metric = _parse_metric(rest, lineno)
-        else:
+        elif head is not None:
             raise ValueError(f"line {lineno}: unknown statement {head!r}")
 
+    indep, dep, params = names.values()
     ctx_free = JetContext(indep, dep, params)
     if equations_src and evolution_src:
         raise ValueError("use either 'equation' or 'evolution' statements, not both")

@@ -22,7 +22,8 @@ from .expr import (
     _sum_by_key, _sum_multiples, _sum_products, format_poly,
 )
 from .jet import (
-    JetContext, _along, _merge_sign, _table, _walk, increasing_tuples, total_derivative,
+    JetContext, _along, _merge_sign, _statements, _table, _walk, increasing_tuples,
+    total_derivative,
 )
 
 MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
@@ -461,12 +462,8 @@ def parse_scalar_op(text: str, ctx: JetContext) -> ScalarCDiffOp:
 
 def parse_operator_matrix(text: str, ctx: JetContext) -> CDiffOp:
     """One matrix row per line, entries separated by ';'."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([parse_scalar_op(cell, ctx) for cell in line.split(";")])
+    rows = [[parse_scalar_op(cell, ctx) for cell in line.split(";")]
+            for _, line in _statements(text)]
     if not rows:
         raise ValueError("empty operator matrix")
     return CDiffOp(ctx, rows)

@@ -9,7 +9,7 @@ as [omega(X), omega(Y)]; it is fixed once and used consistently.
 from __future__ import annotations
 
 from .expr import DiffPoly, _accumulate, format_poly
-from .jet import JetContext, _along, _table, total_derivative
+from .jet import JetContext, _along, _statements, _table, total_derivative
 from .ops import CDiffOp, ScalarCDiffOp
 
 
@@ -145,18 +145,17 @@ def covering_substitute(op: CDiffOp, omega: MatrixForm) -> CDiffOp:
 # ---------------------------------------------------------------------------
 
 def parse_matrix_forms(text: str, ctx: JetContext) -> MatrixForm:
-    """Blocks headed 'A <indep-name>', then d lines of d ';'-separated entries."""
+    """At most one block per name: 'A <indep-name>', then d rows of d ';'-separated entries."""
     blocks: dict[int, list] = {}
     current: list | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _statements(text):
         if line.startswith("A ") or line == "A":
             name = line[1:].strip()
             if name not in ctx.indep_index:
                 raise ValueError(
                     f"line {lineno}: unknown independent variable {name!r}")
+            if ctx.indep_index[name] in blocks:
+                raise ValueError(f"line {lineno}: a second matrix for {name!r}")
             current = []
             blocks[ctx.indep_index[name]] = current
             continue

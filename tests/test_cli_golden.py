@@ -66,6 +66,10 @@ CASES["usage-no-command"] = []
 CASES["usage-missing-argument"] = ["two-line", "--k", "2"]
 CASES["error-missing-file"] = ["linearize", "demos/data/no-such-file.prob"]
 CASES["error-point-name"] = ["symbol", KDV, "--point", "tests/golden/kdv-bad.point"]
+CASES["error-point-line"] = ["symbol", KDV, "--point", "tests/golden/kdv-no-equals.point"]
+CASES["error-complex-header"] = ["exactness", "tests/golden/bad-header.cplx"]
+CASES["error-complex-row"] = ["exactness", "tests/golden/bad-row.cplx"]
+CASES["error-forms-headless"] = ["zcr", KDV, "--forms", "tests/golden/headless.forms"]
 
 
 _SET_ENV = {"COLUMNS": "80", "NO_COLOR": "1"}

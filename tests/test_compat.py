@@ -192,10 +192,11 @@ def test_parse_complex_file(ctx):
 def test_parse_complex_bad_header():
     with pytest.raises(ValueError, match="header"):
         parse_complex("independent x t\ndependent u\noperator 1 2\nD_{x}")
-    # a shape or order that is not an integer, or a shape below 1, is a bad header too
+    # a shape or order that is not an ASCII integer, or a shape below 1, is a bad header too
     for header in ("operator 1 -> y", "operator x -> 1", "operator 1 -> 1 order k",
                    "operator 1 -> 1 order", "operator 1 -> 1 degree 1", "operator -1 -> 1",
-                   "operator 1 -> 0", "operator 0 -> 1", "operator 1 -> -2"):
+                   "operator 1 -> 0", "operator 0 -> 1", "operator 1 -> -2",
+                   "operator \u0661 -> 1", "operator 1_0 -> 1", "operator 1 -> 1 order \u0661"):
         with pytest.raises(ValueError) as info:
             parse_complex(f"independent x t\ndependent u\n{header}\nD_{{x}}")
         assert str(info.value) == f"bad operator header: {header!r}"

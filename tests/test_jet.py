@@ -246,6 +246,13 @@ def test_problem_metric_entries_are_domain_checked():
     assert str(err.value) == "line 4: metric entries must be +1 or -1"
 
 
+def test_parse_problem_rejects_a_second_metric():
+    head = "independent x t\ndependent u\nequation u_t\nmetric diag(1,1)\n"
+    with pytest.raises(ValueError) as err:
+        parse_problem(head + "# the same metric again\nmetric diag(1,1)\n")
+    assert str(err.value) == "line 6: a second 'metric' statement"
+
+
 def test_parse_problem_rejects_mixed():
     text = """
     independent x t
@@ -402,8 +409,18 @@ def test_point_file_rejects_t_derivatives_in_evolution_mode(name):
                               "in evolution mode at offset 0")
 
 
+@pytest.mark.parametrize("again", ["x", "u_xt", "u_{x,t}", "u_{t,x}"])
+def test_point_file_rejects_a_coordinate_given_twice(again):
+    # each spelling names a coordinate that an earlier line set
+    ctx = JetContext.free("x t", "u", "lam")
+    text = f"x = 1\nt = 2\nlam = 0\nu = 3\nu_xt = 4\n\n# again\n{again} = 5\n"
+    with pytest.raises(ValueError) as err:
+        parse_point_file(text, ctx, 2)
+    assert str(err.value) == f"line 8: {again} is assigned twice"
+
+
 def test_point_file_name_table_stops():
-    # evolution mode adds one jet per order, up to the file's line count
+    # evolution mode adds one jet per order, up to the file's statement count
     ctx = JetContext.evolution("u", ["u_{x,x,x}"])
     names = ["x", "t"] + ["u"] + [f"u_{'x' * r}" for r in range(1, 40)]
     text = "".join(f"{name} = {r}\n" for r, name in enumerate(names))

@@ -156,3 +156,14 @@ def test_parse_matrix_forms(kdv_ctx):
 def test_parse_matrix_forms_rejects_ragged(kdv_ctx):
     with pytest.raises(ValueError):
         parse_matrix_forms("A x\n0 ; 1\n2\n", kdv_ctx)
+
+
+
+def test_parse_matrix_forms_rejects_a_second_block(kdv_ctx):
+    # read last-wins, the zero block for x would hide A_x = [[u, 0], [0, 0]]
+    # and the residual would read zero
+    first, zero_x, zero_t = "A x\nu ; 0\n0 ; 0\n", "A x\n0 ; 0\n0 ; 0\n", "A t\n0 ; 0\n0 ; 0\n"
+    with pytest.raises(ValueError) as err:
+        parse_matrix_forms(first + zero_x + zero_t, kdv_ctx)
+    assert str(err.value) == "line 4: a second matrix for 'x'"
+    assert not mc_residual(kdv_ctx, parse_matrix_forms(first + zero_t, kdv_ctx)).is_zero()
