@@ -241,9 +241,9 @@ def parse_complex(text: str) -> OperatorComplex:
     names = {word: [] for word in _DECLARED}
     pos = 0
     while pos < len(lines) and not lines[pos].startswith("operator"):
-        head = _declare(lines[pos], names)
-        if head is not None:
-            raise ValueError(f"unexpected statement before operators: {head!r}")
+        statement = _declare(lines[pos], names)
+        if statement is not None:
+            raise ValueError(f"unexpected statement before operators: {statement[0]!r}")
         pos += 1
     ctx = JetContext(names["independent"], names["dependent"] or ("u",), names["parameter"])
 
@@ -251,6 +251,8 @@ def parse_complex(text: str) -> OperatorComplex:
     orders = []
     while pos < len(lines):
         header = lines[pos].split()  # "operator c -> r [order k]"
+        if header[0] in _DECLARED:
+            raise ValueError(f"declaration after the operators: {lines[pos]!r}")
         numbers = header[1::2]
         if header[0::2] not in (["operator", "->"], ["operator", "->", "order"]) \
                 or len(header) % 2 or not all(map(_INTEGER.fullmatch, numbers)) \

@@ -467,9 +467,10 @@ def _point_coords(ctx: JetContext, order_bound: int):
 
 
 # Bounds on what a rank computation may build, set from a timed sweep (see
-# the README).  They cap size, not time; the slowest accepted request timed
-# took about 3 s (a cokernel of rank 1142 at k1 = 12), and nonconstant
-# coefficients stay within seconds since towers eliminate highest order first.
+# the README).  They cap size, not time; the slowest accepted requests timed
+# take about 0.6 s (cokernels of rank 867 at k1 = 13 and 1142 at k1 = 12),
+# and nonconstant coefficients stay within seconds since towers eliminate
+# highest order first, and tall towers through their transpose.
 MAX_PROLONGATION = 15  # prolongation depth: coker's k1, l_max
 MAX_FIBER_DIM = 2000  # coordinates of a point, a jet fiber or Lambda^i (x) S^r (x) P
 
@@ -544,11 +545,13 @@ def _statements(text: str) -> list[tuple[int, str]]:
 _DECLARED = ("independent", "dependent", "parameter")  # JetContext's argument order
 
 
-def _declare(line: str, names: dict) -> str | None:
-    """Extend ``names[head]`` by a declaration's names and give None; give any other head."""
-    head, _, rest = line.partition(" ")
+def _declare(line: str, names: dict) -> tuple[str, str] | None:
+    """Extend ``names[head]`` by a declaration's names and give None; give any
+    other statement as (head, rest), split at its first run of whitespace."""
+    head, *rest = line.split(None, 1)
+    rest = rest[0] if rest else ""
     if head not in names:
-        return head
+        return head, rest
     names[head].extend(rest.split())
     return None
 
@@ -643,8 +646,7 @@ def parse_problem(text: str) -> Problem:
     metric = None
 
     for lineno, line in _statements(text):
-        head = _declare(line, names)
-        rest = line.partition(" ")[2].strip()
+        head, rest = _declare(line, names) or (None, "")
         if head == "equation":
             equations_src.append(rest)
         elif head == "evolution":

@@ -10,11 +10,22 @@ of its entries after each step.  The column order is the caller's: a rank
 does not depend on it, but the elimination's cost and a kernel basis do.
 ``_kernel_rows`` back-substitutes the same pivot rows to the reduced row
 echelon form and returns the kernel as sparse rows; ``kernel_basis`` is its
-dense view.  No floating point anywhere.
+dense view.
+
+``_prefix_ranks`` gives the ranks of a list's leading rows for several ends
+from one elimination, eliminating the shorter side.  A wide or square list
+(no more rows than nonzero columns) is reduced row by row, each row cleared
+once, and the count of pivots is read at each end.  A tall list's dependent
+rows would each reduce all the way to zero, so its transpose is eliminated
+instead, keyed by row index: row operations on the transpose keep the
+relations among its columns, the original rows, and an echelon basis has
+one pivot set, so the rank of the first ``end`` rows is the number of pivot
+columns below ``end``.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -96,6 +107,32 @@ def _echelon(matrix) -> dict[int, dict[int, int]]:
 def rank(matrix) -> int:
     """Rank over Q: the number of pivots of the sparse elimination."""
     return len(_echelon(matrix))
+
+
+def _prefix_ranks(rows, ends) -> list[int]:
+    """The rank of ``rows[:end]`` for each end of ``ends``, from one elimination.
+
+    ``rows`` are sparse ``{column: value}`` rows; the side eliminated is
+    chosen by the shape of the longest prefix (see the module docstring).
+    """
+    rows = rows[:max(ends, default=0)]
+    columns = {c for row in rows for c in row}
+    if len(rows) <= len(columns):
+        pivots: dict[int, dict[int, int]] = {}
+        independent = []  # the indices of the rows that gave a pivot
+        for i, row in enumerate(rows):
+            row = _int_row(row)
+            lead = _reduce(row, pivots, to_lead=True)
+            if lead is not None:
+                pivots[lead] = row
+                independent.append(i)
+    else:
+        transpose = {c: {} for c in sorted(columns)}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                transpose[c][i] = v
+        independent = sorted(_echelon(transpose.values()))
+    return [bisect_left(independent, end) for end in ends]
 
 
 def _kernel_rows(matrix, n_cols: int) -> list[dict[int, Fraction]]:

@@ -35,7 +35,7 @@ from .jet import (
     JetContext, JetPoint, PointError, _along, _at_generic_points, _check_depth, _check_size,
     _merge_sign, _table, increasing_tuples,
 )
-from .linalg import _kernel_rows, rank
+from .linalg import _kernel_rows, _prefix_ranks, rank
 from .ops import CDiffOp, _left_Di
 
 # ---------------------------------------------------------------------------
@@ -169,10 +169,12 @@ class FiberMap:
         return [[row.get(c, zero) for c in range(self.domain_dim)] for row in self.rows]
 
     def rank(self) -> int:
-        """Eliminated in the orderly ranking of ``_Tower.ranks``: highest graded position first."""
+        """Eliminated as ``_Tower.ranks`` eliminates: in its orderly ranking (highest
+        graded position first), through the transpose when the map is tall."""
         width = self.domain_dim // max(self.source_rank, 1) or 1
-        return rank([{-(c % width) * self.domain_dim - c: v for c, v in row.items()}
-                     for row in self.rows])
+        rows = [{-(c % width) * self.domain_dim - c: v for c, v in row.items()}
+                for row in self.rows]
+        return _prefix_ranks(rows, [len(rows)])[0]
 
 
 def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
@@ -194,13 +196,18 @@ class _Tower:
     first call, are evaluated to unreduced (numerator, denominator) pairs
     and cleared with one lcm.
 
-    ``ranks`` eliminates these rows as they are, in an orderly ranking:
-    column keys fall as |mu| rises, so the elimination (ascending keys)
-    meets the highest-order columns first, where the prolonged rows are
-    nearly in echelon form and the integers stay small.  ``fiber_map``
-    re-keys the same rows.  With constant coefficients the first point's
-    ranks serve every point (a chain samples three points when another of
-    its operators varies).
+    ``ranks`` ranks every level with one elimination of these rows as they
+    are (``linalg._prefix_ranks``), in an orderly ranking: column keys fall
+    as |mu| rises, so the elimination (ascending keys) meets the
+    highest-order columns first, where the prolonged rows are nearly in
+    echelon form and the integers stay small.  The shorter side of the top
+    level is eliminated: a wide or square tower row by row, each row
+    cleared once and the pivots counted at each level's end; a tall one
+    (more rows than nonzero columns, an overdetermined system with a large
+    cokernel) through its transpose, whose columns are the rows in tower
+    order.  ``fiber_map`` re-keys the same rows.  With constant
+    coefficients the first point's ranks serve every point (a chain samples
+    three points when another of its operators varies).
     """
 
     def __init__(self, op: CDiffOp, k: int, levels):
@@ -230,9 +237,11 @@ class _Tower:
                 table.append((scale, [(j, sigma, poly.nums[()] * (scale // poly.den))
                                       for j, e in enumerate(row)
                                       for sigma, poly in e.terms.items()]))
-            return [(scale, {-mu_pos[tuple(sorted(sigma + tau))] * cols - j: c
-                             for j, sigma, c in entries})
-                    for tau in self.taus for scale, entries in table]
+            # for each sigma of the operator, the key of mu = sigma + tau at each tau
+            shifts = {sigma: [-mu_pos[tuple(sorted(sigma + tau))] * cols for tau in self.taus]
+                      for sigma in {sigma for _, entries in table for _, sigma, _ in entries}}
+            return [(scale, {shifts[sigma][t] - j: c for j, sigma, c in entries})
+                    for t in range(len(self.taus)) for scale, entries in table]
         pair = (methodcaller("_evaluate_scaled", *pt.scaled, pt.value) if pt.scaled
                 else lambda poly: poly.evaluate(pt).as_integer_ratio())
         out = []
@@ -248,7 +257,7 @@ class _Tower:
         """The rank of the level-l fiber map at ``pt``, for each level l."""
         if self._ranks is None or not self.constant:
             rows = [row for _, row in self.rows(pt)]
-            self._ranks = {l: rank(rows[:end]) for l, end in self.ends.items()}
+            self._ranks = dict(zip(self.ends, _prefix_ranks(rows, list(self.ends.values()))))
         return self._ranks
 
 

@@ -28,6 +28,8 @@ KDV = "demos/data/kdv.prob"
 POINT = "tests/golden/kdv.point"
 SPELLINGS = "tests/golden/kdv-spellings.point"
 SPLIT = "tests/golden/uxx-utt.prob"
+THREE = "tests/golden/three-equations.prob"  # overdetermined: a tall tower
+XYZ = "tests/golden/xyz.prob"  # one equation: a wide tower
 
 _COMMANDS = {
     "linearize": ["linearize", KDV],
@@ -45,6 +47,8 @@ _COMMANDS = {
     "coker-point": ["coker", KDV, "--k1", "1", "--point", POINT],
     "spencer-point-spellings": ["spencer", KDV, "--l-max", "1", "--point", SPELLINGS],
     "coker-point-spellings": ["coker", KDV, "--k1", "1", "--point", SPELLINGS],
+    "coker-three-equations": ["coker", THREE, "--k1", "4"],
+    "coker-xyz": ["coker", XYZ, "--k1", "4"],
     "kline": ["kline", "--k", "3", "--n", "4"],
     "zcr": ["zcr", KDV, "--forms", "demos/data/kdv_sl2.forms"],
     "two-line": ["two-line", "--k", "3", "--p", "2", "--sign", "+"],

@@ -202,6 +202,17 @@ def test_parse_complex_bad_header():
         assert str(info.value) == f"bad operator header: {header!r}"
 
 
+def test_parse_complex_rejects_a_declaration_after_the_operators():
+    head = "independent x t\ndependent u\noperator 1 -> 2 order 1\nD_{x}\nD_{t}\n"
+    for line in ("independent z", "dependent\tv", "parameter a b"):
+        with pytest.raises(ValueError) as info:
+            parse_complex(head + line + "\noperator 2 -> 1 order 1\n-D_{t} ; D_{x}\n")
+        assert str(info.value) == f"declaration after the operators: {line!r}"
+    # declarations before the operators may be split by any whitespace
+    cplx = parse_complex("independent\tx t\ndependent  u\n" + head.split("\n", 2)[2])
+    assert cplx.ctx.indep == ("x", "t") and cplx.module_ranks == [1, 2]
+
+
 def test_prolongation_requests_are_bounded(ctx):
     for l_max in (-1, MAX_PROLONGATION + 1):
         with pytest.raises(ValueError, match=f"l_max must be in 0..15, got {l_max}"):
@@ -378,6 +389,14 @@ def test_fiber_map_rank_takes_the_tower_order():
     assert tower_rank == jet_fiber_dim(3, 7)
     assert fiber_map(lin, 2, pt).rank() == _oracle_rank(lin, 2, lin.order, pt)
     assert fiber_map(lin, 3, pt, declared_order=3).rank() == _oracle_rank(lin, 3, 3, pt)
+    # a tall map (more rows than nonzero columns) is ranked through its transpose
+    three = parse_problem(_THREE)
+    lin = linearize(three.ctx_free, three.equations)
+    pt = random_point(three.ctx_free, lin.point_order(3), seed=0)
+    fm = fiber_map(lin, 3, pt)
+    assert len(fm.rows) > len({c for row in fm.rows for c in row})
+    assert fm.rank() == _oracle_rank(lin, 3, lin.order, pt) \
+        == cdcalc.spencer._Tower(lin, lin.order, (3,)).ranks(pt)[3]
 
 
 # Row 2 is x times row 1, so every prolonged row of it is a combination of
@@ -457,36 +476,55 @@ def _count_calls(monkeypatch, name, owner=cdcalc.spencer, counts=None):
 
 
 def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
-    counts = _count_calls(monkeypatch, "rank")
+    counts = _count_calls(monkeypatch, "_prefix_ranks")
+    _count_calls(monkeypatch, "rank", counts=counts)
     cplx = derham2(ctx)
     policy = check_formal_exactness(cplx, 3, seed=0)
-    at_policy, counts["rank"] = counts["rank"], 0
+    at_policy, counts["_prefix_ranks"] = counts["_prefix_ranks"], 0
     at_point = check_formal_exactness(cplx, 3, pt=random_point(ctx, 4, seed=0))
-    assert counts["rank"] == at_policy > 0
+    assert counts["_prefix_ranks"] == at_policy > 0
     assert policy.checks == at_point.checks
     grad = dbar_operator(ctx, 0)
-    counts["rank"] = 0
+    counts["_prefix_ranks"] = 0
     assert cokernel_rank(grad, 2, seed=0) == cokernel_rank(grad, 2, pt=random_point(ctx, 2))
-    assert counts["rank"] == 2 + 2
+    assert counts["_prefix_ranks"] == 1 + 1  # one elimination per tower, all levels
+    assert counts["rank"] == 0
 
 
 def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
-    counts = _count_calls(monkeypatch, "rank")
+    counts = _count_calls(monkeypatch, "_prefix_ranks")
+    _count_calls(monkeypatch, "rank", counts=counts)
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
     assert cokernel_rank(kdv, 2, seed=0) == 0
-    assert counts["rank"] == 3 * 2  # levels 0 and k1 at each of three samples
+    assert counts["_prefix_ranks"] == 3  # one call per sample for levels 0 and k1
     # a chain whose middle sample sees a smaller rank still reports it
     op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
     cplx = OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1])
     samples = split_samples(ctx, cplx.required_point_order(1))
     monkeypatch.setattr(cdcalc.jet, "generic_points", lambda *args, **kwargs: samples)
-    counts["rank"] = 0
+    counts["_prefix_ranks"] = 0
     report = check_formal_exactness(cplx, 1, seed=0)
     assert report.warnings == [_DISAGREEMENT]
     # levels 1, 2 of the incoming map at each sample; levels 0, 1 of the
     # constant outgoing map once
-    assert counts["rank"] == 3 * 2 + 2
+    assert counts["_prefix_ranks"] == 3 + 1
+    assert counts["rank"] == 0
     assert report.checks == check_formal_exactness(cplx, 1, pt=samples[0]).checks
+
+
+def test_a_wrong_tower_rank_shows(ctx, monkeypatch):
+    # every tower rank comes from its one elimination: lower the rank of each
+    # tower's top level by one, and the chains report defects and the cokernel moves
+    grad = dbar_operator(ctx, 0)
+    coker = cokernel_rank(grad, 2, seed=0)
+    calls = [_ONE_SAMPLE[case]()[2] for case in ("derham2", "maxwell")]
+    assert not any(c.defect for call in calls for c in call(None, 0)[0])
+    original = cdcalc.spencer._prefix_ranks
+    monkeypatch.setattr(cdcalc.spencer, "_prefix_ranks", lambda rows, ends: [
+        r - (end == max(ends)) for r, end in zip(original(rows, ends), ends)])
+    for call in calls:
+        assert any(c.defect for c in call(None, 0)[0])
+    assert cokernel_rank(grad, 2, seed=0) == coker + 1
 
 
 def test_prolongation_is_built_once_per_call(ctx, monkeypatch):

@@ -253,6 +253,24 @@ def test_parse_problem_rejects_a_second_metric():
     assert str(err.value) == "line 6: a second 'metric' statement"
 
 
+def test_statement_keywords_end_at_any_whitespace():
+    spaced = parse_problem("independent x t\ndependent u v\nparameter a\n"
+                           "equation u_x - a*v\nmetric diag(1,-1)\n")
+    for sep in ("\t", "  ", " \t "):
+        text = (f"independent{sep}x{sep}t\ndependent{sep}u v\nparameter{sep}a\n"
+                f"equation{sep}u_x - a*v\nmetric{sep}diag(1,-1)\n")
+        prob = parse_problem(text)
+        assert (prob.ctx.indep, prob.ctx.dep, prob.ctx.params) == \
+            (spaced.ctx.indep, spaced.ctx.dep, spaced.ctx.params)
+        assert prob.equations == spaced.equations and prob.metric == spaced.metric
+    evolution = parse_problem("independent x t\ndependent u\nevolution\tu = u_{x,x}\n")
+    assert evolution.ctx.is_evolution
+    # an unknown keyword is still named alone
+    with pytest.raises(ValueError) as err:
+        parse_problem("independent x t\nequations\tu_x\n")
+    assert str(err.value) == "line 2: unknown statement 'equations'"
+
+
 def test_parse_problem_rejects_mixed():
     text = """
     independent x t

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc.linalg import _echelon, kernel_basis, rank
+from cdcalc.linalg import _echelon, _prefix_ranks, kernel_basis, rank
 
 from conftest import matmul, sympy_rank
 
@@ -104,3 +104,58 @@ def test_edge_cases():
     assert rank([[0], [0]]) == 0 and kernel_basis([[0], [0]]) == [[1]]
     assert rank([{5: Fraction(1, 9)}]) == 1
     assert kernel_basis([{1: 2}], 3) == [[1, 0, 0], [0, 0, 1]]
+    assert _prefix_ranks([], []) == [] and _prefix_ranks([], [0, 0]) == [0, 0]
+    assert _prefix_ranks([{}, {}], [2, 1]) == [0, 0]
+    # a column: tall, ranked through its transpose
+    column = [{7: 0}, {7: Fraction(-1, 2)}, {7: 3}, {}]
+    assert _prefix_ranks(column, [4, 1, 2, 3, 0]) == [1, 0, 1, 1, 0]
+    # rows past the longest end are not read
+    assert _prefix_ranks([{0: 1}, {1: 1}, {2: 1}], [2]) == [2]
+
+
+def random_sparse_rows(rng, n_rows, n_cols, kind):
+    """Sparse rows over scattered column keys with dependent, repeated and {} rows."""
+    keys = rng.sample(range(-40, 40), n_cols)
+
+    def value():
+        num = rng.randint(-9, 9)
+        return num if kind is int else Fraction(num, rng.randint(1, 6))
+
+    density = rng.choice((0.1, 0.3, 0.6))
+    rows = [{c: v for c in keys if rng.random() < density and (v := value())}
+            for _ in range(n_rows)]
+    for _ in range(max(1, n_rows // 3)):
+        i, a, b = (rng.randrange(n_rows) for _ in range(3))
+        kind_of_row = rng.randrange(3)
+        if kind_of_row == 0:
+            rows[i] = {}
+        elif kind_of_row == 1:
+            rows[i] = dict(rows[a])
+        else:  # a combination of two rows
+            s, t = value() or 1, value() or 1
+            combo = {c: s * rows[a].get(c, 0) + t * rows[b].get(c, 0)
+                     for c in rows[a].keys() | rows[b].keys()}
+            rows[i] = {c: v for c, v in combo.items() if v}
+    return rows
+
+
+def test_prefix_ranks_match_rank_and_sympy():
+    rng = random.Random(20)
+    sides = set()
+    for n_rows, n_cols in [(30, 8), (24, 12), (12, 3), (9, 9), (8, 30), (5, 14), (1, 6), (6, 1)]:
+        for kind in (int, Fraction):
+            for _ in range(3):
+                rows = random_sparse_rows(rng, n_rows, n_cols, kind)
+                kept = [dict(row) for row in rows]
+                ends = [rng.randint(0, n_rows) for _ in range(4)] + [n_rows, 0]
+                ends.append(rng.choice(ends))
+                rng.shuffle(ends)
+                columns = sorted({c for row in rows for c in row})
+                sides.add(len(rows) > len(columns))
+                dense = sympy.Matrix([[row.get(c, 0) for c in columns] for row in rows])
+                want = [rank(rows[:end]) for end in ends]
+                assert _prefix_ranks(rows, ends) == want
+                assert want == [dense[:end, :].rank() if end and columns else 0
+                                for end in ends]
+                assert rows == kept  # the caller's rows are left as they were
+    assert sides == {False, True}  # both sides eliminated
