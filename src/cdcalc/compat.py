@@ -114,11 +114,12 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     order (k_i + k_{i+1} + l) -> order (k_{i+1} + l) -> order l,
     and the defect is dim ker(outgoing) - rank(incoming), which is
     nonnegative by the complex property.  Each operator's prolongation
-    tower is built once per call, never kept between calls, and ranked only
-    at the levels of its two roles (once, if its coefficients are constant).
-    With no explicit point the policy takes one sample when every operator
-    has constant coefficients (every sample gives the same ranks) and three
-    otherwise.
+    tower is built once per call, never kept between calls (only the index
+    tables the towers share outlive it), and ranked only at the levels of
+    its two roles (once, if its coefficients are constant).  With no
+    explicit point the policy takes one sample when every operator has
+    constant coefficients (every sample gives the same ranks) and three
+    otherwise; with constant coefficients no point's values are drawn.
     """
     ops, orders = cplx.operators, cplx.orders
     if len(ops) < 2:

@@ -13,7 +13,7 @@ import itertools
 import random
 from bisect import insort
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 from .expr import (
@@ -418,7 +418,9 @@ class JetPoint:
     evolution mode).  Lookups beyond the bound raise PointError.  ``scaled``
     is ``(den, numerators)``, the values over their common denominator keyed
     by coordinate id, for ``DiffPoly.evaluate``; None when that denominator
-    exceeds ``MAX_POINT_DENOMINATOR``.
+    exceeds ``MAX_POINT_DENOMINATOR``.  A point from ``random_point`` draws
+    its ``values``, then ``scaled``, on first read: a computation that reads
+    no coefficient (constant coefficients) never draws them.
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, values: dict):
@@ -429,8 +431,7 @@ class JetPoint:
             if coord not in self.values:
                 raise PointError(
                     f"point is missing {format_coord(coord, ctx)}")
-        self.scaled = _over_common_denominator(
-            {_coord_id(c): v for c, v in self.values.items()}, MAX_POINT_DENOMINATOR)
+        self.scaled = _scaled(self.values)
 
     def __reduce__(self):
         # rebuilt from the values: ``scaled`` is keyed by ids local to one process
@@ -449,6 +450,32 @@ class JetPoint:
 
     def __repr__(self):
         return f"JetPoint(order<={self.order_bound}, {len(self.values)} values)"
+
+
+def _scaled(values: dict) -> tuple[int, dict] | None:
+    """A point's ``scaled``: its values over their common denominator, keyed by id."""
+    return _over_common_denominator(
+        {_coord_id(c): v for c, v in values.items()}, MAX_POINT_DENOMINATOR)
+
+
+class _DrawnPoint(JetPoint):
+    """A ``random_point`` whose values are drawn on first read, then kept.
+
+    Pickled as the plain ``JetPoint`` of its values (``JetPoint.__reduce__``).
+    """
+
+    def __init__(self, ctx: JetContext, order_bound: int, seed: int):
+        self.ctx = ctx
+        self.order_bound = order_bound
+        self.seed = seed
+
+    @cached_property
+    def values(self) -> dict:
+        return _draw(self.ctx, self.order_bound, self.seed)
+
+    @cached_property
+    def scaled(self):
+        return _scaled(self.values)
 
 
 def _point_coords(ctx: JetContext, order_bound: int):
@@ -487,16 +514,24 @@ def _check_size(dim: int, what: str) -> None:
 
 
 def random_point(ctx: JetContext, order_bound: int, seed: int = 0) -> JetPoint:
-    """Seeded random point: numerators in +-1..9, denominators in 1..4."""
+    """Seeded random point: numerators in +-1..9, denominators in 1..4.
+
+    The size is checked here; the values are drawn on first read.
+    """
     per_dep = order_bound + 1 if ctx.is_evolution else comb(ctx.n + order_bound, ctx.n)
     _check_size(ctx.m * per_dep, f"a point of jet order {order_bound}")
+    return _DrawnPoint(ctx, order_bound, seed)
+
+
+def _draw(ctx: JetContext, order_bound: int, seed: int) -> dict:
+    """The values of ``random_point``, in ``_point_coords`` order from one seeded stream."""
     rng = random.Random(1000003 * seed + 7)
     values = {}
     for coord in _point_coords(ctx, order_bound):
         num = rng.randint(1, 9) * rng.choice((1, -1))
         den = rng.randint(1, 4)
         values[coord] = Fraction(num, den)
-    return JetPoint(ctx, order_bound, values)
+    return values
 
 
 def generic_points(ctx: JetContext, order_bound: int, seed: int = 0,
@@ -520,7 +555,9 @@ def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, comput
     Random samples only guard against a draw on the zero set of a nonzero
     polynomial minor (Schwartz, J. ACM 27, 1980); with constant coefficients
     the matrices, hence the ranks, are the same at every point, so one sample
-    is exact.  Returns the result with the lexicographically maximal profile
+    is exact.  A sample's values are drawn when ``compute`` first reads them
+    (``random_point``), so a computation that reads no coefficient draws
+    none.  Returns the result with the lexicographically maximal profile
     and the list of warnings: one when the samples' profiles disagree.
     """
     if pt is not None:

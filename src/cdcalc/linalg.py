@@ -93,15 +93,21 @@ def _reduce(row: dict, pivots: dict, to_lead: bool) -> int | None:
     return None
 
 
-def _echelon(matrix) -> dict[int, dict[int, int]]:
-    """Primitive integer pivot rows of ``matrix``, keyed by leading column."""
+def _pivot_rows(matrix):
+    """Yield (index, lead, row) for each row of ``matrix`` that gives a pivot:
+    the row primitive over int, reduced against the pivot rows before it."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in matrix:
+    for i, row in enumerate(matrix):
         row = _int_row(row)
         lead = _reduce(row, pivots, to_lead=True)
         if lead is not None:
             pivots[lead] = row
-    return pivots
+            yield i, lead, row
+
+
+def _echelon(matrix) -> dict[int, dict[int, int]]:
+    """Primitive integer pivot rows of ``matrix``, keyed by leading column."""
+    return {lead: row for _, lead, row in _pivot_rows(matrix)}
 
 
 def rank(matrix) -> int:
@@ -118,14 +124,7 @@ def _prefix_ranks(rows, ends) -> list[int]:
     rows = rows[:max(ends, default=0)]
     columns = {c for row in rows for c in row}
     if len(rows) <= len(columns):
-        pivots: dict[int, dict[int, int]] = {}
-        independent = []  # the indices of the rows that gave a pivot
-        for i, row in enumerate(rows):
-            row = _int_row(row)
-            lead = _reduce(row, pivots, to_lead=True)
-            if lead is not None:
-                pivots[lead] = row
-                independent.append(i)
+        independent = [i for i, _, _ in _pivot_rows(rows)]
     else:
         transpose = {c: {} for c in sorted(columns)}
         for i, row in enumerate(rows):

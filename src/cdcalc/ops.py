@@ -106,11 +106,13 @@ class CDiffOp:
     ``(op2 @ op1)(v) == op2(op1(v))``), and combine with ``+``/``-``.
     """
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ("ctx", "entries", "_jet_order", "_constant")
 
     def __init__(self, ctx: JetContext, entries):
         self.ctx = ctx
         self.entries = tuple(tuple(row) for row in entries)
+        # filled on first call: an operator is not changed once built
+        self._jet_order = self._constant = None
         if not self.entries or not self.entries[0]:
             raise ValueError("operator matrix must be at least 1x1")
         width = len(self.entries[0])
@@ -158,7 +160,9 @@ class CDiffOp:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def coefficient_jet_order(self) -> int:
-        return max(e.coefficient_jet_order() for row in self.entries for e in row)
+        if self._jet_order is None:
+            self._jet_order = max(e.coefficient_jet_order() for row in self.entries for e in row)
+        return self._jet_order
 
     def point_order(self, depth: int) -> int:
         """Jet order a point needs for the coefficients and ``depth`` derivatives of them.
@@ -174,10 +178,16 @@ class CDiffOp:
         """Whether no coefficient can vary with the point: every coefficient,
         or with ``order`` those of the terms of that order (what ``symbol``
         reads).  Total derivatives of a constant vanish, so every
-        prolongation of such an operator is constant too.
+        prolongation of such an operator is constant too.  The answer for
+        every coefficient is kept after the first call.
         """
-        return all(set(poly.nums) <= {()} for row in self.entries for e in row
-                   for sigma, poly in e.terms.items() if order in (None, len(sigma)))
+        if order is None and self._constant is not None:
+            return self._constant
+        constant = all(set(poly.nums) <= {()} for row in self.entries for e in row
+                       for sigma, poly in e.terms.items() if order in (None, len(sigma)))
+        if order is None:
+            self._constant = constant
+        return constant
 
     def __eq__(self, other):
         if not isinstance(other, CDiffOp):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb, lcm
 from operator import methodcaller
 
@@ -54,6 +54,29 @@ def multiindices_upto(n: int, r: int) -> list[tuple[int, ...]]:
     for d in range(r + 1):
         out.extend(multiindices(n, d))
     return out
+
+
+# The graded position of mu is the same in every multiindices_upto(n, r) with
+# r >= |mu|.  The towers share these tables, keyed by sizes that passed
+# _check_fiber_size; they hold index tuples only, never an operator or point.
+
+@cache
+def _positions(n: int, r: int) -> dict[tuple[int, ...], int]:
+    """{mu: graded position} over the multi-indices of length <= r."""
+    return {mu: c for c, mu in enumerate(multiindices_upto(n, r))}
+
+
+@cache
+def _taus(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """``multiindices_upto(n, r)`` as a shared tuple: a tower's tau list."""
+    return tuple(multiindices_upto(n, r))
+
+
+@cache
+def _shifted(n: int, top: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """The graded position of sigma + tau for each tau of ``_taus(n, top)``."""
+    positions = _positions(n, top + len(sigma))
+    return tuple(positions[tuple(sorted(sigma + tau))] for tau in _taus(n, top))
 
 
 def sym_dim(n: int, r: int) -> int:
@@ -192,9 +215,12 @@ class _Tower:
     row (tau, s) as ``(scale, {-(graded position of mu) * cols - j: c})``,
     entry (j, mu) being c / scale.  With constant coefficients it is row s
     of the operator over one lcm, shifted by tau: nothing is prolonged or
-    evaluated.  Otherwise the prolongations D_tau(entries), made on the
-    first call, are evaluated to unreduced (numerator, denominator) pairs
-    and cleared with one lcm.
+    evaluated, and the point's values are never read.  Otherwise the
+    prolongations D_tau(entries), made on the first call, are evaluated to
+    unreduced (numerator, denominator) pairs and cleared with one lcm.  The
+    tau list, the graded positions and the positions of sigma + tau are
+    index tables shared by every tower (``_taus``, ``_positions``,
+    ``_shifted``), keyed by sizes and multi-indices only.
 
     ``ranks`` ranks every level with one elimination of these rows as they
     are (``linalg._prefix_ranks``), in an orderly ranking: column keys fall
@@ -213,9 +239,9 @@ class _Tower:
     def __init__(self, op: CDiffOp, k: int, levels):
         self.op = op
         self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
-        self.taus = multiindices_upto(op.ctx.n, max(self.ends))
-        self.mu_pos = {mu: c for c, mu in enumerate(
-            multiindices_upto(op.ctx.n, k + max(self.ends)))}
+        self.top = max(self.ends)
+        self.taus = _taus(op.ctx.n, self.top)
+        self.mu_pos = _positions(op.ctx.n, k + self.top)
         self.constant = op.has_constant_coefficients()
         self.prolonged = None
         self._ranks = None
@@ -238,7 +264,8 @@ class _Tower:
                                       for j, e in enumerate(row)
                                       for sigma, poly in e.terms.items()]))
             # for each sigma of the operator, the key of mu = sigma + tau at each tau
-            shifts = {sigma: [-mu_pos[tuple(sorted(sigma + tau))] * cols for tau in self.taus]
+            n, top = self.op.ctx.n, self.top
+            shifts = {sigma: [-pos * cols for pos in _shifted(n, top, sigma)]
                       for sigma in {sigma for _, entries in table for _, sigma, _ in entries}}
             return [(scale, {shifts[sigma][t] - j: c for j, sigma, c in entries})
                     for t in range(len(self.taus)) for scale, entries in table]

@@ -69,6 +69,20 @@ def split_samples(ctx: JetContext, order: int) -> list[JetPoint]:
     return samples
 
 
+def count_draws(monkeypatch) -> list:
+    """The (ctx, order_bound, seed) of each random point whose values get drawn."""
+    import cdcalc.jet
+    draws = []
+    original = cdcalc.jet._draw
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cdcalc.jet, "_draw", counted)
+    return draws
+
+
 def matmul(a, b) -> list[list[Fraction]]:
     """Product of two dense rational matrices (a test oracle for the maps)."""
     if a and b and len(a[0]) != len(b):

@@ -21,7 +21,7 @@ from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
 from cdcalc.spencer import fiber_map, jet_fiber_dim
 
-from conftest import rand_operator, split_samples, sympy_rank
+from conftest import count_draws, rand_operator, split_samples, sympy_rank
 
 
 @pytest.fixture
@@ -652,3 +652,27 @@ def test_variable_coefficients_take_three_samples(ctx, monkeypatch):
     # a symbol with a nonconstant coefficient
     spencer_cohomology(linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")]), 1, seed=0)
     assert drawn == [3, 3, 3]
+
+
+# ---------------------------------------------------------------------------
+# What each call reads of its points
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", sorted(set(_ONE_SAMPLE) - {"kdv-spencer"}))
+def test_constant_coefficients_read_no_point_values(case, monkeypatch):
+    ctx, needed, call = _ONE_SAMPLE[case]()
+    draws = count_draws(monkeypatch)
+    policy = call(None, 3)
+    assert call(random_point(ctx, needed, seed=3), 3) == policy
+    assert draws == []
+
+
+def test_the_kdv_linearization_reads_each_of_its_samples(ctx, monkeypatch):
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    cplx = OperatorComplex([kdv, CDiffOp.zero(ctx, 1, 1)], orders=[3, 1])
+    draws = count_draws(monkeypatch)
+    assert cokernel_rank(kdv, 2, seed=4) == 0
+    assert check_formal_exactness(cplx, 1, seed=5).checks
+    # generic_points' seeds: seed * 3 + k for its three samples
+    assert [seed for _, _, seed in draws] == [12, 13, 14, 15, 16, 17]

@@ -1,18 +1,20 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import cdcalc.jet
 from cdcalc import (
-    DiffPoly, HorizontalForm, JetContext, PointError, dbar, format_form, format_poly,
-    linearize, parse_point_file, parse_problem, random_point, total_derivative,
-    total_derivative_sigma, wedge,
+    DiffPoly, HorizontalForm, JetContext, JetPoint, PointError, dbar, format_form,
+    format_poly, linearize, parse_point_file, parse_problem, random_point,
+    total_derivative, total_derivative_sigma, wedge,
 )
-from cdcalc.expr import INDEP, JET, MAX_DIGITS, Coord, ParseError
+from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, Coord, ParseError
 from cdcalc.jet import _coord_names
 
-from conftest import SympyJets, rand_poly
+from conftest import SympyJets, count_draws, rand_poly
 
 
 @pytest.fixture
@@ -195,6 +197,64 @@ def test_random_point_and_errors(ctx):
         pt.value(ctx.jet_coord("u", ("x",) * 5))
     pt2 = random_point(ctx, 2, seed=0)
     assert pt.values == pt2.values  # determinism
+
+
+def _eager_values(ctx, order_bound, seed):
+    """The values ``random_point`` drew before points were drawn lazily: one
+    seeded stream over the independents, the parameters, then each u^j's
+    jets by order (internal ones only, in evolution mode)."""
+    coords = [Coord(INDEP, i) for i in range(ctx.n)]
+    coords += [Coord(PARAM, i) for i in range(len(ctx.params))]
+    for j in range(ctx.m):
+        for r in range(order_bound + 1):
+            sigmas = ([(0,) * r] if ctx.is_evolution
+                      else itertools.combinations_with_replacement(range(ctx.n), r))
+            coords += [Coord(JET, j, sigma) for sigma in sigmas]
+    rng = random.Random(1000003 * seed + 7)
+    values = {}
+    for coord in coords:
+        num = rng.randint(1, 9) * rng.choice((1, -1))
+        den = rng.randint(1, 4)
+        values[coord] = Fraction(num, den)
+    return values
+
+
+_POINT_CONTEXTS = [JetContext.free("x", "u"), JetContext.free("x t", "u v", "a"),
+                   JetContext.free("x y z", "u"), JetContext.free("x y z w", "u v", "a b"),
+                   JetContext.evolution("u v", ["u_xx + v*u", "-v_xxx"], ["c"])]
+
+
+@pytest.mark.parametrize("ctx", _POINT_CONTEXTS, ids=repr)
+def test_drawn_points_give_the_eager_values(ctx):
+    for order_bound, seed in itertools.product(range(4), (0, 1, 5)):
+        pt = random_point(ctx, order_bound, seed)
+        want = _eager_values(ctx, order_bound, seed)
+        assert list(pt.values.items()) == list(want.items())  # same values, same order
+        assert pt.scaled == JetPoint(ctx, order_bound, want).scaled
+        twin = pickle.loads(pickle.dumps(random_point(ctx, order_bound, seed)))
+        assert type(twin) is JetPoint
+        assert (twin.ctx, twin.order_bound, twin.values) == (ctx, order_bound, want)
+        assert twin.scaled == pt.scaled
+
+
+def test_points_are_drawn_on_first_read(ctx, monkeypatch):
+    draws = count_draws(monkeypatch)
+    pt = random_point(ctx, 2, seed=3)
+    assert (pt.order_bound, draws) == (2, [])
+    value = pt.value(ctx.jet_coord("u", ("x",)))
+    assert value == pt.values[ctx.jet_coord("u", ("x",))] and pt.scaled is not None
+    assert len(draws) == 1  # values drawn once, then kept
+
+
+def test_an_oversized_point_is_refused_before_anything_is_drawn(monkeypatch):
+    draws = count_draws(monkeypatch)
+    coords = []
+    monkeypatch.setattr(cdcalc.jet, "_point_coords", lambda *args: coords.append(args))
+    with pytest.raises(ValueError) as caught:
+        random_point(JetContext.free("x y z w", "u v"), 15)
+    # 2 * C(19, 4) jets
+    assert str(caught.value) == "a point of jet order 15 has 7752 coordinates, more than 2000"
+    assert draws == coords == []
 
 
 def test_parse_point_file(ctx):

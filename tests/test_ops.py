@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from cdcalc import (
     format_operator, green_remainder, linearize, pairing,
     parse_operator_matrix, parse_scalar_op, total_derivative,
 )
+from cdcalc.expr import JET
 from cdcalc.ops import ScalarCDiffOp
 
 from conftest import SympyJets, rand_operator, rand_poly, ref_adjoint
@@ -376,3 +378,37 @@ def test_operator_literal_grammar(ctx):
     assert op.terms[()] == ctx.parse("u^2")
     with pytest.raises(Exception):
         parse_scalar_op("D_{x}*u", ctx)
+
+
+def _fresh_facts(op):
+    """coefficient_jet_order and has_constant_coefficients(order) for each order,
+    read from the coefficients' coordinates."""
+    polys = [(len(sigma), poly) for row in op.entries for e in row
+             for sigma, poly in e.terms.items()]
+    jet_order = max((len(c.sigma) for _, poly in polys for c in poly.coords()
+                     if c.kind == JET), default=0)
+    constant = {order: not any(poly.coords() for k, poly in polys if order in (None, k))
+                for order in (None, *range(op.order + 2))}
+    return jet_order, constant
+
+
+def _facts(op):
+    return op.coefficient_jet_order(), {order: op.has_constant_coefficients(order)
+                                        for order in (None, *range(op.order + 2))}
+
+
+def test_operator_facts_are_kept_and_equal_a_fresh_computation(ctx):
+    rng = random.Random(29)
+    ops = [rand_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2),
+                         max_coeff_order=rng.randint(0, 2)) for _ in range(40)]
+    ops += [dbar_operator(ctx, 0), CDiffOp.total(ctx, "x", "t"), CDiffOp.zero(ctx, 1, 2),
+            linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])]
+    constants = set()
+    for op in ops:
+        want = _fresh_facts(op)
+        unread = pickle.loads(pickle.dumps(op))  # pickled before the facts are filled
+        assert _facts(op) == _facts(op) == want  # the first call fills, the second reads
+        for twin in (unread, pickle.loads(pickle.dumps(op))):
+            assert twin == op and _facts(twin) == _fresh_facts(twin) == want
+        constants.add(want[1][None])
+    assert constants == {True, False}

@@ -1,22 +1,26 @@
+import gc
+import itertools
 import random
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import cdcalc.spencer
 from cdcalc import (
-    CDiffOp, DiffPoly, JetContext, dbar_operator, delta_map, fiber_map,
-    is_involutive, linearize, random_point, spencer_cohomology, symbol,
-    two_line_polynomial,
+    CDiffOp, DiffPoly, JetContext, OperatorComplex, check_formal_exactness, cokernel_rank,
+    dbar_operator, delta_map, fiber_map, is_involutive, linearize, random_point,
+    spencer_cohomology, symbol, two_line_polynomial,
 )
 from cdcalc.linalg import rank
 from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
 from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.spencer import (
-    MAX_TWO_LINE_TERMS, graded_symbol_matrix, multiindices, sym_dim,
-    symbol_kernel_basis,
+    MAX_TWO_LINE_TERMS, _positions, _shifted, _taus, _Tower, graded_symbol_matrix,
+    multiindices, multiindices_upto, sym_dim, symbol_kernel_basis,
 )
 
 from conftest import matmul, rand_operator, sympy_rank
@@ -334,3 +338,71 @@ def test_table_size_is_bounded_at_its_edge():
     report = spencer_cohomology(op, 10, pt=random_point(ctx, 0, seed=1))
     assert time.perf_counter() - start < 10
     assert report.first_failure is None
+
+
+# ---------------------------------------------------------------------------
+# The graded index tables the prolongation towers share
+# ---------------------------------------------------------------------------
+
+
+def test_index_tables_equal_direct_lookups():
+    for n in range(1, 6):
+        for r in range(4):
+            basis = multiindices_upto(n, r)
+            assert _taus(n, r) == tuple(basis)
+            assert _positions(n, r) == {mu: basis.index(mu) for mu in basis}
+        wide = multiindices_upto(n, 5)
+        for top, sigma in itertools.product(range(3), multiindices_upto(n, 2)):
+            assert _shifted(n, top, sigma) == tuple(
+                wide.index(tuple(sorted(sigma + tau))) for tau in multiindices_upto(n, top))
+    # the public basis stays the caller's own list
+    assert multiindices_upto(2, 2) is not multiindices_upto(2, 2)
+
+
+def _constant_operator(rng, ctx, rows, cols, order):
+    """Seeded constant coefficients; entry (0, 0) has a term of the full order."""
+    def entry(top):
+        terms = {tuple(sorted(rng.randrange(ctx.n) for _ in range(rng.randint(0, order)))):
+                 DiffPoly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                 for _ in range(rng.randint(0, 3))}
+        if top:
+            terms[(0,) * order] = DiffPoly.const(rng.choice((1, -2, Fraction(3, 2))))
+        return ScalarCDiffOp({sigma: c for sigma, c in terms.items() if c})
+    return CDiffOp(ctx, [[entry(s == j == 0) for j in range(cols)] for s in range(rows)])
+
+
+def test_constant_tower_ranks_equal_the_dense_fiber_map_ranks():
+    rng = random.Random(61)
+    for n, levels in ((2, 3), (3, 2), (4, 1)):
+        ctx = JetContext.free("x y z w"[:2 * n - 1], "u v")
+        for order in (1, 2):
+            for _ in range(2):
+                op = _constant_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2), order)
+                pt = random_point(ctx, levels)
+                ranks = _Tower(op, order, range(levels + 1)).ranks(pt)
+                assert ranks == {l: sympy_rank(fiber_map(op, l, pt, declared_order=order).matrix)
+                                 for l in range(levels + 1)}
+
+
+def test_index_tables_are_keyed_by_sizes_and_multiindices(monkeypatch):
+    keys = []
+
+    def recording(table):
+        def record(*args):
+            keys.append(args)
+            return table(*args)
+        return record
+
+    for name in ("_positions", "_taus", "_shifted"):
+        monkeypatch.setattr(cdcalc.spencer, name, recording(getattr(cdcalc.spencer, name)))
+    ctx = JetContext.free("x y z", "u")
+    pt = random_point(ctx, 4)
+    kept = weakref.ref(pt)
+    check_formal_exactness(OperatorComplex([dbar_operator(ctx, q) for q in range(3)]), 1, pt=pt)
+    cokernel_rank(linearize(ctx, [ctx.parse("u_x*u_{y,z} - u")]), 2, pt=pt)
+    # n, r, top and multi-indices: no operator, point or tower is a key
+    assert keys and {type(v) for key in keys for v in key} == {int, tuple}
+    assert all(type(i) is int for key in keys for v in key if type(v) is tuple for i in v)
+    del pt
+    gc.collect()
+    assert kept() is None  # nor is the point kept elsewhere
