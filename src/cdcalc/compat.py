@@ -128,15 +128,23 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     n = cplx.ctx.n
     towers = []
 
+    def roles(idx, l):
+        _check_fiber_size(ops[idx], orders[idx], orders[idx + 1] + l)
+        _check_fiber_size(ops[idx + 1], orders[idx + 1], l)
+
     def run(point):
         if not towers:
             levels = [set() for _ in ops]
-            for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
-                _check_fiber_size(ops[idx], orders[idx], orders[idx + 1] + l)
-                _check_fiber_size(ops[idx + 1], orders[idx + 1], l)
-                levels[idx].add(orders[idx + 1] + l)
-                levels[idx + 1].add(l)
-            towers.extend(map(_Tower, ops, orders, levels))
+            for idx in range(len(ops) - 1):
+                try:  # fibers grow with l: scan the levels only if the largest fails
+                    roles(idx, l_max)
+                except ValueError:
+                    for l in range(l_max):
+                        roles(idx, l)
+                    raise
+                levels[idx].update(range(orders[idx + 1], orders[idx + 1] + l_max + 1))
+                levels[idx + 1].update(range(l_max + 1))
+            towers.extend(map(_Tower, ops, levels))
         ranks = [tower.ranks(point) for tower in towers]
         checks = []
         for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
@@ -177,7 +185,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
         if not towers:
             _check_fiber_size(op, op.order, 0)
             _check_fiber_size(op, op.order, k1)
-            towers.append(_Tower(op, op.order, (0, k1)))
+            towers.append(_Tower(op, (0, k1)))
         ranks = towers[0].ranks(point)
         if ranks[0] != op.rows:
             raise ValueError(

@@ -294,9 +294,9 @@ class DiffPoly:
         (a JetPoint's ``scaled`` is then that denominator and the values'
         int numerators over it, keyed by coordinate id), the sum is taken in
         int by ``_evaluate_scaled``, and its unreduced (numerator,
-        denominator) pair becomes one Fraction here (a prolongation tower's
-        rows, ``spencer._Tower.rows``, take the pair as it is and clear each
-        row with one lcm); otherwise each value is a Fraction.  Raises
+        denominator) pair becomes one Fraction here (a prolongation tower,
+        ``spencer._Tower.rows``, takes the pairs as they are and brings them
+        to one lcm per point); otherwise each value is a Fraction.  Raises
         EvaluationError naming the first unassigned coordinate of a mapping.
         """
         if hasattr(assignment, "value"):

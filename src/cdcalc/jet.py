@@ -495,9 +495,10 @@ def _point_coords(ctx: JetContext, order_bound: int):
 
 # Bounds on what a rank computation may build, set from a timed sweep (see
 # the README).  They cap size, not time; the slowest accepted requests timed
-# take about 0.6 s (cokernels of rank 867 at k1 = 13 and 1142 at k1 = 12),
-# and nonconstant coefficients stay within seconds since towers eliminate
-# highest order first, and tall towers through their transpose.
+# take about 0.3 s (the cokernel of rank 867 at k1 = 13, and the x y z
+# system at k1 = 15), and nonconstant coefficients stay within seconds since
+# towers eliminate highest order first, and tall towers through their
+# transpose.
 MAX_PROLONGATION = 15  # prolongation depth: coker's k1, l_max
 MAX_FIBER_DIM = 2000  # coordinates of a point, a jet fiber or Lambda^i (x) S^r (x) P
 

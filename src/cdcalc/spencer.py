@@ -24,19 +24,20 @@ symbol kernels), which the implementation asserts.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import comb, lcm
-from operator import methodcaller
+from operator import methodcaller, mul
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
-    JetContext, JetPoint, PointError, _along, _at_generic_points, _check_depth, _check_size,
-    _merge_sign, _table, increasing_tuples,
+    JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
+    _merge_sign, increasing_tuples, total_derivative,
 )
 from .linalg import _kernel_rows, _prefix_ranks, rank
-from .ops import CDiffOp, _left_Di
+from .ops import CDiffOp
 
 # ---------------------------------------------------------------------------
 # Multi-index bases
@@ -50,10 +51,7 @@ def multiindices(n: int, r: int) -> list[tuple[int, ...]]:
 
 def multiindices_upto(n: int, r: int) -> list[tuple[int, ...]]:
     """All multi-indices of length <= r, by (length, lex); jet-fiber basis."""
-    out = []
-    for d in range(r + 1):
-        out.extend(multiindices(n, d))
-    return out
+    return [mu for d in range(r + 1) for mu in multiindices(n, d)]
 
 
 # The graded position of mu is the same in every multiindices_upto(n, r) with
@@ -79,6 +77,16 @@ def _shifted(n: int, top: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(positions[tuple(sorted(sigma + tau))] for tau in _taus(n, top))
 
 
+@cache
+def _binomials(n: int, r: int, nu: tuple[int, ...]) -> tuple[int, ...]:
+    """C(nu + rho, nu), the product of C(nu_i + rho_i, nu_i), for each rho of ``_taus(n, r)``."""
+    out = (1,) * len(_taus(n, r))
+    for i in set(nu):
+        factor = [comb(nu.count(i) + c, c) for c in range(r + 1)].__getitem__
+        out = tuple(map(mul, out, map(factor, map(methodcaller("count", i), _taus(n, r)))))
+    return out
+
+
 def sym_dim(n: int, r: int) -> int:
     return comb(n + r - 1, n - 1) if r >= 0 else 0
 
@@ -88,9 +96,8 @@ def jet_fiber_dim(n: int, r: int) -> int:
 
 
 def _remove_one(sigma: tuple, i: int) -> tuple:
-    out = list(sigma)
-    out.remove(i)
-    return tuple(out)
+    pos = sigma.index(i)
+    return sigma[:pos] + sigma[pos + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +126,9 @@ class SymbolMatrix:
 def symbol(op: CDiffOp, pt: JetPoint) -> SymbolMatrix:
     """Degree-k part of the operator with coefficients evaluated at ``pt``."""
     k = op.order
-    entries: dict = {}
-    for s in range(op.rows):
-        for j in range(op.cols):
-            cell = {}
-            for sigma, poly in op.entries[s][j].terms.items():
-                if len(sigma) != k:
-                    continue
-                value = poly.evaluate(pt)
-                if value:
-                    cell[sigma] = value
-            if cell:
-                entries[(s, j)] = cell
+    entries = {(s, j): cell for s, row in enumerate(op.entries) for j, e in enumerate(row)
+               if (cell := {sigma: value for sigma, poly in e.terms.items()
+                            if len(sigma) == k and (value := poly.evaluate(pt))})}
     return SymbolMatrix(op.ctx.n, op.rows, op.cols, k, entries)
 
 
@@ -211,16 +209,18 @@ class _Tower:
 
     Built for one call, whose sample points share it.  Rows are (tau, s) in
     graded tau order, over the columns (j, mu) of the top level's fiber map
-    (declared order k), so level l is a prefix of them.  ``rows(pt)`` gives
+    (any declared order), so level l is a prefix of them.  ``rows(pt)`` gives
     row (tau, s) as ``(scale, {-(graded position of mu) * cols - j: c})``,
-    entry (j, mu) being c / scale.  With constant coefficients it is row s
-    of the operator over one lcm, shifted by tau: nothing is prolonged or
-    evaluated, and the point's values are never read.  Otherwise the
-    prolongations D_tau(entries), made on the first call, are evaluated to
-    unreduced (numerator, denominator) pairs and cleared with one lcm.  The
-    tau list, the graded positions and the positions of sigma + tau are
-    index tables shared by every tower (``_taus``, ``_positions``,
-    ``_shifted``), keyed by sizes and multi-indices only.
+    entry (j, mu) being c / scale, by the Leibniz rule at the point:
+    D_tau(a D_sigma) is the sum of C(tau, nu) D_nu(a) D_{sigma + rho} over
+    nu + rho = tau.  Each nonzero D_nu a, |nu| <= top, is taken once per call
+    from the one before it (a zero ends its branch) and evaluated once per
+    point, all over one lcm.  The nu = () part is row s of the operator
+    shifted by tau: with constant coefficients the whole row, the point's
+    values never read.  The binomial multiples of the rest are added as ints,
+    zero sums dropped.  The index tables (``_taus``, ``_positions``,
+    ``_shifted``, ``_binomials``) are shared by every tower, keyed by sizes
+    and multi-indices only.
 
     ``ranks`` ranks every level with one elimination of these rows as they
     are (``linalg._prefix_ranks``), in an orderly ranking: column keys fall
@@ -236,49 +236,51 @@ class _Tower:
     three points when another of its operators varies).
     """
 
-    def __init__(self, op: CDiffOp, k: int, levels):
+    def __init__(self, op: CDiffOp, levels):
         self.op = op
         self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
         self.top = max(self.ends)
-        self.taus = _taus(op.ctx.n, self.top)
-        self.mu_pos = _positions(op.ctx.n, k + self.top)
         self.constant = op.has_constant_coefficients()
-        self.prolonged = None
+        # per row s, (j, sigma, a) for each term a D_sigma of entry (s, j)
+        self.table = [[(j, sigma, poly) for j, e in enumerate(row)
+                       for sigma, poly in e.terms.items()] for row in op.entries]
+        self.derived = []  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
+        for s, row in enumerate(self.table if not self.constant else ()):
+            for j, sigma, poly in row:
+                found = {(): poly}
+                for nu in _taus(op.ctx.n, self.top)[1:] if poly.nums.keys() - {()} else ():
+                    if (d := found.get(nu[:-1])) and (d := total_derivative(op.ctx, nu[-1], d)):
+                        found[nu] = d
+                self.derived.extend(((s, j, sigma, nu), d) for nu, d in found.items() if nu)
         self._ranks = None
 
-    def _prolong(self) -> list:
-        if self.prolonged is None:
-            step = partial(_left_Di, self.op.ctx)
-            tables = [[_table(e) for e in row] for row in self.op.entries]
-            self.prolonged = [[_along(t, tau, step) if t[0].terms else t[0] for t in row]
-                              for tau in self.taus for row in tables]
-        return self.prolonged
-
     def rows(self, pt: JetPoint) -> list[tuple[int, dict]]:
-        cols, mu_pos = self.op.cols, self.mu_pos
-        if self.constant:
-            table = []
-            for row in self.op.entries:
-                scale = lcm(*(poly.den for e in row for poly in e.terms.values()))
-                table.append((scale, [(j, sigma, poly.nums[()] * (scale // poly.den))
-                                      for j, e in enumerate(row)
-                                      for sigma, poly in e.terms.items()]))
-            # for each sigma of the operator, the key of mu = sigma + tau at each tau
-            n, top = self.op.ctx.n, self.top
-            shifts = {sigma: [-pos * cols for pos in _shifted(n, top, sigma)]
-                      for sigma in {sigma for _, entries in table for _, sigma, _ in entries}}
-            return [(scale, {shifts[sigma][t] - j: c for j, sigma, c in entries})
-                    for t in range(len(self.taus)) for scale, entries in table]
-        pair = (methodcaller("_evaluate_scaled", *pt.scaled, pt.value) if pt.scaled
-                else lambda poly: poly.evaluate(pt).as_integer_ratio())
-        out = []
-        for row in self._prolong():
-            pairs = {-mu_pos[mu] * cols - j: value
-                     for j, entry in enumerate(row) for mu, poly in entry.terms.items()
-                     if (value := pair(poly))[0]}
-            scale = lcm(*(den for _, den in pairs.values()))
-            out.append((scale, {c: num * (scale // den) for c, (num, den) in pairs.items()}))
-        return out
+        m, cols, n, top = self.op.rows, self.op.cols, self.op.ctx.n, self.top
+        if self.constant:  # the point's values are never read
+            table = [[(j, sigma, (poly.nums[()], poly.den)) for j, sigma, poly in row]
+                     for row in self.table]
+            derived = []
+        else:
+            pair = (methodcaller("_evaluate_scaled", *pt.scaled, pt.value) if pt.scaled
+                    else lambda poly: poly.evaluate(pt).as_integer_ratio())
+            table = [[(j, sigma, v) for j, sigma, poly in row if (v := pair(poly))[0]]
+                     for row in self.table]
+            derived = [(term, v) for term, d in self.derived if (v := pair(d))[0]]
+        scale = lcm(*(den for row in table for _, _, (_, den) in row),
+                    *(den for _, (_, den) in derived))
+        table = [[(j, sigma, num * (scale // den)) for j, sigma, (num, den) in row]
+                 for row in table]
+        # for each sigma of the operator, the key of mu = sigma + tau at each tau
+        shifts = {sigma: [-pos * cols for pos in _shifted(n, top, sigma)]
+                  for sigma in {sigma for row in self.table for _, sigma, _ in row}}
+        rows = [(scale, {shifts[sigma][t] - j: c for j, sigma, c in entries})
+                for t in range(len(_taus(n, top))) for entries in table]
+        for (s, j, sigma, nu), (num, den) in derived:
+            # D_nu(a) D_{sigma + rho} in row (nu + rho, s), for each rho with |nu + rho| <= top
+            r, c = top - len(nu), num * (scale // den)
+            for t, b, key in zip(_shifted(n, r, nu), _binomials(n, r, nu), shifts[sigma]):
+                _accumulate(rows[t * m + s][1], key - j, b * c)
+        return rows
 
     def ranks(self, pt: JetPoint) -> dict[int, int]:
         """The rank of the level-l fiber map at ``pt``, for each level l."""
@@ -309,7 +311,7 @@ def fiber_map(op: CDiffOp, l: int, pt: JetPoint,
     width = jet_fiber_dim(op.ctx.n, k + l)
     rows = [{j * width + pos: Fraction(c, scale)
              for key, c in row.items() for pos, j in [divmod(-key, op.cols)]}
-            for scale, row in _Tower(op, k, (l,)).rows(pt)]
+            for scale, row in _Tower(op, (l,)).rows(pt)]
     rows = [row for s in range(op.rows) for row in rows[s::op.rows]]
     return FiberMap(rows=rows, domain_dim=op.cols * width,
                     codomain_dim=len(rows), source_rank=op.cols, source_order=k + l,
@@ -561,9 +563,7 @@ def format_symbol_entry(cell: dict, ctx: JetContext) -> str:
     terms = []
     for sigma in sorted(cell):
         value = cell[sigma]
-        counts: dict[int, int] = {}
-        for i in sigma:
-            counts[i] = counts.get(i, 0) + 1
+        counts = Counter(sigma)
         body_parts = []
         if abs(value) != 1 or not sigma:
             body_parts.append(str(abs(value)))

@@ -249,6 +249,28 @@ def test_prolongation_bounds_at_their_edge():
         check_formal_exactness(derham3, 12, pt=pt)
 
 
+def test_fiber_size_errors_name_the_first_failure():
+    # each position's sizes are checked at l_max and scanned level by level
+    # only when they fail there, so the first error is the one met in
+    # (position, level, role) order
+    ctx2 = JetContext.free("x t", "u")
+    # the incoming map's order-(62 + l) fiber fails from l = 2 (2016
+    # coordinates); the outgoing map's order-l target, 700 * C(l + 2, 2)
+    # coordinates, already at l = 1
+    cplx = OperatorComplex([CDiffOp.zero(ctx2, 1, 1), CDiffOp.zero(ctx2, 700, 1)],
+                           orders=[60, 0])
+    for l_max in (1, 2, 3):
+        with pytest.raises(ValueError, match="^the order-1 fiber map has 2100 coordinates"):
+            check_formal_exactness(cplx, l_max, seed=0)
+    assert len(check_formal_exactness(cplx, 0, seed=0).checks) == 1
+    # only the second position fails, from l = 1
+    zero = CDiffOp.zero(ctx2, 1, 1)
+    cplx = OperatorComplex([zero, zero, CDiffOp.zero(ctx2, 700, 1)])
+    with pytest.raises(ValueError, match="^the order-1 fiber map has 2100 coordinates"):
+        check_formal_exactness(cplx, 3, seed=0)
+    assert len(check_formal_exactness(cplx, 0, seed=0).checks) == 2
+
+
 # Nonconstant coefficients near the bounds.  Each answer is pinned from the
 # elimination in ascending graded column order, which took 64 s (the first
 # system at k1 = 10) and 8 s (the two-equation system) in fresh processes;
@@ -368,7 +390,7 @@ def test_declared_order_tower_matches_the_oracle(ctx):
 
 def test_constant_rational_tower_matches_the_oracle(ctx):
     # constant, non-integral coefficients: each row is shifted, not prolonged,
-    # over its own scale; in the second operator row 2 is 6 times row 1, so
+    # over the tower's one scale; in the second operator row 2 is 6 times row 1, so
     # only exact scales keep its ranks
     op = parse_operator_matrix("3/2*D_{x,x} - 1/3*D_{t} ; 2/5\n"
                                "1/7*D_{x,t} ; -5/4*D_{t} + 1/6", ctx)
@@ -384,7 +406,7 @@ def test_fiber_map_rank_takes_the_tower_order():
     lin = linearize(ctx3, [ctx3.parse("u_{x,y} - u*u_{z} + x*u_{z,z}")])
     pt = random_point(ctx3, lin.point_order(7), seed=0)
     for l in (2, 7):
-        tower_rank = cdcalc.spencer._Tower(lin, lin.order, (l,)).ranks(pt)[l]
+        tower_rank = cdcalc.spencer._Tower(lin, (l,)).ranks(pt)[l]
         assert fiber_map(lin, l, pt).rank() == tower_rank
     assert tower_rank == jet_fiber_dim(3, 7)
     assert fiber_map(lin, 2, pt).rank() == _oracle_rank(lin, 2, lin.order, pt)
@@ -396,7 +418,7 @@ def test_fiber_map_rank_takes_the_tower_order():
     fm = fiber_map(lin, 3, pt)
     assert len(fm.rows) > len({c for row in fm.rows for c in row})
     assert fm.rank() == _oracle_rank(lin, 3, lin.order, pt) \
-        == cdcalc.spencer._Tower(lin, lin.order, (3,)).ranks(pt)[3]
+        == cdcalc.spencer._Tower(lin, (3,)).ranks(pt)[3]
 
 
 # Row 2 is x times row 1, so every prolonged row of it is a combination of
@@ -430,6 +452,51 @@ def test_evolution_mode_tower_matches_the_oracle():
     _roles_match_the_oracle(parse_operator_matrix(_DEPENDENT_ROWS, ectx), 2, None, pt)
     _cokernels_match_the_oracle(
         parse_operator_matrix("D_{t} - u*D_{x} - u_x - D_{x,x,x}", ectx), 2, pt)
+
+
+def test_a_constant_and_a_varying_term_that_cancel_at_the_point(ctx):
+    # in D_x(u*D_x + 2) the terms D_x(u) D_x and 2 D_x meet at column (u, x);
+    # where u_x = -2 their sum is dropped, not stored as a zero.  At u = 0 the
+    # term u D_{x,x} vanishes while the derivatives of u do not.
+    op = parse_operator_matrix("u*D_{x} + 2", ctx)
+    pt = random_point(ctx, 4, seed=8)
+    pt = JetPoint(ctx, 4, {**pt.values, ctx.jet_coord("u"): Fraction(0),
+                           ctx.jet_coord("u", "x"): Fraction(-2)})
+    _roles_match_the_oracle(op, 2, None, pt)
+    _cokernels_match_the_oracle(op, 3, pt)
+    rows = cdcalc.spencer._Tower(op, (1,)).rows(pt)
+    assert all(c for _, row in rows for c in row.values())
+    fm = fiber_map(op, 1, pt)
+    assert 1 not in fm.rows[1]  # row D_x, column (u, x)
+    assert fm.matrix == _oracle_fiber_map(op, 1, 1, pt) and fm.matrix[1][1] == 0
+
+
+def test_derivatives_that_end_and_that_never_end_in_one_row():
+    # D_y x = 0 and D_x x = 1, whose derivatives vanish: x's branches end
+    # after one step; u's derivatives never end
+    ctx2 = JetContext.free("x y", "u")
+    _towers_match_the_oracle(parse_operator_matrix("x*D_{y} + u*D_{x}", ctx2), 2, 3, seed=9)
+
+
+def test_two_unknowns_of_mixed_orders_declared_above_the_actual_order():
+    ctx2 = JetContext.free("x t", "u v")
+    op = parse_operator_matrix("u*D_{x,t} + 1 ; v*D_{x}\nx*D_{t} ; D_{x,x} - t*v", ctx2)
+    _towers_match_the_oracle(op, 2, 2, seed=10)  # the incoming role is declared order 3
+    _chain_matches_the_oracle(OperatorComplex([op, CDiffOp.zero(ctx2, 1, 2)],
+                                              orders=[op.order + 2, 1]), 1, seed=10)
+
+
+def test_evolution_mode_tower_at_a_point_past_the_denominator_bound():
+    # D_t substitutes u*u_x + u_{x,x,x}; one value over 2^600 + 1 sends
+    # every evaluation down the Fraction path
+    ectx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
+    pt = random_point(ectx, 9, seed=11)
+    pt = JetPoint(ectx, 9, {**pt.values, ectx.jet_coord("u", "x"): Fraction(3, 2 ** 600 + 1)})
+    assert pt.scaled is None
+    op = parse_operator_matrix("x*u*D_{t} + u_x*D_{x} - 1/2 ; t*D_{x,x}\n"
+                               "D_{t} ; u*D_{x} + 1/3*u_x", ectx)
+    _roles_match_the_oracle(op, 1, None, pt)
+    _cokernels_match_the_oracle(op, 2, pt)
 
 
 def test_evolution_mode_cokernels_under_the_policy():
@@ -528,15 +595,21 @@ def test_a_wrong_tower_rank_shows(ctx, monkeypatch):
 
 
 def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
-    counts = _count_calls(monkeypatch, "_left_Di")
+    # a tower takes each nonzero D_nu a once per call, from D_(nu less its
+    # last index) a, whatever the number of samples: one D_i per child of a
+    # nonzero node.  KdV's varying coefficients u and u_x never end.
+    counts = _count_calls(monkeypatch, "total_derivative")
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
-    assert cokernel_rank(kdv, 3, seed=0) == 0
-    # one D_i per tau with 0 < |tau| <= 3 and nonzero entry, whatever the samples
-    assert counts["_left_Di"] == jet_fiber_dim(2, 3) - 1
-    op = parse_operator_matrix("D_{x} ; 0\nu*D_{t} ; D_{x}", JetContext.free("x t", "u v"))
-    counts["_left_Di"] = 0
+    for pt in (None, random_point(ctx, kdv.point_order(3), seed=1)):
+        counts["total_derivative"] = 0
+        assert cokernel_rank(kdv, 3, pt=pt, seed=0) == 0
+        assert counts["total_derivative"] == 2 * (jet_fiber_dim(2, 3) - 1)
+    # x ends after one step: D_x x = 1, D_t x = 0, then D_x 1 = D_t 1 = 0
+    # end every branch; the constant coefficients take no derivative
+    op = parse_operator_matrix("D_{x} ; 0\nu*D_{t} ; x*D_{x}", JetContext.free("x t", "u v"))
+    counts["total_derivative"] = 0
     cokernel_rank(op, 2, seed=0)
-    assert counts["_left_Di"] == 3 * (jet_fiber_dim(2, 2) - 1)
+    assert counts["total_derivative"] == (jet_fiber_dim(2, 2) - 1) + 2 + 2
 
 
 def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
@@ -544,7 +617,7 @@ def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
     grad = dbar_operator(ctx, 0)
     pt = random_point(ctx, 2, seed=1)
     counts = Counter()
-    for owner, name in ((cdcalc.spencer, "_left_Di"), (cdcalc.spencer, "_along"),
+    for owner, name in ((cdcalc.spencer, "total_derivative"),
                         (cdcalc.ops, "total_derivative"), (DiffPoly, "evaluate")):
         _count_calls(monkeypatch, name, owner, counts)
     assert check_formal_exactness(cplx, 3, seed=0).all_exact

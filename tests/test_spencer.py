@@ -5,6 +5,7 @@ import time
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -19,7 +20,7 @@ from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
 from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.spencer import (
-    MAX_TWO_LINE_TERMS, _positions, _shifted, _taus, _Tower, graded_symbol_matrix,
+    MAX_TWO_LINE_TERMS, _binomials, _positions, _shifted, _taus, _Tower, graded_symbol_matrix,
     multiindices, multiindices_upto, sym_dim, symbol_kernel_basis,
 )
 
@@ -355,6 +356,10 @@ def test_index_tables_equal_direct_lookups():
         for top, sigma in itertools.product(range(3), multiindices_upto(n, 2)):
             assert _shifted(n, top, sigma) == tuple(
                 wide.index(tuple(sorted(sigma + tau))) for tau in multiindices_upto(n, top))
+            # C(nu + rho, nu) for nu = sigma, from the multiplicities of each index
+            assert _binomials(n, top, sigma) == tuple(
+                prod(comb(sigma.count(i) + rho.count(i), rho.count(i)) for i in range(n))
+                for rho in multiindices_upto(n, top))
     # the public basis stays the caller's own list
     assert multiindices_upto(2, 2) is not multiindices_upto(2, 2)
 
@@ -379,7 +384,7 @@ def test_constant_tower_ranks_equal_the_dense_fiber_map_ranks():
             for _ in range(2):
                 op = _constant_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2), order)
                 pt = random_point(ctx, levels)
-                ranks = _Tower(op, order, range(levels + 1)).ranks(pt)
+                ranks = _Tower(op, range(levels + 1)).ranks(pt)
                 assert ranks == {l: sympy_rank(fiber_map(op, l, pt, declared_order=order).matrix)
                                  for l in range(levels + 1)}
 
@@ -393,7 +398,7 @@ def test_index_tables_are_keyed_by_sizes_and_multiindices(monkeypatch):
             return table(*args)
         return record
 
-    for name in ("_positions", "_taus", "_shifted"):
+    for name in ("_positions", "_taus", "_shifted", "_binomials"):
         monkeypatch.setattr(cdcalc.spencer, name, recording(getattr(cdcalc.spencer, name)))
     ctx = JetContext.free("x y z", "u")
     pt = random_point(ctx, 4)
