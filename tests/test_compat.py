@@ -390,8 +390,8 @@ def test_declared_order_tower_matches_the_oracle(ctx):
 
 def test_constant_rational_tower_matches_the_oracle(ctx):
     # constant, non-integral coefficients: each row is shifted, not prolonged,
-    # over the tower's one scale; in the second operator row 2 is 6 times row 1, so
-    # only exact scales keep its ranks
+    # over the tower's one scale; in the second operator row 2 is 6 times
+    # row 1, so only exact scales keep its ranks
     op = parse_operator_matrix("3/2*D_{x,x} - 1/3*D_{t} ; 2/5\n"
                                "1/7*D_{x,t} ; -5/4*D_{t} + 1/6", ctx)
     _towers_match_the_oracle(op, 2, 3, seed=4)
