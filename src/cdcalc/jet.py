@@ -495,7 +495,7 @@ def _point_coords(ctx: JetContext, order_bound: int):
 
 # Bounds on what a rank computation may build, set from a timed sweep (see
 # the README).  They cap size, not time; the slowest accepted requests timed
-# take about 0.3 s (the cokernel of rank 867 at k1 = 13, and the x y z
+# take about 0.25 s (the cokernel of rank 867 at k1 = 13, and the x y z
 # system at k1 = 15), and nonconstant coefficients stay within seconds since
 # towers eliminate highest order first, and tall towers through their
 # transpose.
@@ -525,13 +525,22 @@ def random_point(ctx: JetContext, order_bound: int, seed: int = 0) -> JetPoint:
 
 
 def _draw(ctx: JetContext, order_bound: int, seed: int) -> dict:
-    """The values of ``random_point``, in ``_point_coords`` order from one seeded stream."""
-    rng = random.Random(1000003 * seed + 7)
+    """The values of ``random_point``, in ``_point_coords`` order from one seeded stream.
+
+    Each is ``randint(1, 9) * choice((1, -1)) / randint(1, 4)``, drawn as
+    ``random.Random._randbelow`` draws below n: n.bit_length() bits, drawn
+    again while they reach n.  The bits are read directly, the same stream.
+    """
+    bits = random.Random(1000003 * seed + 7).getrandbits
     values = {}
     for coord in _point_coords(ctx, order_bound):
-        num = rng.randint(1, 9) * rng.choice((1, -1))
-        den = rng.randint(1, 4)
-        values[coord] = Fraction(num, den)
+        while (num := bits(4)) >= 9:
+            pass
+        while (sign := bits(2)) >= 2:
+            pass
+        while (den := bits(3)) >= 4:
+            pass
+        values[coord] = Fraction(-num - 1 if sign else num + 1, den + 1)
     return values
 
 

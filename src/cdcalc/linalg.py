@@ -3,24 +3,24 @@
 The package builds every matrix as a list of sparse ``{column: value}``
 rows (``{}`` for a zero row) of Fractions or ints; ``rank`` and
 ``kernel_basis`` also accept dense sequences as rows.  One fraction-free
-sparse elimination serves both: each row is cleared of denominators once
-(a row of ints passes straight through), then reduced over ``int`` against
-the pivot rows found so far in ascending column order, divided by the gcd
-of its entries after each step.  The column order is the caller's: a rank
-does not depend on it, but the elimination's cost and a kernel basis do.
-``_kernel_rows`` back-substitutes the same pivot rows to the reduced row
-echelon form and returns the kernel as sparse rows; ``kernel_basis`` is its
-dense view.
+sparse elimination serves both, consuming int rows with no zero value that
+``_echelon`` copies from the caller's, clearing denominators: a row whose
+smallest column no pivot row leads is a pivot as it stands (scaling a row
+changes no rank), and any other is reduced over ``int`` against the pivot
+rows in ascending column order, divided by the gcd of its entries after
+each step.  The column order is the caller's: a rank does not depend on
+it, but the elimination's cost and a kernel basis do.  ``_kernel_rows``
+back-substitutes the same pivot rows to the reduced row echelon form.
 
 ``_prefix_ranks`` gives the ranks of a list's leading rows for several ends
-from one elimination, eliminating the shorter side.  A wide or square list
-(no more rows than nonzero columns) is reduced row by row, each row cleared
-once, and the count of pivots is read at each end.  A tall list's dependent
-rows would each reduce all the way to zero, so its transpose is eliminated
-instead, keyed by row index: row operations on the transpose keep the
-relations among its columns, the original rows, and an echelon basis has
-one pivot set, so the rank of the first ``end`` rows is the number of pivot
-columns below ``end``.  No floating point anywhere.
+from one elimination of the shorter side, consuming the caller's int rows
+as they are.  A wide or square list (no more rows than nonzero columns) is
+reduced in place, the count of pivots read at each end.  A tall list's
+dependent rows would each reduce all the way to zero, so its transpose is
+eliminated instead, keyed by row index: row operations on the transpose
+keep the relations among its columns, the original rows, and an echelon
+basis has one pivot set, so the rank of the first ``end`` rows is the
+number of pivot columns below ``end``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -93,21 +93,21 @@ def _reduce(row: dict, pivots: dict, to_lead: bool) -> int | None:
     return None
 
 
-def _pivot_rows(matrix):
-    """Yield (index, lead, row) for each row of ``matrix`` that gives a pivot:
-    the row primitive over int, reduced against the pivot rows before it."""
+def _pivot_rows(rows):
+    """Yield (index, lead, row) for each of ``rows`` that gives a pivot: as it
+    stands if no pivot row leads its smallest column, else reduced in place."""
     pivots: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(matrix):
-        row = _int_row(row)
-        lead = _reduce(row, pivots, to_lead=True)
+    for i, row in enumerate(rows):
+        if (lead := min(row, default=None)) in pivots:
+            lead = _reduce(row, pivots, to_lead=True)
         if lead is not None:
             pivots[lead] = row
             yield i, lead, row
 
 
 def _echelon(matrix) -> dict[int, dict[int, int]]:
-    """Primitive integer pivot rows of ``matrix``, keyed by leading column."""
-    return {lead: row for _, lead, row in _pivot_rows(matrix)}
+    """Integer pivot rows of ``matrix``, keyed by leading column."""
+    return {lead: row for _, lead, row in _pivot_rows(map(_int_row, matrix))}
 
 
 def rank(matrix) -> int:
@@ -118,8 +118,8 @@ def rank(matrix) -> int:
 def _prefix_ranks(rows, ends) -> list[int]:
     """The rank of ``rows[:end]`` for each end of ``ends``, from one elimination.
 
-    ``rows`` are sparse ``{column: value}`` rows; the side eliminated is
-    chosen by the shape of the longest prefix (see the module docstring).
+    ``rows`` are int rows with no zero value, consumed; the side eliminated
+    is chosen by the shape of the longest prefix (see the module docstring).
     """
     rows = rows[:max(ends, default=0)]
     columns = {c for row in rows for c in row}
@@ -130,7 +130,7 @@ def _prefix_ranks(rows, ends) -> list[int]:
         for i, row in enumerate(rows):
             for c, v in row.items():
                 transpose[c][i] = v
-        independent = sorted(_echelon(transpose.values()))
+        independent = sorted(lead for _, lead, _ in _pivot_rows(transpose.values()))
     return [bisect_left(independent, end) for end in ends]
 
 

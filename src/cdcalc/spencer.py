@@ -36,7 +36,7 @@ from .jet import (
     JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
     _merge_sign, increasing_tuples, total_derivative,
 )
-from .linalg import _kernel_rows, _prefix_ranks, rank
+from .linalg import _int_row, _kernel_rows, _prefix_ranks, rank
 from .ops import CDiffOp
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ class FiberMap:
         """Eliminated as ``_Tower.ranks`` eliminates: in its orderly ranking (highest
         graded position first), through the transpose when the map is tall."""
         width = self.domain_dim // max(self.source_rank, 1) or 1
-        rows = [{-(c % width) * self.domain_dim - c: v for c, v in row.items()}
+        rows = [_int_row({-(c % width) * self.domain_dim - c: v for c, v in row.items()})
                 for row in self.rows]
         return _prefix_ranks(rows, [len(rows)])[0]
 
@@ -222,18 +222,18 @@ class _Tower:
     ``_shifted``, ``_binomials``) are shared by every tower, keyed by sizes
     and multi-indices only.
 
-    ``ranks`` ranks every level with one elimination of these rows as they
-    are (``linalg._prefix_ranks``), in an orderly ranking: column keys fall
-    as |mu| rises, so the elimination (ascending keys) meets the
-    highest-order columns first, where the prolonged rows are nearly in
-    echelon form and the integers stay small.  The shorter side of the top
-    level is eliminated: a wide or square tower row by row, each row
-    cleared once and the pivots counted at each level's end; a tall one
-    (more rows than nonzero columns, an overdetermined system with a large
-    cokernel) through its transpose, whose columns are the rows in tower
-    order.  ``fiber_map`` re-keys the same rows.  With constant
-    coefficients the first point's ranks serve every point (a chain samples
-    three points when another of its operators varies).
+    ``ranks`` ranks every level with one elimination (``linalg._prefix_ranks``)
+    that consumes these rows uncopied (``fiber_map`` builds its own): ints
+    with no zero value, each a pivot at once when no pivot row before it
+    leads its smallest column.  Column keys fall as |mu| rises (an orderly
+    ranking), so the elimination meets the highest-order columns first,
+    where the prolonged rows are nearly in echelon form and the integers
+    stay small.  The shorter side of the top level is eliminated: a wide or
+    square tower row by row, the pivots counted at each level's end; a tall
+    one (more rows than nonzero columns, an overdetermined system with a
+    large cokernel) through its transpose, whose columns are the rows in
+    tower order.  With constant coefficients the first point's ranks serve
+    every point (a chain samples three points when another varies).
     """
 
     def __init__(self, op: CDiffOp, levels):

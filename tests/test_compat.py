@@ -281,6 +281,7 @@ _XYZW = ("independent x y z w\ndependent u v\nequation u_{x,y} - v_{z,w} + u*v\n
 _THREE = ("independent x y z\ndependent u\nequation u_{x,y} - u*u_{z}\n"
           "equation u_{y,z} - x*u_{x}\nequation u_{x,z} + y*u*u_{y}\n")
 _KDV = (Path(__file__).resolve().parent.parent / "demos" / "data" / "kdv.prob").read_text()
+_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("text, k1, expected", [
@@ -497,6 +498,46 @@ def test_evolution_mode_tower_at_a_point_past_the_denominator_bound():
                                "D_{t} ; u*D_{x} + 1/3*u_x", ectx)
     _roles_match_the_oracle(op, 1, None, pt)
     _cokernels_match_the_oracle(op, 2, pt)
+
+
+def _nonzero_int_rows(op, levels, pt):
+    rows = [row for _, row in cdcalc.spencer._Tower(op, levels).rows(pt)]
+    assert any(rows)
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    return rows
+
+
+def test_tower_rows_are_ints_with_no_zero_value(ctx):
+    # the elimination reads each row's lead from its smallest key and
+    # consumes the rows uncopied, so no tower may store a zero or a Fraction
+    maxwell = [_wave(c := _free("x y z w"), 1, 2, 2), dbar_operator(c, 3)]
+    for op in maxwell:
+        _nonzero_int_rows(op, (0, 1, 2), random_point(c, 2, seed=0))
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    for pt in generic_points(ctx, kdv.point_order(4), seed=1):
+        _nonzero_int_rows(kdv, range(5), pt)
+    explicit = {coord: Fraction(i % 7 - 3, i % 4 + 1)
+                for i, coord in enumerate(random_point(ctx, kdv.point_order(4)).values)}
+    _nonzero_int_rows(kdv, range(5), JetPoint(ctx, kdv.point_order(4), explicit))
+    # D_x(u*D_x + 2) at u = 0, u_x = -2: a constant and a varying term cancel
+    # at column (u, x), and u*D_{x,x} vanishes
+    op = parse_operator_matrix("u*D_{x} + 2", ctx)
+    pt = JetPoint(ctx, 4, {**random_point(ctx, 4, seed=8).values,
+                           ctx.jet_coord("u"): Fraction(0), ctx.jet_coord("u", "x"): Fraction(-2)})
+    assert -1 not in _nonzero_int_rows(op, (1,), pt)[1]  # row D_x, column (u, x)
+    # the tall three-equation system, ranked through its transpose
+    three = parse_problem((_GOLDEN / "three-equations.prob").read_text())
+    lin = linearize(three.ctx_free, three.equations)
+    rows = _nonzero_int_rows(lin, range(5), random_point(three.ctx_free, lin.point_order(4)))
+    assert len(rows) > len({c for row in rows for c in row})
+    # an evolution context at a point past MAX_POINT_DENOMINATOR: Fraction evaluation
+    ectx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
+    pt = random_point(ectx, 9, seed=11)
+    pt = JetPoint(ectx, 9, {**pt.values, ectx.jet_coord("u", "x"): Fraction(3, 2 ** 600 + 1)})
+    assert pt.scaled is None
+    op = parse_operator_matrix("x*u*D_{t} + u_x*D_{x} - 1/2 ; t*D_{x,x}\n"
+                               "D_{t} ; u*D_{x} + 1/3*u_x", ectx)
+    _nonzero_int_rows(op, (0, 1, 2), pt)
 
 
 def test_evolution_mode_cokernels_under_the_policy():

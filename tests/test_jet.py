@@ -12,7 +12,7 @@ from cdcalc import (
     total_derivative, total_derivative_sigma, wedge,
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, Coord, ParseError
-from cdcalc.jet import _coord_names
+from cdcalc.jet import _coord_names, _draw
 
 from conftest import SympyJets, count_draws, rand_poly
 
@@ -235,6 +235,18 @@ def test_drawn_points_give_the_eager_values(ctx):
         assert type(twin) is JetPoint
         assert (twin.ctx, twin.order_bound, twin.values) == (ctx, order_bound, want)
         assert twin.scaled == pt.scaled
+
+
+def test_draw_reads_the_randint_and_choice_stream():
+    # _draw reads the stream's bits itself; each value must be the one the
+    # randint(1, 9) * choice((1, -1)) / randint(1, 4) loop gives, rejections
+    # included, in free, parameter and evolution contexts
+    contexts = [JetContext.free("x t", "u"), JetContext.free("x y", "u v", "a b"),
+                JetContext.evolution("u", ["u*u_x + u_{x,x,x}"], ["c"])]
+    for ctx, seed in itertools.product(contexts, range(-20, 200)):
+        order_bound = seed % 5
+        want = _eager_values(ctx, order_bound, seed)
+        assert list(_draw(ctx, order_bound, seed).items()) == list(want.items())
 
 
 def test_points_are_drawn_on_first_read(ctx, monkeypatch):

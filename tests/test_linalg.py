@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc.linalg import _echelon, _prefix_ranks, kernel_basis, rank
+from cdcalc.linalg import _echelon, _int_row, _pivot_rows, _prefix_ranks, kernel_basis, rank
 
 from conftest import matmul, sympy_rank
 
@@ -108,7 +108,7 @@ def test_edge_cases():
     assert _prefix_ranks([{}, {}], [2, 1]) == [0, 0]
     # a column: tall, ranked through its transpose
     column = [{7: 0}, {7: Fraction(-1, 2)}, {7: 3}, {}]
-    assert _prefix_ranks(column, [4, 1, 2, 3, 0]) == [1, 0, 1, 1, 0]
+    assert _prefix_ranks([_int_row(row) for row in column], [4, 1, 2, 3, 0]) == [1, 0, 1, 1, 0]
     # rows past the longest end are not read
     assert _prefix_ranks([{0: 1}, {1: 1}, {2: 1}], [2]) == [2]
 
@@ -154,8 +154,57 @@ def test_prefix_ranks_match_rank_and_sympy():
                 sides.add(len(rows) > len(columns))
                 dense = sympy.Matrix([[row.get(c, 0) for c in columns] for row in rows])
                 want = [rank(rows[:end]) for end in ends]
-                assert _prefix_ranks(rows, ends) == want
+                assert _prefix_ranks([_int_row(row) for row in rows], ends) == want
                 assert want == [dense[:end, :].rank() if end and columns else 0
                                 for end in ends]
                 assert rows == kept  # the caller's rows are left as they were
     assert sides == {False, True}  # both sides eliminated
+
+
+def test_a_row_whose_smallest_column_is_free_is_a_pivot_as_it_stands():
+    # keys out of order in each dict; row 1 is row 0 halved; row 4 starts at
+    # column 3, which row 0 leads, and past row 2's column 5 it leads at 9
+    rows = [{9: 6, 3: 4}, {3: 2, 9: 3}, {8: 5, 5: 10}, {9: 1, 3: 2, 1: -2},
+            {5: 2, 9: 1, 8: 1, 3: 2}]
+    kept = [dict(row) for row in rows]
+    got = list(_pivot_rows(rows))
+    assert [(i, lead) for i, lead, _ in got] == [(0, 3), (2, 5), (3, 1), (4, 9)]
+    # rows 0, 2 and 3 lead at a free smallest column: pivots as they stand,
+    # neither copied nor made primitive; rows 1 and 4 are reduced in place
+    assert all(row is rows[i] for i, _, row in got)
+    assert [rows[i] == kept[i] for i in range(5)] == [True, False, True, True, False]
+    assert rows[1] == {}
+    assert rank(kept) == 4 == sympy_rank([[row.get(c, 0) for c in range(10)] for row in kept])
+
+
+def test_prefix_ranks_read_each_lead_from_the_smallest_key():
+    # each new row is either led at a column below every key so far (free)
+    # or a combination of earlier rows, shifted by a row over larger keys
+    # (led, reduced to a later lead or to zero); keys go in shuffled
+    rng = random.Random(23)
+    sides = set()
+    for trial in range(40):
+        rows = []
+        for _ in range(rng.randint(1, 14)):
+            low = min((c for row in rows for c in row), default=0)
+            if not rows or rng.random() < 0.4:
+                row = {low - rng.randint(1, 3): rng.choice((-3, -1, 2, 5))}
+                row.update({rng.randint(low, low + 12): rng.randint(1, 4) for _ in range(2)})
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(1, 3), rng.randint(-2, 2)
+                row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+                if rng.random() < 0.5:
+                    high = max(row, default=low)
+                    row[high + rng.randint(0, 2)] = row.get(high, 0) + rng.randint(1, 3)
+            items = [(c, v) for c, v in row.items() if v]
+            rng.shuffle(items)
+            rows.append(dict(items))
+        ends = sorted({rng.randint(0, len(rows)) for _ in range(3)} | {len(rows)})
+        columns = sorted({c for row in rows for c in row})
+        sides.add(len(rows) > len(columns))
+        want = [rank(rows[:end]) for end in ends]
+        assert want == [sympy_rank([[row.get(c, 0) for c in columns] for row in rows[:end]])
+                        if end and columns else 0 for end in ends]
+        assert _prefix_ranks([dict(row) for row in rows], ends) == want
+    assert sides == {False, True}
