@@ -10,17 +10,21 @@ changes no rank), and any other is reduced over ``int`` against the pivot
 rows in ascending column order, divided by the gcd of its entries after
 each step.  The column order is the caller's: a rank does not depend on
 it, but the elimination's cost and a kernel basis do.  ``_kernel_rows``
-back-substitutes the same pivot rows to the reduced row echelon form.
+back-substitutes the same pivot rows to the reduced row echelon form and
+gives one primitive int row per free column, over the lcm of the pivots it
+meets; ``kernel_basis`` and ``spencer.symbol_kernel_basis`` are its
+``Fraction`` views (``_fraction_rows``), 1 at each free column.
 
 ``_prefix_ranks`` gives the ranks of a list's leading rows for several ends
 from one elimination of the shorter side, consuming the caller's int rows
-as they are.  A wide or square list (no more rows than nonzero columns) is
-reduced in place, the count of pivots read at each end.  A tall list's
-dependent rows would each reduce all the way to zero, so its transpose is
-eliminated instead, keyed by row index: row operations on the transpose
-keep the relations among its columns, the original rows, and an echelon
-basis has one pivot set, so the rank of the first ``end`` rows is the
-number of pivot columns below ``end``.  No floating point anywhere.
+as they are.  A wide or square list (no more rows than nonzero columns,
+which are counted only until they reach the number of rows) is reduced in
+place, the count of pivots read at each end.  A tall list's dependent rows
+would each reduce all the way to zero, so its transpose is eliminated
+instead, keyed by row index: row operations on the transpose keep the
+relations among its columns, the original rows, and an echelon basis has
+one pivot set, so the rank of the first ``end`` rows is the number of pivot
+columns below ``end``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -122,7 +126,11 @@ def _prefix_ranks(rows, ends) -> list[int]:
     is chosen by the shape of the longest prefix (see the module docstring).
     """
     rows = rows[:max(ends, default=0)]
-    columns = {c for row in rows for c in row}
+    columns = set()
+    for row in rows:  # counted only until they are as many as the rows
+        columns.update(row)
+        if len(columns) >= len(rows):
+            break
     if len(rows) <= len(columns):
         independent = [i for i, _, _ in _pivot_rows(rows)]
     else:
@@ -134,28 +142,39 @@ def _prefix_ranks(rows, ends) -> list[int]:
     return [bisect_left(independent, end) for end in ends]
 
 
-def _kernel_rows(matrix, n_cols: int) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel as sparse rows, one per free column.
+def _kernel_rows(matrix, n_cols: int) -> dict[int, dict[int, int]]:
+    """Basis of the right kernel as primitive int rows, keyed by free column.
 
-    The vector at free column f has 1 at f and minus the reduced row echelon
-    form's column f at the pivot columns.
+    The vector at free column f is 1 at f minus the reduced row echelon
+    form's column f at the pivot columns, scaled by the lcm of the pivots
+    that column f meets (so no Fraction is made): positive at f, zero at the
+    other free columns.
     """
     pivots = _echelon(matrix)
     # back-substitution to the reduced form: clear each pivot row's other
     # pivot columns, the rows further right first
     for c in sorted(pivots, reverse=True):
         _reduce(pivots[c], pivots, to_lead=False)
-    basis = {fc: {fc: Fraction(1)} for fc in range(n_cols) if fc not in pivots}
+    basis = {fc: {fc: 1} for fc in range(n_cols) if fc not in pivots}
+    for pc, prow in pivots.items():
+        for fc in prow:
+            if fc != pc:
+                basis[fc][fc] = lcm(basis[fc][fc], prow[pc])
     for pc, prow in pivots.items():
         for fc, x in prow.items():
             if fc != pc:
-                basis[fc][pc] = Fraction(-x, prow[pc])
-    return list(basis.values())
+                basis[fc][pc] = -x * (basis[fc][fc] // prow[pc])
+    return {fc: _primitive(row) for fc, row in basis.items()}
+
+
+def _fraction_rows(kernel: dict[int, dict[int, int]]) -> list[dict[int, Fraction]]:
+    """``_kernel_rows`` scaled to 1 at each free column, as Fractions."""
+    return [{c: Fraction(v, row[fc]) for c, v in row.items()} for fc, row in kernel.items()]
 
 
 def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right kernel as dense vectors, one per free column
-    (deterministic; the dense view of ``_kernel_rows``).
+    (deterministic; the dense view of ``_kernel_rows``, 1 at its column).
 
     ``n_cols`` is required for dict rows; dense rows give it by their length.
     """
@@ -163,4 +182,4 @@ def kernel_basis(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
         n_cols = len(matrix[0]) if matrix else 0
     zero = Fraction(0)
     return [[row.get(c, zero) for c in range(n_cols)]
-            for row in _kernel_rows(matrix, n_cols)]
+            for row in _fraction_rows(_kernel_rows(matrix, n_cols))]

@@ -16,9 +16,13 @@ Conventions for the cohomology table ``dims[l][i]``:
   symmetric degree zero the kernel of delta consists of the constants,
   which the full polynomial complex resolves.
 
-Under these conventions the table always has dims[l][0] = dims[l][1] = 0
-(injectivity of delta in positive degree, and the prolongation property of
-symbol kernels), which the implementation asserts.
+Three delta ranks are theorems that hold at every point, generic or not,
+and the table takes them without eliminating: on g^r, r >= 1, rank delta is
+dim g^r (delta is injective in positive degree); on Lambda^1 (x) g^r it is
+n dim g^r - dim g^{r+1} (g^{r+1} is the prolongation of g^r, so H^1 = 0);
+on Lambda^n (x) g^r it is 0 (Lambda^{n+1} = 0).  So dims[l][0] = dims[l][1]
+= 0 by construction; the tests eliminate those ranks and check them.  Only
+2 <= i < n is eliminated, over the int kernel rows of ``linalg._kernel_rows``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .jet import (
     JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
     _merge_sign, increasing_tuples, total_derivative,
 )
-from .linalg import _int_row, _kernel_rows, _prefix_ranks, rank
+from .linalg import _fraction_rows, _int_row, _kernel_rows, _prefix_ranks, rank
 from .ops import CDiffOp
 
 # ---------------------------------------------------------------------------
@@ -155,10 +159,16 @@ def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[dict]:
     """Basis of g^r inside S^r (x) P as sparse ``{column: value}`` rows.
 
     Below the operator order g^r is the full module; the column numbering is
-    that of ``graded_symbol_matrix``.
+    that of ``graded_symbol_matrix``.  Each row is ``Fraction``-valued, 1 at
+    its free column: the view of ``_symbol_kernel``'s int rows.
     """
+    return _fraction_rows(_symbol_kernel(sym, r))
+
+
+def _symbol_kernel(sym: SymbolMatrix, r: int) -> dict[int, dict[int, int]]:
+    """g^r as ``linalg._kernel_rows`` gives it: primitive int rows by free column."""
     if r < 0:
-        return []
+        return {}
     rows = graded_symbol_matrix(sym, r - sym.degree).rows if r >= sym.degree else []
     return _kernel_rows(rows, sym.cols * sym_dim(sym.n, r))
 
@@ -335,7 +345,8 @@ def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
     if not 0 <= s < n:
         raise ValueError(f"exterior degree {s} out of range 0..{n - 1}")
     # the columns are the images of the basis vectors of the whole source
-    images = _delta_of_subspace(n, rank_p, r, s, _kernel_rows([], rank_p * sym_dim(n, r)))
+    unit = [{c: Fraction(1)} for c in range(rank_p * sym_dim(n, r))]
+    images = _delta_of_subspace(n, rank_p, r, s, unit)
     rows = [{} for _ in range(comb(n, s + 1) * rank_p * sym_dim(n, r - 1))]
     for c, image in enumerate(images):
         for t, value in image.items():
@@ -349,9 +360,10 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
                        basis: list) -> list:
     """Images under ambient delta of Lambda^s-shifted copies of ``basis``.
 
-    ``basis`` (sparse rows) spans a subspace of S^r (x) P; the subspace of
-    Lambda^s (x) S^r (x) P it generates has one copy per increasing s-tuple.
-    Returns the image vectors as sparse rows, ready for a rank computation.
+    ``basis`` (sparse rows, int or Fraction) spans a subspace of
+    S^r (x) P; the subspace of Lambda^s (x) S^r (x) P it generates has one
+    copy per increasing s-tuple.  Returns the image vectors as sparse rows of
+    the basis's values, ready for a rank computation.
     """
     if r == 0:
         return []
@@ -424,6 +436,7 @@ def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
 
     The rank tuple orders symbol-map ranks before the delta ranks they feed,
     so its lexicographic maximum over sample points is the generic profile.
+    Delta is eliminated only for 2 <= i < n (see the module docstring).
     """
     k = sym.degree
     kernels: dict[int, list] = {}
@@ -431,7 +444,7 @@ def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
 
     def g_basis(r: int) -> list:
         if r not in kernels:
-            kernels[r] = symbol_kernel_basis(sym, r)
+            kernels[r] = list(_symbol_kernel(sym, r).values())
             profile.append(rank_p * sym_dim(n, r) - len(kernels[r]))
         return kernels[r]
 
@@ -444,11 +457,15 @@ def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
             r = k + l - i
             basis = g_basis(r)
             sub_dims[i] = len(basis) * comb(n, i)
-            if r == 0:
-                delta_ranks[i] = 0
+            if r == 0 or i == n:
+                delta_ranks[i] = 0  # no symmetric degree to lower, or Lambda^{n+1} = 0
+            elif i == 0:
+                delta_ranks[i] = len(basis)  # injective
+            elif i == 1:
+                # H^1 = 0: delta's kernel is the image of g^{r+1}, the prolongation of g^r
+                delta_ranks[i] = n * len(basis) - len(g_basis(r + 1))
             else:
-                images = _delta_of_subspace(n, rank_p, r, i, basis)
-                delta_ranks[i] = rank(images)
+                delta_ranks[i] = rank(_delta_of_subspace(n, rank_p, r, i, basis))
             profile.append(delta_ranks[i])
         for i in range(n + 1):
             if i > l:
@@ -462,9 +479,6 @@ def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
             value = ker - image
             assert value >= 0, "image not contained in kernel (internal error)"
             row.append(value)
-        assert row[0] == 0, "slot 0 must vanish (delta is injective)"
-        if n >= 1:
-            assert row[1] == 0, "slot 1 must vanish (prolongation property)"
         dims.append(row)
     return dims, tuple(profile)
 

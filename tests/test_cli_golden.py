@@ -30,6 +30,7 @@ SPELLINGS = "tests/golden/kdv-spellings.point"
 SPLIT = "tests/golden/uxx-utt.prob"
 THREE = "tests/golden/three-equations.prob"  # overdetermined: a tall tower
 XYZ = "tests/golden/xyz.prob"  # one equation: a wide tower
+DIAG3 = "tests/golden/diag3.prob"  # cohomology at (2, 2) and at the top degree (4, 3)
 
 _COMMANDS = {
     "linearize": ["linearize", KDV],
@@ -39,6 +40,7 @@ _COMMANDS = {
     "symbol-point": ["symbol", KDV, "--point", POINT],
     "spencer": ["spencer", KDV, "--l-max", "2"],
     "spencer-point": ["spencer", KDV, "--l-max", "1", "--point", POINT],
+    "spencer-diag3": ["spencer", DIAG3, "--l-max", "4"],
     "involutive": ["involutive", KDV, "--l-max", "3", "--seed", "2"],
     "involutive-failure": ["involutive", SPLIT],
     "exactness-derham": ["exactness", "demos/data/derham2.cplx", "--l-max", "2"],

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cdcalc.linalg import _echelon, _int_row, _pivot_rows, _prefix_ranks, kernel_basis, rank
+from math import gcd
+
+from cdcalc.linalg import (
+    _echelon, _int_row, _kernel_rows, _pivot_rows, _prefix_ranks, kernel_basis, rank,
+)
 
 from conftest import matmul, sympy_rank
 
@@ -64,6 +68,22 @@ def test_kernel_matches_sympy_nullspace():
         if basis:
             assert all(x == 0 for row in matmul(m, [list(col) for col in zip(*basis)])
                        for x in row)
+
+
+def test_kernel_rows_are_primitive_int_rows():
+    # one per free column, positive there and zero at the other free columns,
+    # each a multiple of the Fraction vector kernel_basis gives
+    for m in cases():
+        n_cols = len(m[0])
+        rows = _kernel_rows(m, n_cols)
+        basis = kernel_basis(m, n_cols)
+        assert len(rows) == len(basis)
+        for (f, row), vec in zip(rows.items(), basis):
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1 and row[f] > 0
+            assert not any(row.get(c) for c in rows if c != f)
+            assert [Fraction(row.get(c, 0), row[f]) for c in range(n_cols)] == vec
+            assert all(type(v) is Fraction for v in vec)
 
 
 def test_integer_and_mixed_entries():

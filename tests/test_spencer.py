@@ -11,17 +11,18 @@ import pytest
 
 import cdcalc.spencer
 from cdcalc import (
-    CDiffOp, DiffPoly, JetContext, OperatorComplex, check_formal_exactness, cokernel_rank,
-    dbar_operator, delta_map, fiber_map, is_involutive, linearize, random_point,
-    spencer_cohomology, symbol, two_line_polynomial,
+    CDiffOp, DiffPoly, JetContext, JetPoint, Metric, OperatorComplex, check_formal_exactness,
+    cokernel_rank, dbar_operator, delta_map, fiber_map, is_involutive, linearize,
+    random_point, spencer_cohomology, star_operator, symbol, two_line_polynomial,
 )
-from cdcalc.linalg import rank
+from cdcalc.linalg import kernel_basis, rank
 from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
 from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.spencer import (
-    MAX_TWO_LINE_TERMS, _binomials, _positions, _shifted, _taus, _Tower, graded_symbol_matrix,
-    multiindices, multiindices_upto, sym_dim, symbol_kernel_basis,
+    MAX_TWO_LINE_TERMS, _binomials, _delta_of_subspace, _dims_table, _positions, _shifted,
+    _taus, _Tower, graded_symbol_matrix, multiindices, multiindices_upto, sym_dim,
+    symbol_kernel_basis,
 )
 
 from conftest import matmul, rand_operator, sympy_rank
@@ -339,6 +340,150 @@ def test_table_size_is_bounded_at_its_edge():
     report = spencer_cohomology(op, 10, pt=random_point(ctx, 0, seed=1))
     assert time.perf_counter() - start < 10
     assert report.first_failure is None
+
+
+# ---------------------------------------------------------------------------
+# The delta ranks the table takes from theorems, eliminated
+# ---------------------------------------------------------------------------
+
+
+def _eliminated_table(sym, l_max):
+    """The cohomology table and rank profile with every delta rank eliminated,
+    asserting on the way the three ranks ``_dims_table`` takes from theorems:
+    dim g^r at i = 0 (r >= 1), n dim g^r - dim g^{r+1} at i = 1, 0 at i = n."""
+    n, k, cols = sym.n, sym.degree, sym.cols
+    kernels, profile, dims = {}, [], []
+
+    def g(r):
+        if r not in kernels:
+            kernels[r] = symbol_kernel_basis(sym, r)
+            profile.append(cols * sym_dim(n, r) - len(kernels[r]))
+        return kernels[r]
+
+    for l in range(l_max + 1):
+        ranks = {}
+        for i in range(min(l, n) + 1):
+            r = k + l - i
+            basis = g(r)
+            ranks[i] = rank(_delta_of_subspace(n, cols, r, i, basis))
+            profile.append(ranks[i])
+            if i == 0 and r >= 1:
+                assert ranks[i] == len(basis), (l, i)
+            if i == 1:
+                assert ranks[i] == n * len(basis) - len(g(r + 1)), (l, i)
+            if i == n:
+                assert ranks[i] == 0, (l, i)
+        dims.append([comb(n, i) * len(g(k + l - i)) - ranks[i] - ranks.get(i - 1, 0)
+                     if i <= l and (i or k + l) else 0 for i in range(n + 1)])
+    return dims, tuple(profile)
+
+
+def _sparse_operator(rng, ctx, rows, cols, order):
+    """Seeded operator, each entry 0-2 terms c D_sigma, mostly |sigma| = order, c a
+    constant, x times one or u times one; entry (s, s) has a constant term of full order."""
+    coefficients = (lambda c: DiffPoly.const(c), lambda c: ctx.parse(f"{c}*x"),
+                    lambda c: ctx.parse(f"{c}*u"))
+
+    def sigma(top):
+        return tuple(sorted(rng.randrange(ctx.n) for _ in range(order if top else
+                                                                rng.randint(1, order))))
+
+    def entry(lead):
+        terms = {sigma(rng.random() < 0.7): rng.choice(coefficients)(rng.choice((1, -1, 2, 3)))
+                 for _ in range(rng.randint(0, 2))}
+        if lead:
+            terms[sigma(True)] = DiffPoly.const(1)
+        return ScalarCDiffOp(terms)
+    return CDiffOp(ctx, [[entry(s == j) for j in range(cols)] for s in range(rows)])
+
+
+def _acceptance_operators():
+    kdv = JetContext.free("x t", "u")
+    ctx4 = JetContext.free("x y z w", "u")
+    wave = dbar_operator(ctx4, 2) @ star_operator(ctx4, Metric.diag([1, 1, 1, 1]), 2) \
+        @ dbar_operator(ctx4, 1)
+    yield linearize(kdv, [kdv.parse("u_t - u*u_x - u_{x,x,x}")]), 4
+    yield linearize(ctx4, [ctx4.parse("u_{x,x} + u_{y,y} + u_{z,z} + u_{w,w}")]), 5
+    yield wave, 2
+    for names in ("x t", "x y z"):
+        ctx = JetContext.free(names, "u")
+        for q in range(ctx.n):
+            yield dbar_operator(ctx, q), 4
+
+
+def test_theorem_delta_ranks_on_the_acceptance_operators():
+    for op, l_max in _acceptance_operators():
+        pt = random_point(op.ctx, op.coefficient_jet_order(), seed=3)
+        sym = symbol(op, pt)
+        table = _eliminated_table(sym, l_max)
+        assert _dims_table(sym, op.cols, l_max, op.ctx.n) == table
+        assert spencer_cohomology(op, l_max, pt=pt).dims == table[0]
+
+
+def test_theorem_delta_ranks_on_seeded_operators():
+    rng = random.Random(2024)
+    nonzero = 0
+    for trial in range(60):
+        ctx = JetContext.free(rng.choice(("x t", "x y z")), rng.choice(("u", "u v")))
+        rows = ctx.m + rng.randint(1, 2) if trial % 5 else ctx.m  # mostly overdetermined
+        op = _sparse_operator(rng, ctx, rows, ctx.m, rng.randint(1, 2))
+        pt = random_point(ctx, op.coefficient_jet_order(), seed=trial)
+        sym = symbol(op, pt)
+        table = _eliminated_table(sym, 4)
+        assert _dims_table(sym, op.cols, 4, ctx.n) == table
+        assert spencer_cohomology(op, 4, pt=pt).dims == table[0]
+        nonzero += any(map(any, table[0]))
+    assert nonzero >= 10  # tables with cohomology are among them
+
+
+def test_theorem_delta_ranks_hold_at_a_degenerate_point():
+    # x*u_{x,x} + u_{t,t} at x = 0: the symbol loses xi_x^2, and the ranks
+    # the table takes from theorems still equal the eliminated ones there
+    ctx = JetContext.free("x t", "u")
+    op = linearize(ctx, [ctx.parse("x*u_{x,x} + u_{t,t}"), ctx.parse("u_{x,t}")])
+    pt = JetPoint(ctx, 0, {**random_point(ctx, 0, seed=0).values, ctx.indep_coord("x"): 0})
+    sym = symbol(op, pt)
+    assert sym.entry(0, 0) == {(1, 1): 1}
+    table = _eliminated_table(sym, 4)
+    assert _dims_table(sym, op.cols, 4, ctx.n) == table
+    assert table[0] != spencer_cohomology(op, 4, seed=0).dims
+
+
+def test_symbol_kernel_basis_is_sympys_nullspace():
+    # after the rref with 1 at each free column, as Fractions, in free-column order
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(62)
+    for trial in range(12):
+        ctx = JetContext.free(rng.choice(("x t", "x y z")), rng.choice(("u", "u v")))
+        op = _sparse_operator(rng, ctx, ctx.m + rng.randint(0, 2), ctx.m, rng.randint(1, 2))
+        sym = symbol(op, random_point(ctx, op.coefficient_jet_order(), seed=trial))
+        for r in range(sym.degree, sym.degree + 3):
+            dense = graded_symbol_matrix(sym, r - sym.degree).matrix
+            width = sym.cols * sym_dim(ctx.n, r)
+            want = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                    for vec in sympy.Matrix(dense).nullspace()]
+            free = [c for c in range(width) if c not in sympy.Matrix(dense).rref()[1]]
+            basis = symbol_kernel_basis(sym, r)
+            assert [[row.get(c, 0) for c in range(width)] for row in basis] == want
+            assert all(type(v) is Fraction for row in basis for v in row.values())
+            assert [{c: row.get(c, 0) for c in free} for row in basis] == \
+                [{c: int(c == f) for c in free} for f in free]
+            assert kernel_basis(dense, width) == want
+            assert all(type(v) is Fraction for row in kernel_basis(dense, width) for v in row)
+
+
+def test_kernel_and_delta_views_are_pinned():
+    assert kernel_basis([[2, 4, 6], [1, 3, 0]]) == [[-9, 3, 1]]
+    assert kernel_basis([[Fraction(2, 3), 4, 0, 1]]) == [
+        [-6, 1, 0, 0], [0, 0, 1, 0], [Fraction(-3, 2), 0, 0, 1]]
+    assert all(type(v) is Fraction
+               for v in kernel_basis([[Fraction(2, 3), 4, 0, 1]])[2])
+    # delta on S^2 over n = 2 and on Lambda^1 (x) S^1 (x) P, rank P = 2
+    assert delta_map(2, 1, 2, 0).rows == [{0: 1}, {1: 1}, {1: 1}, {2: 1}]
+    assert delta_map(2, 2, 1, 1).rows == [{1: -1, 4: 1}, {3: -1, 6: 1}]
+    for n, rank_p, r, s in ((2, 1, 2, 0), (2, 2, 1, 1), (3, 2, 2, 1), (3, 1, 3, 2)):
+        rows = delta_map(n, rank_p, r, s).rows
+        assert rows and all(type(v) is Fraction for row in rows for v in row.values())
 
 
 # ---------------------------------------------------------------------------
