@@ -15,7 +15,7 @@ from cdcalc import (
     cokernel_rank, dbar_operator, delta_map, fiber_map, is_involutive, linearize,
     random_point, spencer_cohomology, star_operator, symbol, two_line_polynomial,
 )
-from cdcalc.linalg import kernel_basis, rank
+from cdcalc.linalg import rank
 from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
 from cdcalc.jet import MAX_PROLONGATION
@@ -144,6 +144,12 @@ def test_delta_map_full_module_ranks():
     assert (d0.domain_dim, d0.codomain_dim) == (3, 4)
     assert (d1.domain_dim, d1.codomain_dim) == (4, 1)
     assert rank(d0.matrix) == 3 and rank(d1.matrix) == 1
+    # the rows hold Fractions, at the columns of the shift model
+    assert d0.rows == [{0: 1}, {1: 1}, {1: 1}, {2: 1}]
+    assert delta_map(2, 2, 1, 1).rows == [{1: -1, 4: 1}, {3: -1, 6: 1}]
+    for n, rank_p, r, s in ((2, 1, 2, 0), (2, 2, 1, 1), (3, 2, 2, 1), (3, 1, 3, 2)):
+        rows = delta_map(n, rank_p, r, s).rows
+        assert rows and all(type(v) is Fraction for row in rows for v in row.values())
 
 
 def test_delta_squared_zero_everywhere():
@@ -292,7 +298,7 @@ def _graded_from_definition(sym, l):
 
 
 def test_symbol_kernel_basis_against_sympy():
-    pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(61)
     for trial in range(12):
         ctx = JetContext.free(rng.choice(("x t", "x y z")), "u")
@@ -310,6 +316,14 @@ def test_symbol_kernel_basis_against_sympy():
             assert (graded.codomain_dim, graded.domain_dim) == (len(dense), width)
             assert graded.matrix == dense
             assert len(basis) == width - sympy_rank(dense)
+            # sympy's nullspace: Fractions, 1 at each free column of the rref
+            matrix = sympy.Matrix(dense)
+            assert [[row.get(c, 0) for c in range(width)] for row in basis] == \
+                [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in matrix.nullspace()]
+            assert all(type(v) is Fraction for row in basis for v in row.values())
+            free = [c for c in range(width) if c not in matrix.rref()[1]]
+            assert [{c: row.get(c, 0) for c in free} for row in basis] == \
+                [{c: int(c == f) for c in free} for f in free]
             for v in basis:
                 assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in dense)
             if basis:
@@ -447,43 +461,6 @@ def test_theorem_delta_ranks_hold_at_a_degenerate_point():
     table = _eliminated_table(sym, 4)
     assert _dims_table(sym, op.cols, 4, ctx.n) == table
     assert table[0] != spencer_cohomology(op, 4, seed=0).dims
-
-
-def test_symbol_kernel_basis_is_sympys_nullspace():
-    # after the rref with 1 at each free column, as Fractions, in free-column order
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(62)
-    for trial in range(12):
-        ctx = JetContext.free(rng.choice(("x t", "x y z")), rng.choice(("u", "u v")))
-        op = _sparse_operator(rng, ctx, ctx.m + rng.randint(0, 2), ctx.m, rng.randint(1, 2))
-        sym = symbol(op, random_point(ctx, op.coefficient_jet_order(), seed=trial))
-        for r in range(sym.degree, sym.degree + 3):
-            dense = graded_symbol_matrix(sym, r - sym.degree).matrix
-            width = sym.cols * sym_dim(ctx.n, r)
-            want = [[Fraction(int(v.p), int(v.q)) for v in vec]
-                    for vec in sympy.Matrix(dense).nullspace()]
-            free = [c for c in range(width) if c not in sympy.Matrix(dense).rref()[1]]
-            basis = symbol_kernel_basis(sym, r)
-            assert [[row.get(c, 0) for c in range(width)] for row in basis] == want
-            assert all(type(v) is Fraction for row in basis for v in row.values())
-            assert [{c: row.get(c, 0) for c in free} for row in basis] == \
-                [{c: int(c == f) for c in free} for f in free]
-            assert kernel_basis(dense, width) == want
-            assert all(type(v) is Fraction for row in kernel_basis(dense, width) for v in row)
-
-
-def test_kernel_and_delta_views_are_pinned():
-    assert kernel_basis([[2, 4, 6], [1, 3, 0]]) == [[-9, 3, 1]]
-    assert kernel_basis([[Fraction(2, 3), 4, 0, 1]]) == [
-        [-6, 1, 0, 0], [0, 0, 1, 0], [Fraction(-3, 2), 0, 0, 1]]
-    assert all(type(v) is Fraction
-               for v in kernel_basis([[Fraction(2, 3), 4, 0, 1]])[2])
-    # delta on S^2 over n = 2 and on Lambda^1 (x) S^1 (x) P, rank P = 2
-    assert delta_map(2, 1, 2, 0).rows == [{0: 1}, {1: 1}, {1: 1}, {2: 1}]
-    assert delta_map(2, 2, 1, 1).rows == [{1: -1, 4: 1}, {3: -1, 6: 1}]
-    for n, rank_p, r, s in ((2, 1, 2, 0), (2, 2, 1, 1), (3, 2, 2, 1), (3, 1, 3, 2)):
-        rows = delta_map(n, rank_p, r, s).rows
-        assert rows and all(type(v) is Fraction for row in rows for v in row.values())
 
 
 # ---------------------------------------------------------------------------
