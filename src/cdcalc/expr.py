@@ -443,6 +443,11 @@ def _sum_products(pairs) -> DiffPoly:
     return _poly(out, den)
 
 
+def _as_poly(value) -> DiffPoly:
+    """``value`` as a DiffPoly: an int or Fraction is a constant (floats raise TypeError)."""
+    return value if isinstance(value, DiffPoly) else DiffPoly.const(value)
+
+
 def _coerce(value):
     if isinstance(value, DiffPoly):
         return value

@@ -14,12 +14,12 @@ import random
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb
+from math import comb, lcm
 
 from .expr import (
     _COORDS, INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _coord_id, _over_common_denominator, _parse_integers, _parse_rational,
-    _poly, _rational, _sum_products, format_coord, format_poly, parse_coord, parse_expr,
+    _accumulate, _as_poly, _coord_id, _mul_into, _over_common_denominator, _parse_integers,
+    _parse_rational, _poly, _rational, format_coord, format_poly, parse_coord, parse_expr,
 )
 
 
@@ -62,6 +62,13 @@ class JetContext:
             self.evolution_rhs = rhs
         # per u^j, the table of D_x^r(f_j) that _along builds for evolution-mode D_t
         self._rhs_dx = tuple(_table(f) for f in self.evolution_rhs or ())
+        # evolution-mode D_t: monomial -> its int terms over _dt_scale (total_derivative)
+        self._dt = None if self.evolution_rhs is None else {}
+        self._dt_scale = lcm(*(f.den for f in self.evolution_rhs or ()))
+
+    def __reduce__(self):
+        # rebuilt from the declarations: the D_t table is keyed by ids local to one process
+        return JetContext, (self.indep, self.dep, self.params, self.evolution_rhs)
 
     # -- construction ----------------------------------------------------
 
@@ -155,28 +162,34 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
 
     Free mode: D_i = d/dx_i + sum over jets of u^j_{sigma+i} d/du^j_sigma.
     Evolution mode: D_x acts the same way on the internal coordinates; D_t
-    substitutes D_x^r(f_j) for the slot of u^j with r trailing x's.
+    substitutes D_x^r(f_j) for the slot of u^j with r trailing x's, and a jet
+    with t-derivatives, not being an internal coordinate, is a ValueError.
+    Every direction is one pass over the numerators: each monomial's int
+    terms come from a table filled as monomials are met, the global
+    ``_DERIVATIVES[i]``, or for evolution-mode D_t the context's own table,
+    whose terms are over the lcm of the f_j's denominators.
     """
-    idx = ctx._indep_idx(i)
-    if ctx.is_evolution and idx == 1:
-        return _evolution_dt(ctx, f)
-    # one pass over the numerators: each monomial's terms come from the table
-    table = _DERIVATIVES.setdefault(idx, {})
+    idx = i if type(i) is int and 0 <= i < len(ctx.indep) else ctx._indep_idx(i)
+    dt = idx == 1 and ctx._dt is not None
+    table = ctx._dt if dt else _DERIVATIVES.setdefault(idx, {})
     out: dict = {}
     for mono, coeff in f.nums.items():
         if (terms := table.get(mono)) is None:
-            terms = table[mono] = _monomial_derivative(mono, idx)
+            terms = _monomial_dt(ctx, mono) if dt else _monomial_derivative(mono, idx)
+            table[mono] = terms
         for m, e in terms:
             if s := out.get(m, 0) + coeff * e:
                 out[m] = s
             else:
                 del out[m]
-    return _poly(out, f.den)
+    return _poly(out, f.den * ctx._dt_scale if dt else f.den)
 
 
 # Per direction i, monomial -> the ((monomial', multiplicity), ...) terms of
 # its D_i, filled as monomials are met.  Ids, hence monomials, mean the same
-# in every context of one process, so the tables are global.
+# in every context of one process, so these tables are global.  Evolution-mode
+# D_t depends on the right-hand sides: each such context keeps its own table,
+# which lives as long as the context (and is not pickled with it).
 _DERIVATIVES: dict = {}
 
 
@@ -205,23 +218,33 @@ def _monomial_derivative(mono: tuple, i: int) -> tuple:
     return tuple(terms)
 
 
-def _evolution_dt(ctx: JetContext, f: DiffPoly) -> DiffPoly:
-    """D_t in evolution mode: d/dt plus D_x^r(f_j) times d/du^j_{x..x}."""
-    t = _coord_id(Coord(INDEP, 1))
-    partials: dict = {}
-    for mono, coeff in f.nums.items():
-        prev = None
-        for pos, c in enumerate(mono):
-            if c != prev and (c == t or _COORDS[c].kind == JET):
-                # lowering one coordinate maps distinct monomials apart
-                partials.setdefault(c, {})[mono[:pos] + mono[pos + 1:]] = coeff * mono.count(c)
-            prev = c
-    one = DiffPoly.const(1)
+def _monomial_dt(ctx: JetContext, mono: tuple) -> tuple:
+    """The int terms of evolution-mode D_t of ``mono`` over ``ctx._dt_scale``.
+
+    Each distinct coordinate is lowered once and multiplied by what D_t makes
+    of it: 1 for t, D_x^r(f_j) from ``ctx._rhs_dx`` for u^j_{x^r}.  Products
+    can meet, so the terms are summed in one dict.
+    """
     dx = partial(total_derivative, ctx)
-    return _sum_products([
-        (_poly(part, f.den), one if c == t else _along(ctx._rhs_dx[_COORDS[c].index],
-                                                       _COORDS[c].sigma, dx))
-        for c, part in partials.items()])
+    out: dict = {}
+    prev = None
+    for pos, c in enumerate(mono):
+        if c == prev:
+            continue
+        prev = c
+        kind, index, sigma = coord = _COORDS[c]
+        if kind == JET:
+            if any(sigma):
+                raise ValueError(f"{format_coord(coord, ctx)} has t-derivatives: "
+                                 "not an internal coordinate in evolution mode")
+            g = _along(ctx._rhs_dx[index], sigma, dx)
+        elif kind == INDEP and index == 1:
+            g = DiffPoly.const(1)
+        else:
+            continue
+        _mul_into(out, {mono[:pos] + mono[pos + 1:]: mono.count(c)}, g.nums,
+                  ctx._dt_scale // g.den)
+    return tuple(out.items())
 
 
 def _table(value):
@@ -332,7 +355,7 @@ class HorizontalForm:
         return self + (-other)
 
     def scale(self, factor) -> "HorizontalForm":
-        factor = factor if isinstance(factor, DiffPoly) else DiffPoly.const(factor)
+        factor = _as_poly(factor)
         return HorizontalForm(self.n, self.degree,
                               {k: factor * p for k, p in self.coeffs.items()})
 

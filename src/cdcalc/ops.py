@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import partial
 
 from .expr import (
-    JET, DiffPoly, ExprParser, ParseError, _join_signed, _signed_terms, _sum,
+    JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _signed_terms, _sum,
     _sum_by_key, _sum_multiples, _sum_products, format_poly,
 )
 from .jet import (
@@ -199,7 +199,7 @@ class CDiffOp:
     # -- algebra -------------------------------------------------------------
 
     def __call__(self, vector) -> list[DiffPoly]:
-        vec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in vector]
+        vec = [_as_poly(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError(f"operator expects {self.cols} components, got {len(vec)}")
         tables = [_table(v) for v in vec]
@@ -250,7 +250,7 @@ class CDiffOp:
         return self + (-other)
 
     def scale(self, poly) -> "CDiffOp":
-        poly = poly if isinstance(poly, DiffPoly) else DiffPoly.const(poly)
+        poly = _as_poly(poly)
         return CDiffOp(self.ctx, [[e.scale(poly) for e in row] for row in self.entries])
 
     def __repr__(self):
@@ -363,8 +363,8 @@ def green_remainder(op: CDiffOp, p, q) -> list[DiffPoly]:
 
 
 def pairing(a, b) -> DiffPoly:
-    """Componentwise product, summed."""
-    return sum((x * y for x, y in zip(a, b)), DiffPoly.zero())
+    """Componentwise product, summed in one dict; int and Fraction entries are constants."""
+    return _sum_products([(_as_poly(x), _as_poly(y)) for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

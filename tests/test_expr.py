@@ -379,9 +379,15 @@ def test_free_calculus_matches_reference(spec, coord):
 @given(_specs(_INTERNAL + _T_JETS))
 def test_monomial_derivative_table_is_only_a_cache(spec):
     _, a = _build(spec)
-    for ctx, i in ((_FREE, 0), (_FREE, 1), (_EVOLUTION, 0)):
+    for ctx, i in ((_FREE, 0), (_FREE, 1), (_EVOLUTION, 0), (_EVOLUTION, 1)):
+        if (ctx, i) == (_EVOLUTION, 1) and not a.coords() <= set(_INTERNAL):
+            for _ in range(2):  # a t-jet is refused and leaves no entry behind
+                with pytest.raises(ValueError, match="not an internal coordinate"):
+                    total_derivative(ctx, i, a)
+            continue
         kept = total_derivative(ctx, i, a)
         _DERIVATIVES.clear()
+        _EVOLUTION._dt.clear()
         fresh = total_derivative(ctx, i, a)
         assert (fresh.nums, fresh.den) == (kept.nums, kept.den)
         assert total_derivative(ctx, i, a) == fresh  # from the table just filled
@@ -461,7 +467,8 @@ def test_routes_to_one_polynomial_agree(spec):
 
 _INTERNING_SCRIPT = """
 import pickle, sys
-from cdcalc import JetContext, adjoint, format_operator, format_poly, random_point
+from cdcalc import (JetContext, adjoint, format_operator, format_poly, random_point,
+                    total_derivative)
 from cdcalc.expr import _IDS
 from cdcalc.ops import parse_operator_matrix
 ctx = JetContext.free("x t", "u v", "lam")
@@ -471,15 +478,20 @@ f = ctx.parse("lam*u_xt^2*v - 1/3*x*u_ttx + v_xx*u")
 pt = random_point(ctx, 3, 7)
 a = parse_operator_matrix("u*D_{x} + lam ; v_t*D_{x,t}\\n1 ; x*u_x*D_{t,t}", ctx)
 b = parse_operator_matrix("D_{x} ; u*v\\nv_xx ; 1/2*D_{t}", ctx)
+ev = JetContext.evolution("u", ["u*u_xxx + 1/2*x^2"])
+g = ev.parse("u_xxxx + u*u_xx - 2/3*t*u_x^2")
+dt = format_poly(total_derivative(ev, "t", g), ev)  # fills ev's D_t table
 print(_IDS[ctx.jet_coord("u", "x")])
 print(format_poly(f, ctx))
 print(format_operator(adjoint(a @ b)))
 print(f.evaluate(pt))
+print(dt)
 if len(sys.argv) > 2:
-    other, other_pt = pickle.loads(bytes.fromhex(sys.argv[2]))
-    print(other == f, format_poly(other, ctx), other.evaluate(other_pt))
+    other, other_pt, other_ev = pickle.loads(bytes.fromhex(sys.argv[2]))
+    print(other == f, format_poly(other, ctx), other.evaluate(other_pt),
+          other_ev == ev, format_poly(total_derivative(other_ev, "t", g), ev))
 else:
-    print(pickle.dumps((f, pt)).hex())
+    print(pickle.dumps((f, pt, ev)).hex())
 """
 
 
@@ -494,10 +506,14 @@ def _interning_run(*args) -> list[str]:
 
 
 def test_ids_stay_inside_the_process():
-    """Pickles carry no ids, and no output depends on the order ids were given in."""
+    """Pickles carry no ids, and no output depends on the order ids were given in.
+
+    The evolution context is pickled after its D_t table was filled: a table
+    carried to the other process would read its keys as other coordinates.
+    """
     forward = _interning_run("forward")
     backward = _interning_run("backward", forward[-1])
     assert forward[0] != backward[0]  # u_x was given a different id
-    # the polynomial, adjoint(a @ b) and a value, byte for byte
+    # the polynomial, adjoint(a @ b), a value and a D_t, byte for byte
     assert forward[1:-1] == backward[1:-1]
-    assert backward[-1] == f"True {forward[1]} {forward[-2]}"
+    assert backward[-1] == f"True {forward[1]} {forward[-3]} True {forward[-2]}"

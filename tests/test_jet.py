@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -381,6 +382,35 @@ def test_evolution_dt_matches_sympy_substitution():
             expr = sym.poly(f)
             assert sym.poly(total_derivative(ctx, "t", f)) == sym.evolution_dt(expr, rhs)
             assert sym.poly(total_derivative(ctx, "x", f)) == sym.total(expr, 0)
+
+
+def test_evolution_dt_tables_are_kept_per_context():
+    """Two contexts with the same dependent name and different right-hand sides
+    each keep their own D_t table: interleaved calls on the same monomials give
+    each context's own substitution, canonical, whether built or read back."""
+    sym = SympyJets()
+    rng = random.Random(19)
+    fractional = JetContext.evolution("u", ["1/2*u*u_x - 2/3*u_xxx + 5/7*x"])
+    paired = JetContext.evolution("u v", ["u*v_x - 1/3*u_xx", "1/4*u^2*v_x + v_xxx - t"])
+    contexts = [(ctx, [sym.poly(f) for f in ctx.evolution_rhs]) for ctx in (fractional, paired)]
+    polys = [rand_poly(rng, fractional, max_order=3, max_terms=5, max_exp=3) for _ in range(25)]
+    for f in polys + polys:  # the second pass reads every entry from the tables
+        expr = sym.poly(f)
+        for ctx, rhs in contexts:
+            got = total_derivative(ctx, "t", f)
+            assert sym.poly(got) == sym.evolution_dt(expr, rhs)
+            assert math.gcd(got.den, *got.nums.values()) == 1
+    assert fractional._dt.keys() == paired._dt.keys() != set()
+    assert fractional._dt != paired._dt
+
+
+def test_evolution_dt_refuses_jets_with_t_derivatives():
+    ctx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
+    u_xt = DiffPoly.var(ctx.jet_coord("u", ("x", "t")))
+    for f in (u_xt, ctx.parse("u*u_x") * u_xt + 1):
+        with pytest.raises(ValueError, match="u_xt has t-derivatives: not an internal"):
+            total_derivative(ctx, "t", f)
+    assert total_derivative(ctx, "x", u_xt) == DiffPoly.var(ctx.jet_coord("u", ("x", "x", "t")))
 
 
 def test_linearize_matches_sympy_partials():

@@ -42,7 +42,8 @@ def test_float_coefficients_are_rejected(ctx):
     op = CDiffOp.total(ctx, "x")
     q = [ctx.parse("u")]
     for bad in (lambda: op([0.1]), lambda: green_remainder(op, [0.5], q),
-                lambda: green_remainder(op, q, [0.5]), lambda: op.scale(0.5)):
+                lambda: green_remainder(op, q, [0.5]), lambda: op.scale(0.5),
+                lambda: pairing(q, [0.5]), lambda: pairing([0.5], q)):
         with pytest.raises(TypeError, match="int or Fraction"):
             bad()
     assert op.scale(Fraction(1, 2)) == parse_operator_matrix("1/2*D_{x}", ctx)
@@ -209,6 +210,21 @@ def green_identity_holds(ctx, op, p, q):
     for i, r in enumerate(green_remainder(op, p, q)):
         rhs = rhs + total_derivative(ctx, i, r)
     return lhs == rhs
+
+
+def test_pairing_sums_every_product_once(ctx):
+    rng = random.Random(14)
+    for n in range(5):
+        a = [rand_poly(rng, ctx) for _ in range(n)]
+        b = [rand_poly(rng, ctx) for _ in range(n + 1)]  # zip stops at the shorter
+        want = DiffPoly.zero()
+        for x, y in zip(a, b):
+            want = want + x * y
+        got = pairing(a, b)
+        assert (got.nums, got.den) == (want.nums, want.den)
+    assert pairing([], []) == DiffPoly.zero()
+    assert pairing([ctx.parse("u"), 1], [Fraction(2, 3), Fraction(1, 2)]) == ctx.parse("2/3*u + 1/2")
+    assert pairing([ctx.parse("u")], [ctx.parse("-u")]) + ctx.parse("u^2") == DiffPoly.zero()
 
 
 def test_green_remainder_examples():
