@@ -19,7 +19,7 @@ import warnings
 
 from .compat import check_formal_exactness, cokernel_rank, kline_report, parse_complex
 from .expr import EvaluationError, ParseError, _parse_integers, _parse_rational, format_poly
-from .jet import PointError, parse_point_file, parse_problem, random_point
+from .jet import PointError, generic_points, parse_point_file, parse_problem
 from .ops import adjoint as op_adjoint, format_operator, linearize
 from .pform import Metric, MetricError, e1_table, epi_check
 from .spencer import (
@@ -82,7 +82,7 @@ def _cmd_adjoint(args):
 def _cmd_symbol(args):
     ctx, op = _linearization(args.problem)
     order = op.coefficient_jet_order()
-    sym = symbol(op, _point_for(args, ctx, order) or random_point(ctx, order, 3 * args.seed))
+    sym = symbol(op, _point_for(args, ctx, order) or generic_points(ctx, order, args.seed)[0])
     entry_strs = [[format_symbol_entry(sym.entry(s, j), ctx)
                    for j in range(sym.cols)] for s in range(sym.rows)]
     lines = [f"degree: {sym.degree}", f"rows: {sym.rows}", f"cols: {sym.cols}",

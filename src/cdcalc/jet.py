@@ -114,7 +114,11 @@ class JetContext:
 
     def jet_coord(self, dep, sigma=()) -> Coord:
         j = dep if isinstance(dep, int) else self.dep_index[dep]
-        return Coord(JET, j, (self._indep_idx(i) for i in sigma))
+        coord = Coord(JET, j, (self._indep_idx(i) for i in sigma))
+        if self.is_evolution and any(coord.sigma):
+            raise ValueError(f"{format_coord(coord, self)} has t-derivatives: "
+                             "not an internal coordinate in evolution mode")
+        return coord
 
     def param_coord(self, name) -> Coord:
         idx = name if isinstance(name, int) else self.param_index[name]

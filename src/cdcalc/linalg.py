@@ -4,7 +4,7 @@ The package builds every matrix as a list of sparse ``{column: value}``
 rows (``{}`` for a zero row) of Fractions or ints; ``rank`` and
 ``kernel_basis`` also accept dense sequences as rows.  One fraction-free
 sparse elimination serves both, consuming int rows with no zero value that
-``_echelon`` copies from the caller's, clearing denominators: a row whose
+``_int_row`` copies from the caller's, clearing denominators: a row whose
 smallest column no pivot row leads is a pivot as it stands (scaling a row
 changes no rank), and any other is reduced over ``int`` against the pivot
 rows in ascending column order, divided by the gcd of its entries after
@@ -17,7 +17,8 @@ meets; ``kernel_basis`` and ``spencer.symbol_kernel_basis`` are its
 
 ``_prefix_ranks`` gives the ranks of a list's leading rows for several ends
 from one elimination of the shorter side, consuming the caller's int rows
-as they are.  A wide or square list (no more rows than nonzero columns,
+as they are; ``rank`` is its one end, over copies, so every rank takes the
+shorter side.  A wide or square list (no more rows than nonzero columns,
 which are counted only until they reach the number of rows) is reduced in
 place, the count of pivots read at each end.  A tall list's dependent rows
 would each reduce all the way to zero, so its transpose is eliminated
@@ -115,8 +116,8 @@ def _echelon(matrix) -> dict[int, dict[int, int]]:
 
 
 def rank(matrix) -> int:
-    """Rank over Q: the number of pivots of the sparse elimination."""
-    return len(_echelon(matrix))
+    """Rank over Q, from ``_prefix_ranks`` over copies of the rows."""
+    return _prefix_ranks([_int_row(row) for row in matrix], [len(matrix)])[0]
 
 
 def _prefix_ranks(rows, ends) -> list[int]:

@@ -339,8 +339,8 @@ def green_remainder(op: CDiffOp, p, q) -> list[DiffPoly]:
     multi-index.
     """
     ctx = op.ctx
-    pvec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in p]
-    qvec = [v if isinstance(v, DiffPoly) else DiffPoly.const(v) for v in q]
+    pvec = [_as_poly(v) for v in p]
+    qvec = [_as_poly(v) for v in q]
     if len(pvec) != op.cols or len(qvec) != op.rows:
         raise ValueError("green_remainder: vector lengths must match the operator")
     tables = [_table(v) for v in pvec]

@@ -40,7 +40,7 @@ from .jet import (
     JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
     _merge_sign, increasing_tuples, total_derivative,
 )
-from .linalg import _fraction_rows, _int_row, _kernel_rows, _prefix_ranks, rank
+from .linalg import _fraction_rows, _kernel_rows, _prefix_ranks, rank
 from .ops import CDiffOp
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,8 @@ def multiindices_upto(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 # The graded position of mu is the same in every multiindices_upto(n, r) with
-# r >= |mu|.  The towers share these tables, keyed by sizes that passed
-# _check_fiber_size; they hold index tuples only, never an operator or point.
+# r >= |mu|.  The towers and graded symbol maps share these tables, keyed by
+# sizes and multi-indices; they hold index tuples only, never an operator or point.
 
 @cache
 def _positions(n: int, r: int) -> dict[tuple[int, ...], int]:
@@ -96,7 +96,7 @@ def sym_dim(n: int, r: int) -> int:
 
 
 def jet_fiber_dim(n: int, r: int) -> int:
-    return comb(n + r, n)
+    return comb(n + r, n) if r >= 0 else 0
 
 
 def _remove_one(sigma: tuple, i: int) -> tuple:
@@ -141,17 +141,18 @@ def graded_symbol_matrix(sym: SymbolMatrix, l: int) -> FiberMap:
 
     Rows are (s, tau) with |tau| = l, columns (j, mu) with |mu| = k + l;
     the entry is the symbol coefficient at mu minus tau when tau fits
-    inside mu.
+    inside mu.  Terms shift by tau as in the towers: sigma + tau is at the
+    graded position ``_shifted`` gives, less those of lower degree.  Below
+    the order (l < 0) S^l is 0 and the map has no rows.
     """
-    taus = multiindices(sym.n, l)
-    mus = multiindices(sym.n, sym.degree + l)
-    mu_pos = {mu: c for c, mu in enumerate(mus)}
-    rows = [{j * len(mus) + mu_pos[tuple(sorted(tau + sigma))]: value
+    n, k = sym.n, sym.degree
+    width, low = sym_dim(n, k + l), jet_fiber_dim(n, k + l - 1)
+    rows = [{j * width + _shifted(n, l, sigma)[t] - low: value
              for j in range(sym.cols) for sigma, value in sym.entry(s, j).items()}
-            for s in range(sym.rows) for tau in taus]
-    return FiberMap(rows=rows, domain_dim=sym.cols * len(mus),
+            for s in range(sym.rows) for t in range(jet_fiber_dim(n, l - 1), jet_fiber_dim(n, l))]
+    return FiberMap(rows=rows, domain_dim=sym.cols * width,
                     codomain_dim=len(rows), source_rank=sym.cols,
-                    source_order=sym.degree + l, target_rank=sym.rows,
+                    source_order=k + l, target_rank=sym.rows,
                     target_order=l)
 
 
@@ -167,9 +168,7 @@ def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[dict]:
 
 def _symbol_kernel(sym: SymbolMatrix, r: int) -> dict[int, dict[int, int]]:
     """g^r as ``linalg._kernel_rows`` gives it: primitive int rows by free column."""
-    if r < 0:
-        return {}
-    rows = graded_symbol_matrix(sym, r - sym.degree).rows if r >= sym.degree else []
+    rows = graded_symbol_matrix(sym, r - sym.degree).rows
     return _kernel_rows(rows, sym.cols * sym_dim(sym.n, r))
 
 
@@ -203,9 +202,8 @@ class FiberMap:
         """Eliminated as ``_Tower.ranks`` eliminates: in its orderly ranking (highest
         graded position first), through the transpose when the map is tall."""
         width = self.domain_dim // max(self.source_rank, 1) or 1
-        rows = [_int_row({-(c % width) * self.domain_dim - c: v for c, v in row.items()})
-                for row in self.rows]
-        return _prefix_ranks(rows, [len(rows)])[0]
+        return rank([{-(c % width) * self.domain_dim - c: v for c, v in row.items()}
+                     for row in self.rows])
 
 
 def _check_fiber_size(op: CDiffOp, k: int, l: int) -> None:
@@ -434,9 +432,11 @@ class InvolutivityResult:
 def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
     """One cohomology table plus the tuple of every rank used to build it.
 
-    The rank tuple orders symbol-map ranks before the delta ranks they feed,
-    so its lexicographic maximum over sample points is the generic profile.
-    Delta is eliminated only for 2 <= i < n (see the module docstring).
+    dims[l][i] is dim Lambda^i (x) g^{k+l-i} less the ranks of delta out of
+    slot i and into it.  The rank tuple orders symbol-map ranks before the
+    delta ranks they feed (``delta_rank`` reads them first), so its
+    lexicographic maximum over sample points is the generic profile.  Delta
+    is eliminated only for 2 <= i < n (see the module docstring).
     """
     k = sym.degree
     kernels: dict[int, list] = {}
@@ -448,38 +448,32 @@ def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
             profile.append(rank_p * sym_dim(n, r) - len(kernels[r]))
         return kernels[r]
 
+    def delta_rank(r: int, i: int) -> int:
+        """The rank of delta on Lambda^i (x) g^r, appended to the profile."""
+        basis = g_basis(r)
+        if r == 0 or i == n:
+            value = 0  # no symmetric degree to lower, or Lambda^{n+1} = 0
+        elif i == 0:
+            value = len(basis)  # injective
+        elif i == 1:
+            # H^1 = 0: delta's kernel is the image of g^{r+1}, the prolongation of g^r
+            value = n * len(basis) - len(g_basis(r + 1))
+        else:
+            value = rank(_delta_of_subspace(n, rank_p, r, i, basis))
+        profile.append(value)
+        return value
+
     dims = []
     for l in range(l_max + 1):
-        row = []
-        delta_ranks: dict[int, int] = {}
-        sub_dims: dict[int, int] = {}
+        row, image = [], 0
         for i in range(min(l, n) + 1):
             r = k + l - i
-            basis = g_basis(r)
-            sub_dims[i] = len(basis) * comb(n, i)
-            if r == 0 or i == n:
-                delta_ranks[i] = 0  # no symmetric degree to lower, or Lambda^{n+1} = 0
-            elif i == 0:
-                delta_ranks[i] = len(basis)  # injective
-            elif i == 1:
-                # H^1 = 0: delta's kernel is the image of g^{r+1}, the prolongation of g^r
-                delta_ranks[i] = n * len(basis) - len(g_basis(r + 1))
-            else:
-                delta_ranks[i] = rank(_delta_of_subspace(n, rank_p, r, i, basis))
-            profile.append(delta_ranks[i])
-        for i in range(n + 1):
-            if i > l:
-                row.append(0)
-                continue
-            if k + l == 0 and i == 0:
-                row.append(0)  # constants: resolved by the augmentation
-                continue
-            ker = sub_dims[i] - delta_ranks[i]
-            image = delta_ranks.get(i - 1, 0)
-            value = ker - image
+            out = delta_rank(r, i)
+            value = len(g_basis(r)) * comb(n, i) - out - image
             assert value >= 0, "image not contained in kernel (internal error)"
-            row.append(value)
-        dims.append(row)
+            row.append(value if k + l else 0)  # constants: resolved by the augmentation
+            image = out
+        dims.append(row + [0] * (n - min(l, n)))  # slots i > l lie outside the complex
     return dims, tuple(profile)
 
 

@@ -405,12 +405,28 @@ def test_evolution_dt_tables_are_kept_per_context():
 
 
 def test_evolution_dt_refuses_jets_with_t_derivatives():
+    # jet_coord refuses u_xt in evolution mode, so it is built as a bare Coord
     ctx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
-    u_xt = DiffPoly.var(ctx.jet_coord("u", ("x", "t")))
+    u_xt = DiffPoly.var(Coord(JET, 0, (0, 1)))
     for f in (u_xt, ctx.parse("u*u_x") * u_xt + 1):
         with pytest.raises(ValueError, match="u_xt has t-derivatives: not an internal"):
             total_derivative(ctx, "t", f)
-    assert total_derivative(ctx, "x", u_xt) == DiffPoly.var(ctx.jet_coord("u", ("x", "x", "t")))
+    assert total_derivative(ctx, "x", u_xt) == DiffPoly.var(Coord(JET, 0, (0, 0, 1)))
+
+
+@pytest.mark.parametrize("sigma, name", [
+    (("t",), "v_t"), (("x", "t"), "v_xt"), (("t", "x", "x"), "v_xxt"), ((1,), "v_t"),
+    ((0, 1, 1), "v_xtt"),
+])
+def test_evolution_jet_coord_refuses_t_derivatives(sigma, name):
+    ctx = JetContext.evolution("u v", ["u_{x,x} + v", "u*v_x"])
+    with pytest.raises(ValueError) as err:
+        ctx.jet_coord("v", sigma)
+    assert str(err.value) == f"{name} has t-derivatives: not an internal coordinate in evolution mode"
+    # internal jets are still made, and a free context makes any jet
+    assert ctx.jet_coord("v", ("x",) * len(sigma)) == Coord(JET, 1, (0,) * len(sigma))
+    free = JetContext.free("x t", "u v")
+    assert free.jet_coord("v", sigma) == Coord(JET, 1, (free._indep_idx(i) for i in sigma))
 
 
 def test_linearize_matches_sympy_partials():

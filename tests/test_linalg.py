@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from math import gcd
+from math import gcd, lcm
 
 from cdcalc.linalg import (
     _echelon, _int_row, _kernel_rows, _pivot_rows, _prefix_ranks, kernel_basis, rank,
@@ -52,10 +52,16 @@ def sympy_nullspace(matrix):
 
 
 def test_rank_matches_sympy():
+    # the shapes are tall and wide: rank consumes copies, never the caller's rows
     for m in cases():
         want = sympy_rank(m)
+        den = lcm(*(v.denominator for row in m for v in row))
+        ints = [{c: int(den * v) for c, v in enumerate(row) if v} for row in m]
+        kept = [dict(row) for row in ints], [list(row) for row in m]
         assert rank(m) == want
         assert rank(sparse(m)) == want
+        assert rank(ints) == want
+        assert (ints, m) == kept
 
 
 def test_kernel_matches_sympy_nullspace():

@@ -300,15 +300,19 @@ def _graded_from_definition(sym, l):
 def test_symbol_kernel_basis_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(61)
-    for trial in range(12):
-        ctx = JetContext.free(rng.choice(("x t", "x y z")), "u")
-        op = rand_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2))
+    # after twelve operators over n = 2, 3, n = 1 and n = 4 ones, order 0 among
+    # them: the shift offsets meet jet_fiber_dim(n, -1) = 0 at l = 0 and k = 0
+    extra = [("x", 0), ("x y z w", 0), ("x", 2), ("x y z w", 2)] * 2
+    for trial, (names, max_op_order) in enumerate([(None, 2)] * 12 + extra):
+        ctx = JetContext.free(names or rng.choice(("x t", "x y z")), "u")
+        op = rand_operator(rng, ctx, rng.randint(1, 2), rng.randint(1, 2), max_op_order)
         sym = symbol(op, random_point(ctx, op.coefficient_jet_order(), seed=trial))
-        for r in range(sym.degree + 3):
+        for r in range(-1, sym.degree + 3):
             width = sym.cols * sym_dim(ctx.n, r)
             basis = symbol_kernel_basis(sym, r)
             assert all(isinstance(v, dict) and all(v.values()) for v in basis)
-            if r < sym.degree:
+            if r < sym.degree:  # S^{r-k} = 0: no rows, and g^r is all of S^r (x) P
+                assert graded_symbol_matrix(sym, r - sym.degree).rows == []
                 assert len(basis) == width
                 continue
             graded = graded_symbol_matrix(sym, r - sym.degree)
