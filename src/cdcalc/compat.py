@@ -9,12 +9,12 @@ and the sample point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import product
 
 from .expr import _INTEGER
 from .jet import (
-    _DECLARED, JetContext, JetPoint, _at_generic_points, _check_depth, _declare, _statements,
+    _DECLARED, JetContext, JetPoint, _Record, _at_generic_points, _check_depth, _declare,
+    _statements,
 )
 from .ops import CDiffOp, parse_scalar_op
 from .spencer import _Tower, _check_fiber_size, jet_fiber_dim
@@ -72,26 +72,28 @@ class OperatorComplex:
         return needed
 
 
-@dataclass
-class PositionCheck:
-    """Exactness data at one interior position and prolongation level."""
+class PositionCheck(_Record):
+    """Exactness data at one interior position and prolongation level.
 
-    position: int
-    l: int
-    dims: tuple          # (domain, middle, codomain) fiber dimensions
-    ranks: tuple         # (incoming rank, outgoing rank)
-    defect: int
+    ``dims`` are the (domain, middle, codomain) fiber dimensions and
+    ``ranks`` the (incoming, outgoing) ranks.
+    """
+
+    __slots__ = ("position", "l", "dims", "ranks", "defect")
+
+    def __init__(self, position: int, l: int, dims: tuple, ranks: tuple, defect: int):
+        self.position, self.l, self.dims, self.ranks, self.defect = position, l, dims, ranks, defect
 
     @property
     def exact(self) -> bool:
         return self.defect == 0
 
 
-@dataclass
-class ExactnessReport:
-    l_max: int
-    checks: list
-    warnings: list = field(default_factory=list)
+class ExactnessReport(_Record):
+    __slots__ = ("l_max", "checks", "warnings")
+
+    def __init__(self, l_max: int, checks: list, warnings: list | None = None):
+        self.l_max, self.checks, self.warnings = l_max, checks, [] if warnings is None else warnings
 
     @property
     def all_exact(self) -> bool:
@@ -201,12 +203,13 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     return op.rows * jet_fiber_dim(op.ctx.n, k1) - best
 
 
-@dataclass
-class KlineReport:
+class KlineReport(_Record):
     """Predicted vanishing ranges for a length-k compatibility complex."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n = k, n
 
     @property
     def e1_bound(self) -> int:

@@ -416,6 +416,19 @@ def _sum_multiples(pairs) -> DiffPoly:
     return _poly(out, den)
 
 
+def _product(polys) -> DiffPoly:
+    """The product of a nonempty list of DiffPolys, in one numerator dict with one gcd."""
+    first, *rest = polys
+    if not rest:
+        return first
+    nums, den = first.nums, first.den
+    for p in rest:
+        out: dict = {}
+        _mul_into(out, nums, p.nums)
+        nums, den = out, den * p.den
+    return _poly(nums, den)
+
+
 def _sum_by_key(pairs) -> dict:
     """``{key: the sum of the DiffPolys given under it}`` over (key, poly) pairs; zero sums dropped."""
     out: dict = {}
@@ -555,6 +568,12 @@ class ExprParser:
     coord  := ident jetsuffix?
     A jet suffix is "_{i1,i2,...}" or, when every independent variable has a
     one-character name, a bare run of those characters ("u_xxt").
+
+    Each value is built once: an expression sums its signed terms in one dict
+    (``_sum_multiples``), a term multiplies its factors into one and reduces
+    it once (``_product``), and a literal is made canonical directly.  The
+    rules read ``self.tokens`` inline and compare lexemes alone: "+", "*",
+    "^" and the like are only ever symbol tokens.
     """
 
     def __init__(self, text: str, ctx):
@@ -594,30 +613,29 @@ class ExprParser:
         return value
 
     def expression(self) -> DiffPoly:
-        value = self.term()
-        while self.at_sym("+") or self.at_sym("-"):
-            _, op, _ = self.advance()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        terms = [(1, self.term())]
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            terms.append((1 if op == "+" else -1, self.term()))
+        return _sum_multiples(terms)
 
     def term(self) -> DiffPoly:
-        value = self.factor()
-        while self.at_sym("*"):
-            self.advance()
-            value = value * self.factor()
-        return value
+        factors = [self.factor()]
+        while self.tokens[self.pos][1] == "*":
+            self.pos += 1
+            factors.append(self.factor())
+        return _product(factors)
 
     def factor(self) -> DiffPoly:
         value = self.base()
-        if self.at_sym("^"):
-            self.advance()
-            kind, lex, off = self.peek()
+        tokens = self.tokens
+        if tokens[self.pos][1] == "^":
+            kind, lex, off = tokens[self.pos + 1]
             if kind != "num":
                 raise ParseError("expected integer exponent", off)
             if int(lex) > MAX_EXPONENT:
                 raise ParseError(f"exponent {lex} exceeds {MAX_EXPONENT}", off)
-            self.advance()
+            self.pos += 2
             try:
                 value = value ** int(lex)
             except ValueError as exc:
@@ -625,13 +643,14 @@ class ExprParser:
         return value
 
     def base(self) -> DiffPoly:
-        kind, lex, off = self.peek()
-        if kind == "sym" and lex in ("-", "("):
+        tokens = self.tokens
+        kind, lex, off = tokens[self.pos]
+        if lex == "-" or lex == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(
                     f"expression nested deeper than {MAX_NESTING} levels", off)
-            self.advance()
+            self.pos += 1
             if lex == "-":
                 value = -self.factor()
             else:
@@ -640,16 +659,15 @@ class ExprParser:
             self.depth -= 1
             return value
         if kind == "num":
-            self.advance()
-            numer = int(lex)
-            if self.at_sym("/"):
-                self.advance()
-                dkind, dlex, doff = self.peek()
+            self.pos += 1
+            numer, den = int(lex), 1
+            if tokens[self.pos][1] == "/":
+                dkind, dlex, doff = tokens[self.pos + 1]
                 if dkind != "num" or int(dlex) == 0:
                     raise ParseError("expected nonzero integer denominator", doff)
-                self.advance()
-                return DiffPoly.const(Fraction(numer, int(dlex)))
-            return DiffPoly.const(numer)
+                self.pos += 2
+                den = int(dlex)
+            return _poly({(): numer} if numer else {}, den)
         if kind == "ident":
             return DiffPoly.var(self.coordinate())
         raise ParseError(f"unexpected {lex!r}" if lex else "unexpected end of input", off)

@@ -29,6 +29,26 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+class _Record:
+    """A result record: its fields are its ``__slots__``, set by its own ``__init__``.
+
+    Records compare field by field within one class, print as
+    ``Name(field=value, ...)`` and are unhashable unless a subclass says so.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class JetContext:
     """Declarations for one computation: variables, parameters, mode.
 

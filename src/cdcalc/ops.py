@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import partial
 
 from .expr import (
-    JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _signed_terms, _sum,
-    _sum_by_key, _sum_multiples, _sum_products, format_poly,
+    JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _product, _signed_terms,
+    _sum, _sum_by_key, _sum_multiples, _sum_products, format_poly,
 )
 from .jet import (
     JetContext, _along, _merge_sign, _statements, _table, _walk, increasing_tuples,
@@ -403,49 +403,46 @@ class _OpParser(ExprParser):
     """opexpr := opterm (("+"|"-") opterm)*
     opterm  := sign? factor ("*" factor)*   with at most one trailing D-literal
     D-literal := "D_{" ident ("," ident)* "}"
+
+    Each term's coefficient is one product (``_product``); the terms are
+    grouped by D-multi-index and each group is summed once (``_sum_by_key``).
     """
 
     def parse_scalar_op(self) -> ScalarCDiffOp:
-        total = self.op_term()
-        while self.at_sym("+") or self.at_sym("-"):
-            _, sym, _ = self.advance()
-            term = self.op_term()
-            total = total + (term if sym == "+" else -term)
+        # op_term reads the sign between terms as its own
+        terms = [self.op_term()]
+        while self.tokens[self.pos][1] in ("+", "-"):
+            terms.append(self.op_term())
         kind, lex, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {lex!r}", off)
-        return total
+        return ScalarCDiffOp._normal(_sum_by_key(terms))
 
-    def op_term(self) -> ScalarCDiffOp:
+    def op_term(self) -> tuple:
+        """One signed term as (sorted multi-index, coefficient); () without a D-literal."""
+        tokens = self.tokens
         negate = False
-        while self.at_sym("-") or self.at_sym("+"):
-            _, sym, _ = self.advance()
-            if sym == "-":
-                negate = not negate
-        coeff = DiffPoly.const(1)
-        sigma = None
+        while (sym := tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            negate ^= sym == "-"
+        factors = []
+        sigma = ()
         while True:
             if self._at_d_literal():
                 sigma = self._d_literal()
             else:
-                coeff = coeff * self.factor()
-            if self.at_sym("*"):
-                if sigma is not None:
-                    _, _, off = self.peek()
-                    raise ParseError("D_{...} must end its term", off)
-                self.advance()
-                continue
-            break
-        if negate:
-            coeff = -coeff
-        return ScalarCDiffOp({(sigma if sigma is not None else ()): coeff})
+                factors.append(self.factor())
+            if tokens[self.pos][1] != "*":
+                break
+            if sigma:
+                raise ParseError("D_{...} must end its term", tokens[self.pos][2])
+            self.pos += 1
+        coeff = _product(factors) if factors else DiffPoly.const(1)
+        return sigma, -coeff if negate else coeff
 
     def _at_d_literal(self) -> bool:
-        kind, lex, _ = self.peek()
-        if kind != "ident" or lex != "D":
-            return False
-        nkind, nlex, _ = self.tokens[self.pos + 1]
-        return nkind == "sym" and nlex == "_"
+        tokens = self.tokens
+        return tokens[self.pos][1] == "D" and tokens[self.pos + 1][1] == "_"
 
     def _d_literal(self) -> MultiIndex:
         self.advance()  # D

@@ -8,12 +8,13 @@ Euclidean and Lorentzian signatures of interest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .expr import DiffPoly, _accumulate
-from .jet import HorizontalForm, JetContext, _check_size, increasing_tuples, _merge_sign
+from .jet import (
+    HorizontalForm, JetContext, _Record, _check_size, increasing_tuples, _merge_sign,
+)
 from .linalg import rank
 from .ops import CDiffOp, ScalarCDiffOp
 
@@ -22,19 +23,30 @@ class MetricError(ValueError):
     """Unsupported metric input."""
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Constant diagonal metric with entries +1/-1."""
+class Metric(_Record):
+    """Constant diagonal metric with entries +1/-1; frozen and hashable."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple):
+        if not entries:
             raise MetricError("metric needs at least one diagonal entry")
-        if any(e not in (1, -1) for e in self.entries):
+        if any(e not in (1, -1) for e in entries):
             raise MetricError(
                 "only diagonal entries +1/-1 are supported (keeps the star "
                 "operator rational)")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __reduce__(self):
+        return Metric, (self.entries,)
 
     @staticmethod
     def diag(entries) -> "Metric":
@@ -106,12 +118,11 @@ def star_operator(ctx: JetContext, metric: Metric, q: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EpiCheck:
-    surjective: bool
-    rank: int
-    dim: int
-    degree: int  # target exterior degree
+class EpiCheck(_Record):
+    __slots__ = ("surjective", "rank", "dim", "degree")  # degree: target exterior degree
+
+    def __init__(self, surjective: bool, rank: int, dim: int, degree: int):
+        self.surjective, self.rank, self.dim, self.degree = surjective, rank, dim, degree
 
 
 def _wedge_entries(n: int, xi, k: int):
@@ -170,8 +181,7 @@ def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class E1Table:
+class E1Table(_Record):
     """Sparse table of unit dimensions at bidegrees (i, q), q <= n-2.
 
     Generated by the free graded-commutative algebra on one generator of
@@ -180,9 +190,10 @@ class E1Table:
     to zero.  A monomial w1^a w2^b sits at (i, q) = (b, (a+b)(n-p-1)).
     """
 
-    n: int
-    p: int
-    entries: dict
+    __slots__ = ("n", "p", "entries")
+
+    def __init__(self, n: int, p: int, entries: dict):
+        self.n, self.p, self.entries = n, p, entries
 
     def dim(self, i: int, q: int) -> int:
         return self.entries.get((i, q), 0)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
@@ -37,7 +36,7 @@ from operator import methodcaller, mul
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
-    JetContext, JetPoint, PointError, _at_generic_points, _check_depth, _check_size,
+    JetContext, JetPoint, PointError, _Record, _at_generic_points, _check_depth, _check_size,
     _merge_sign, increasing_tuples, total_derivative,
 )
 from .linalg import _fraction_rows, _kernel_rows, _prefix_ranks, rank
@@ -109,19 +108,17 @@ def _remove_one(sigma: tuple, i: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SymbolMatrix:
+class SymbolMatrix(_Record):
     """Top-order coefficients frozen at a point.
 
     ``entries[(s, j)]`` maps a degree-k multi-index to its rational
     coefficient; only nonzero values are stored.
     """
 
-    n: int
-    rows: int
-    cols: int
-    degree: int
-    entries: dict
+    __slots__ = ("n", "rows", "cols", "degree", "entries")
+
+    def __init__(self, n: int, rows: int, cols: int, degree: int, entries: dict):
+        self.n, self.rows, self.cols, self.degree, self.entries = n, rows, cols, degree, entries
 
     def entry(self, s: int, j: int) -> dict:
         return self.entries.get((s, j), {})
@@ -143,33 +140,48 @@ def graded_symbol_matrix(sym: SymbolMatrix, l: int) -> FiberMap:
     the entry is the symbol coefficient at mu minus tau when tau fits
     inside mu.  Terms shift by tau as in the towers: sigma + tau is at the
     graded position ``_shifted`` gives, less those of lower degree.  Below
-    the order (l < 0) S^l is 0 and the map has no rows.
+    the order (l < 0) S^l is 0 and the map has no rows.  Past the bounds of
+    ``spencer_cohomology`` it raises ValueError before any table is built.
     """
+    _check_graded(sym, l)
+    rows = _graded_rows(sym, l)
+    return FiberMap(rows=rows, domain_dim=sym.cols * sym_dim(sym.n, sym.degree + l),
+                    codomain_dim=len(rows), source_rank=sym.cols,
+                    source_order=sym.degree + l, target_rank=sym.rows,
+                    target_order=l)
+
+
+def _check_graded(sym: SymbolMatrix, l: int) -> None:
+    """l at most MAX_PROLONGATION, and both sides of the graded map at most MAX_FIBER_DIM."""
+    n, k = sym.n, sym.degree
+    _check_depth("l", max(l, 0))  # below the order nothing is built
+    _check_size(max(sym.cols * sym_dim(n, k + l), sym.rows * sym_dim(n, l)),
+                f"the degree-{k + l} graded symbol map")
+
+
+def _graded_rows(sym: SymbolMatrix, l: int) -> list[dict]:
+    """The rows of ``graded_symbol_matrix``, unchecked: ``spencer_cohomology`` bounds them."""
     n, k = sym.n, sym.degree
     width, low = sym_dim(n, k + l), jet_fiber_dim(n, k + l - 1)
-    rows = [{j * width + _shifted(n, l, sigma)[t] - low: value
+    return [{j * width + _shifted(n, l, sigma)[t] - low: value
              for j in range(sym.cols) for sigma, value in sym.entry(s, j).items()}
             for s in range(sym.rows) for t in range(jet_fiber_dim(n, l - 1), jet_fiber_dim(n, l))]
-    return FiberMap(rows=rows, domain_dim=sym.cols * width,
-                    codomain_dim=len(rows), source_rank=sym.cols,
-                    source_order=k + l, target_rank=sym.rows,
-                    target_order=l)
 
 
 def symbol_kernel_basis(sym: SymbolMatrix, r: int) -> list[dict]:
     """Basis of g^r inside S^r (x) P as sparse ``{column: value}`` rows.
 
     Below the operator order g^r is the full module; the column numbering is
-    that of ``graded_symbol_matrix``.  Each row is ``Fraction``-valued, 1 at
-    its free column: the view of ``_symbol_kernel``'s int rows.
+    that of ``graded_symbol_matrix``, and so are the bounds.  Each row is
+    ``Fraction``-valued, 1 at its free column: the view of ``_symbol_kernel``'s int rows.
     """
+    _check_graded(sym, r - sym.degree)
     return _fraction_rows(_symbol_kernel(sym, r))
 
 
 def _symbol_kernel(sym: SymbolMatrix, r: int) -> dict[int, dict[int, int]]:
     """g^r as ``linalg._kernel_rows`` gives it: primitive int rows by free column."""
-    rows = graded_symbol_matrix(sym, r - sym.degree).rows
-    return _kernel_rows(rows, sym.cols * sym_dim(sym.n, r))
+    return _kernel_rows(_graded_rows(sym, r - sym.degree), sym.cols * sym_dim(sym.n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +189,21 @@ def _symbol_kernel(sym: SymbolMatrix, r: int) -> dict[int, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiberMap:
+class FiberMap(_Record):
     """Rational matrix of a prolonged operator between jet fibers.
 
     ``rows`` holds one sparse row ``{column: value}`` per codomain basis
     vector (an all-zero row is ``{}``); ``matrix`` is the dense view.
     """
 
-    rows: list
-    domain_dim: int
-    codomain_dim: int
-    source_rank: int
-    source_order: int
-    target_rank: int
-    target_order: int
+    __slots__ = ("rows", "domain_dim", "codomain_dim", "source_rank", "source_order",
+                 "target_rank", "target_order")
+
+    def __init__(self, rows: list, domain_dim: int, codomain_dim: int, source_rank: int,
+                 source_order: int, target_rank: int, target_order: int):
+        self.rows, self.domain_dim, self.codomain_dim = rows, domain_dim, codomain_dim
+        self.source_rank, self.source_order = source_rank, source_order
+        self.target_rank, self.target_order = target_rank, target_order
 
     @property
     def matrix(self) -> list[list[Fraction]]:
@@ -392,15 +404,14 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpencerReport:
+class SpencerReport(_Record):
     """Delta-cohomology dimensions of an operator, by level and slot."""
 
-    order: int
-    l_max: int
-    n: int
-    dims: list
-    warnings: list = field(default_factory=list)
+    __slots__ = ("order", "l_max", "n", "dims", "warnings")
+
+    def __init__(self, order: int, l_max: int, n: int, dims: list, warnings: list | None = None):
+        self.order, self.l_max, self.n, self.dims = order, l_max, n, dims
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def first_failure(self):
@@ -421,12 +432,12 @@ class SpencerReport:
         return lines
 
 
-@dataclass
-class InvolutivityResult:
-    involutive: bool
-    l_max: int
-    failure: tuple | None
-    report: SpencerReport
+class InvolutivityResult(_Record):
+    __slots__ = ("involutive", "l_max", "failure", "report")
+
+    def __init__(self, involutive: bool, l_max: int, failure: tuple | None,
+                 report: SpencerReport):
+        self.involutive, self.l_max, self.failure, self.report = involutive, l_max, failure, report
 
 
 def _dims_table(sym: SymbolMatrix, rank_p: int, l_max: int, n: int):
@@ -515,14 +526,13 @@ def is_involutive(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwoLineResult:
-    k: int
-    p: int
-    sign: int
-    nonzero: bool
-    poly: DiffPoly
-    ctx: JetContext
+class TwoLineResult(_Record):
+    __slots__ = ("k", "p", "sign", "nonzero", "poly", "ctx")
+
+    def __init__(self, k: int, p: int, sign: int, nonzero: bool, poly: DiffPoly,
+                 ctx: JetContext):
+        self.k, self.p, self.sign, self.nonzero = k, p, sign, nonzero
+        self.poly, self.ctx = poly, ctx
 
 
 # (t1 + ... + tp)^k expands in full into C(k+p-1, p-1) terms; this bounds them.

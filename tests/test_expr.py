@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,14 +11,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdcalc import (
-    Coord, DiffPoly, JetContext, JetPoint, ParseError, evaluate, format_poly,
-    parse_coord, parse_expr, partial, random_point, total_derivative,
+    Coord, DiffPoly, JetContext, JetPoint, ParseError, ScalarCDiffOp, evaluate, format_poly,
+    parse_coord, parse_expr, parse_scalar_op, partial, random_point, total_derivative,
 )
 from cdcalc.expr import (
-    INDEP, JET, MAX_DIGITS, MAX_EXPONENT, PARAM, EvaluationError, _parse_rational, format_coord,
+    INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, PARAM, EvaluationError, _parse_rational,
+    format_coord,
 )
 from cdcalc.jet import _DERIVATIVES
 
@@ -517,3 +519,179 @@ def test_ids_stay_inside_the_process():
     # the polynomial, adjoint(a @ b), a value and a D_t, byte for byte
     assert forward[1:-1] == backward[1:-1]
     assert backward[-1] == f"True {forward[1]} {forward[-3]} True {forward[-2]}"
+
+
+# ---------------------------------------------------------------------------
+# The expression grammar against DiffPoly's own arithmetic
+# ---------------------------------------------------------------------------
+# A tree is rendered to text with the fewest parentheses its precedence needs,
+# and built a second time through DiffPoly's + * ** var const, a route that
+# skips the parser.  Levels: 0 sum, 1 product, 2 factor (power or unary
+# minus), 3 atom (literal, coordinate, parentheses); "p/q" is an atom, so
+# "1/2^3" is (1/2)^3, while "-x^2" is -(x^2).
+
+_GRAMMAR = JetContext.free("x t", "u v", "lam mu")
+
+
+@st.composite
+def _coordinates(draw):
+    """("coord", text, Coord): an independent, a parameter, or a braced or shorthand jet."""
+    kind = draw(st.sampled_from((INDEP, PARAM, JET, JET)))
+    if kind != JET:
+        names = _GRAMMAR.indep if kind == INDEP else _GRAMMAR.params
+        index = draw(st.integers(0, len(names) - 1))
+        return "coord", names[index], Coord(kind, index)
+    dep = draw(st.sampled_from(_GRAMMAR.dep))
+    sigma = draw(st.lists(st.sampled_from(_GRAMMAR.indep), max_size=3))
+    if not sigma:
+        text = dep
+    elif draw(st.booleans()):
+        text = f"{dep}_{''.join(sigma)}"
+    else:
+        text = f"{dep}_{{{','.join(sigma)}}}"
+    return "coord", text, _GRAMMAR.jet_coord(dep, sigma)
+
+
+_literals = st.tuples(st.just("lit"), st.integers(0, 40), st.none() | st.integers(1, 12))
+_trees = st.recursive(
+    _literals | _coordinates(),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(("add", "sub", "mul")), kids, kids),
+        st.tuples(st.sampled_from(("neg", "paren")), kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 3))),
+    max_leaves=10)
+
+
+def _render(tree, sep: str) -> tuple[str, int]:
+    """(text, precedence level) of a tree; ``sep`` goes around binary + and -."""
+    def at(child, level):
+        text, own = _render(child, sep)
+        return text if own >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "lit":
+        return (f"{tree[1]}" if tree[2] is None else f"{tree[1]}/{tree[2]}"), 3
+    if kind == "coord":
+        return tree[1], 3
+    if kind in ("add", "sub"):
+        op = "+" if kind == "add" else "-"
+        return f"{at(tree[1], 0)}{sep}{op}{sep}{at(tree[2], 1)}", 0
+    if kind == "mul":
+        return f"{at(tree[1], 1)}*{at(tree[2], 2)}", 1
+    if kind == "neg":
+        return f"-{sep}{at(tree[1], 2)}", 2
+    if kind == "pow":
+        return f"{at(tree[1], 3)}^{tree[2]}", 2
+    return f"({_render(tree[1], sep)[0]})", 3
+
+
+def _value(tree) -> DiffPoly:
+    """The tree built through DiffPoly's operators; ValueError past MAX_EXPONENT."""
+    kind = tree[0]
+    if kind == "lit":
+        return DiffPoly.const(Fraction(tree[1], tree[2] or 1))
+    if kind == "coord":
+        return DiffPoly.var(tree[2])
+    if kind in ("add", "sub"):
+        sign = DiffPoly.const(1 if kind == "add" else -1)
+        return _value(tree[1]) + sign * _value(tree[2])
+    if kind == "mul":
+        return _value(tree[1]) * _value(tree[2])
+    if kind == "neg":
+        return DiffPoly.const(-1) * _value(tree[1])
+    if kind == "pow":
+        return _value(tree[1]) ** tree[2]
+    return _value(tree[1])
+
+
+def _same_or_both_refused(parse, text, build):
+    """``parse(text)`` equals ``build()`` and is returned, or both refuse a power past MAX_EXPONENT."""
+    # a parenthesis or minus sign opens at most one level of the parser's nesting
+    assume(text.count("(") + text.count("-") <= MAX_NESTING)
+    try:
+        want = build()
+    except ValueError as exc:
+        assert "exceeds" in str(exc)
+        with pytest.raises(ParseError, match="exceeds"):
+            parse(text, _GRAMMAR)
+        return None
+    got = parse(text, _GRAMMAR)
+    assert got == want
+    return got
+
+
+_GRAMMAR_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@_GRAMMAR_PROPERTY
+@given(_trees, st.sampled_from(("", " ")))
+def test_parser_matches_direct_arithmetic(tree, sep):
+    got = _same_or_both_refused(parse_expr, _render(tree, sep)[0], lambda: _value(tree))
+    if got is not None:
+        assert type(got.den) is int and got.den > 0 and gcd(got.den, *got.nums.values()) == 1
+        assert parse_expr(format_poly(got, _GRAMMAR), _GRAMMAR) == got
+
+
+# (signs, coefficient factors, D-literal names or None): one term of an operator literal
+_op_terms = st.lists(
+    st.tuples(st.lists(st.sampled_from("+-"), max_size=2),
+              st.lists(_trees, max_size=3),
+              st.none() | st.lists(st.sampled_from(_GRAMMAR.indep), min_size=1, max_size=3))
+    .filter(lambda term: term[1] or term[2]),
+    min_size=1, max_size=4)
+
+
+def _render_op(terms, sep: str) -> str:
+    pieces = []
+    for k, (signs, factors, names) in enumerate(terms):
+        parts = [f"({text})" if level < 2 else text
+                 for text, level in (_render(f, sep) for f in factors)]
+        if names:
+            parts.append("D_{" + ",".join(names) + "}")
+        sign = "".join(signs or (["+"] if k else []))  # a term after the first needs one
+        pieces.append(sign + "*".join(parts))
+    return sep.join(pieces)
+
+
+def _op_value(terms) -> ScalarCDiffOp:
+    """The literal as a sum of one-term ScalarCDiffOps, each coefficient a DiffPoly product."""
+    total = ScalarCDiffOp()
+    for signs, factors, names in terms:
+        coeff = DiffPoly.const((-1) ** signs.count("-"))
+        for f in factors:
+            coeff = coeff * _value(f)
+        sigma = tuple(_GRAMMAR.indep_index[n] for n in names or ())
+        total = total + ScalarCDiffOp({sigma: coeff})
+    return total
+
+
+@_GRAMMAR_PROPERTY
+@given(_op_terms, st.sampled_from(("", " ")))
+def test_operator_literals_match_scalar_op_sums(terms, sep):
+    _same_or_both_refused(parse_scalar_op, _render_op(terms, sep), lambda: _op_value(terms))
+
+
+_MUTATIONS = list("+-*/^(){}_,;.#=? 0123456789xtuvlamD")
+
+
+@_GRAMMAR_PROPERTY
+@given(_trees, _op_terms, st.data())
+def test_mutated_texts_raise_only_value_errors(tree, terms, data):
+    """Deleting, inserting or truncating one spot: a value, or ParseError/ValueError."""
+    for text, parse in ((_render(tree, " ")[0], parse_expr),
+                        (_render_op(terms, " "), parse_scalar_op)):
+        at = data.draw(st.integers(0, len(text)))
+        how = data.draw(st.sampled_from(("delete", "insert", "truncate")))
+        if how == "delete":
+            text = text[:at] + text[at + 1:]
+        elif how == "insert":
+            text = text[:at] + data.draw(st.sampled_from(_MUTATIONS)) + text[at:]
+        else:
+            text = text[:at]
+        # a two-digit exponent may be valid and expand a sum in full: slow, not wrong
+        if re.search(r"\^\s*\d\d", text):
+            continue
+        try:
+            parse(text, _GRAMMAR)
+        except ValueError:  # ParseError included
+            pass

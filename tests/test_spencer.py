@@ -346,6 +346,43 @@ def test_prolongation_range_is_validated():
     assert is_involutive(op, MAX_PROLONGATION).involutive
 
 
+def test_graded_symbol_maps_are_bounded_before_any_table():
+    # spencer_cohomology's bounds: l at most MAX_PROLONGATION, then each side
+    # of the graded map at most MAX_FIBER_DIM, checked before a shift table
+    # (kept for the life of the process) is filled
+    ctx = JetContext.free("x y z w", "u")
+    lap = linearize(ctx, [ctx.parse("u_{x,x} + u_{y,y} + u_{z,z} + u_{w,w}")]).entries[0][0]
+    pt = random_point(ctx, 0)
+    sym = symbol(CDiffOp(ctx, [[lap]]), pt)
+
+    def filled():
+        return [f.cache_info().currsize for f in (_positions, _taus, _shifted)]
+
+    before = filled()
+    for l in (MAX_PROLONGATION + 1, 30):
+        with pytest.raises(ValueError, match=f"l must be in 0..15, got {l}"):
+            graded_symbol_matrix(sym, l)
+        with pytest.raises(ValueError, match=f"l must be in 0..15, got {l}"):
+            symbol_kernel_basis(sym, l + sym.degree)
+    assert filled() == before
+    # the accepted edge: S^17 (x) P has C(20, 3) = 1140 coordinates, S^15 816
+    graded = graded_symbol_matrix(sym, MAX_PROLONGATION)
+    assert (graded.codomain_dim, graded.domain_dim) == (comb(18, 3), comb(20, 3))
+    assert len(symbol_kernel_basis(sym, 17)) == comb(20, 3) - comb(18, 3)
+    # the larger side decides: two columns double the source side, three rows the target
+    wide, tall = (symbol(CDiffOp(ctx, rows), pt) for rows in ([[lap, lap]], [[lap]] * 3))
+    for s, l, size in ((wide, 15, 2 * comb(20, 3)), (tall, 14, 3 * comb(17, 3))):
+        with pytest.raises(ValueError, match=f"the degree-{l + 2} graded symbol map has "
+                                             f"{size} coordinates, more than 2000"):
+            graded_symbol_matrix(s, l)
+        with pytest.raises(ValueError, match=f"has {size} coordinates"):
+            symbol_kernel_basis(s, l + 2)
+        assert graded_symbol_matrix(s, l - 1).rows  # one level lower is accepted
+        assert symbol_kernel_basis(s, l + 1)
+    # below the order nothing is built, however low l is
+    assert graded_symbol_matrix(sym, -40).rows == [] and len(symbol_kernel_basis(sym, 1)) == 4
+
+
 def test_table_size_is_bounded_at_its_edge():
     # the n = 4 Laplacian: at l_max = 11 the top level's Lambda^2 (x) S^11
     # has 6 * C(14, 3) = 2184 coordinates, past MAX_FIBER_DIM = 2000, and is
