@@ -561,55 +561,43 @@ def _tokenize(text: str):
 class ExprParser:
     """Recursive-descent parser for the expression grammar.
 
-    expr   := term (("+"|"-") term)*
-    term   := factor ("*" factor)*
-    factor := base ("^" uint)?
-    base   := rational | coord | "(" expr ")" | "-" factor
-    coord  := ident jetsuffix?
-    A jet suffix is "_{i1,i2,...}" or, when every independent variable has a
+    expr    := term (("+"|"-") term)*
+    term    := factor ("*" factor)*
+    factor  := base ("^" uint)?
+    base    := rational | coord | "(" expr ")" | "-" factor
+    coord   := ident jetsuffix?
+    indices := "{" ident ("," ident)* "}"   over independent names
+    A jet suffix is "_" indices or, when every independent variable has a
     one-character name, a bare run of those characters ("u_xxt").
 
     Each value is built once: an expression sums its signed terms in one dict
     (``_sum_multiples``), a term multiplies its factors into one and reduces
-    it once (``_product``), and a literal is made canonical directly.  The
-    rules read ``self.tokens`` inline and compare lexemes alone: "+", "*",
-    "^" and the like are only ever symbol tokens.
+    it once (``_product``), and a literal is made canonical directly.  Every
+    rule reads ``self.tokens[self.pos]`` and moves ``self.pos`` itself, and
+    compares lexemes alone: "+", "*", "^" and the like are only ever symbol
+    tokens.
     """
 
     def __init__(self, text: str, ctx):
-        self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    # -- token plumbing -------------------------------------------------
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_sym(self, sym: str):
-        kind, lex, off = self.peek()
+    def expect_sym(self, sym: str) -> None:
+        kind, lex, off = self.tokens[self.pos]
         if kind != "sym" or lex != sym:
             raise ParseError(f"expected {sym!r}", off)
-        return self.advance()
+        self.pos += 1
 
-    def at_sym(self, sym: str) -> bool:
-        kind, lex, _ = self.peek()
-        return kind == "sym" and lex == sym
-
-    # -- grammar ---------------------------------------------------------
+    def expect_end(self) -> None:
+        kind, lex, off = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected {lex!r}", off)
 
     def parse(self) -> DiffPoly:
         value = self.expression()
-        kind, lex, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {lex!r}", off)
+        self.expect_end()
         return value
 
     def expression(self) -> DiffPoly:
@@ -673,14 +661,15 @@ class ExprParser:
         raise ParseError(f"unexpected {lex!r}" if lex else "unexpected end of input", off)
 
     def coordinate(self) -> Coord:
-        kind, name, off = self.advance()
-        ctx = self.ctx
-        if self.at_sym("_"):
-            _, _, uoff = self.advance()
+        tokens, ctx = self.tokens, self.ctx
+        _, name, off = tokens[self.pos]
+        self.pos += 1
+        if tokens[self.pos][1] == "_":
+            uoff = tokens[self.pos][2]
+            self.pos += 1
             if name not in ctx.dep_index:
                 raise ParseError(f"jet suffix on non-dependent identifier {name!r}", off)
-            sigma = self.jet_suffix(uoff)
-            return ctx.jet_coord_checked(name, sigma, off)
+            return ctx.jet_coord_checked(name, self.jet_suffix(uoff), off)
         if name in ctx.indep_index:
             return Coord(INDEP, ctx.indep_index[name])
         if name in ctx.dep_index:
@@ -689,24 +678,28 @@ class ExprParser:
             return Coord(PARAM, ctx.param_index[name])
         raise ParseError(f"undeclared identifier {name!r}", off)
 
+    def indices(self, message: str) -> tuple:
+        """``"{" name ("," name)* "}"`` over independent names, as their indices."""
+        tokens, index = self.tokens, self.ctx.indep_index
+        self.expect_sym("{")
+        out = []
+        while True:
+            kind, lex, off = tokens[self.pos]
+            if kind != "ident" or lex not in index:
+                raise ParseError(message, off)
+            out.append(index[lex])
+            self.pos += 1
+            if tokens[self.pos][1] != ",":
+                break
+            self.pos += 1
+        self.expect_sym("}")
+        return tuple(out)
+
     def jet_suffix(self, uoff: int) -> tuple:
         ctx = self.ctx
-        if self.at_sym("{"):
-            self.advance()
-            indices = []
-            while True:
-                kind, lex, off = self.peek()
-                if kind != "ident" or lex not in ctx.indep_index:
-                    raise ParseError("malformed jet suffix: expected independent name", off)
-                self.advance()
-                indices.append(ctx.indep_index[lex])
-                if self.at_sym(","):
-                    self.advance()
-                    continue
-                break
-            self.expect_sym("}")
-            return tuple(indices)
-        kind, lex, off = self.peek()
+        kind, lex, off = self.tokens[self.pos]
+        if lex == "{":
+            return self.indices("malformed jet suffix: expected independent name")
         if kind != "ident":
             raise ParseError("malformed jet suffix", uoff)
         if not all(len(nm) == 1 for nm in ctx.indep):
@@ -718,7 +711,7 @@ class ExprParser:
             if ch not in ctx.indep_index:
                 raise ParseError(f"malformed jet suffix: {ch!r} is not independent", off)
             indices.append(ctx.indep_index[ch])
-        self.advance()
+        self.pos += 1
         return tuple(indices)
 
 
@@ -730,13 +723,11 @@ def parse_expr(text: str, ctx) -> DiffPoly:
 def parse_coord(text: str, ctx) -> Coord:
     """Parse a single coordinate name ("x", "u_{x,t}", "lam")."""
     parser = ExprParser(text, ctx)
-    kind, _, off = parser.peek()
+    kind, _, off = parser.tokens[0]
     if kind != "ident":
         raise ParseError("expected a coordinate name", off)
     coord = parser.coordinate()
-    kind, lex, off = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {lex!r}", off)
+    parser.expect_end()
     return coord
 
 

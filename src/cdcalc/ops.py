@@ -16,17 +16,16 @@ denominator.
 from __future__ import annotations
 
 from functools import partial
+from math import comb
 
 from .expr import (
     JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _product, _signed_terms,
     _sum, _sum_by_key, _sum_multiples, _sum_products, format_poly,
 )
 from .jet import (
-    JetContext, _along, _merge_sign, _statements, _table, _walk, increasing_tuples,
+    JetContext, _along, _check_size, _merge_sign, _statements, _table, _walk, increasing_tuples,
     total_derivative,
 )
-
-MultiIndex = tuple  # non-decreasing tuple of independent-variable indices
 
 
 class ScalarCDiffOp:
@@ -376,11 +375,14 @@ def dbar_operator(ctx: JetContext, q: int) -> CDiffOp:
 
     Components are indexed by strictly increasing tuples in lexicographic
     order; the entry for (J, I) with J = I + {i} is +-D_i with the sign of
-    wedging dx_i in front of dx_I.
+    wedging dx_i in front of dx_I.  A side past MAX_FIBER_DIM raises
+    ValueError before anything is built.
     """
     n = ctx.n
     if not 0 <= q < n:
         raise ValueError(f"dbar degree {q} out of range 0..{n - 1}")
+    for d in (q, q + 1):
+        _check_size(comb(n, d), f"Lambda^{d} in dimension {n}")
     sources = increasing_tuples(n, q)
     targets = increasing_tuples(n, q + 1)
     tindex = {key: r for r, key in enumerate(targets)}
@@ -402,7 +404,7 @@ def dbar_operator(ctx: JetContext, q: int) -> CDiffOp:
 class _OpParser(ExprParser):
     """opexpr := opterm (("+"|"-") opterm)*
     opterm  := sign? factor ("*" factor)*   with at most one trailing D-literal
-    D-literal := "D_{" ident ("," ident)* "}"
+    D-literal := "D" "_" indices
 
     Each term's coefficient is one product (``_product``); the terms are
     grouped by D-multi-index and each group is summed once (``_sum_by_key``).
@@ -413,9 +415,7 @@ class _OpParser(ExprParser):
         terms = [self.op_term()]
         while self.tokens[self.pos][1] in ("+", "-"):
             terms.append(self.op_term())
-        kind, lex, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {lex!r}", off)
+        self.expect_end()
         return ScalarCDiffOp._normal(_sum_by_key(terms))
 
     def op_term(self) -> tuple:
@@ -428,8 +428,9 @@ class _OpParser(ExprParser):
         factors = []
         sigma = ()
         while True:
-            if self._at_d_literal():
-                sigma = self._d_literal()
+            if tokens[self.pos][1] == "D" and tokens[self.pos + 1][1] == "_":
+                self.pos += 2
+                sigma = tuple(sorted(self.indices("expected independent variable in D_{...}")))
             else:
                 factors.append(self.factor())
             if tokens[self.pos][1] != "*":
@@ -439,28 +440,6 @@ class _OpParser(ExprParser):
             self.pos += 1
         coeff = _product(factors) if factors else DiffPoly.const(1)
         return sigma, -coeff if negate else coeff
-
-    def _at_d_literal(self) -> bool:
-        tokens = self.tokens
-        return tokens[self.pos][1] == "D" and tokens[self.pos + 1][1] == "_"
-
-    def _d_literal(self) -> MultiIndex:
-        self.advance()  # D
-        self.advance()  # _
-        self.expect_sym("{")
-        indices = []
-        while True:
-            kind, lex, off = self.peek()
-            if kind != "ident" or lex not in self.ctx.indep_index:
-                raise ParseError("expected independent variable in D_{...}", off)
-            self.advance()
-            indices.append(self.ctx.indep_index[lex])
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
-        self.expect_sym("}")
-        return tuple(sorted(indices))
 
 
 def parse_scalar_op(text: str, ctx: JetContext) -> ScalarCDiffOp:

@@ -348,12 +348,16 @@ def delta_map(n: int, rank_p: int, r: int, s: int) -> FiberMap:
 
     Symmetric factors use the shift model (component at rho of the i-th
     contraction is the component at rho + i), under which the square of the
-    map vanishes identically.
+    map vanishes identically.  A side past MAX_FIBER_DIM raises ValueError
+    before anything is built.
     """
     if r < 1:
         raise ValueError("delta needs symmetric degree r >= 1")
     if not 0 <= s < n:
         raise ValueError(f"exterior degree {s} out of range 0..{n - 1}")
+    for i, d in ((s, r), (s + 1, r - 1)):
+        _check_size(comb(n, i) * rank_p * sym_dim(n, d),
+                    f"Lambda^{i} (x) S^{d} (x) P in dimension {n}")
     # the columns are the images of the basis vectors of the whole source
     unit = [{c: Fraction(1)} for c in range(rank_p * sym_dim(n, r))]
     images = _delta_of_subspace(n, rank_p, r, s, unit)

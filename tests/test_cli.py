@@ -4,6 +4,7 @@ import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cdcalc.jet
 from cdcalc import JetContext
@@ -319,3 +320,47 @@ def test_unbounded_rationals_are_domain_errors(tmp_path):
         code, out, err = invoke("pform-epi", "--n", "4", "--p", "1",
                                 "--metric", "diag(1,1,1,1)", f"--xi={value},0,0,0")
         assert (code, out, err) == (1, "", f"error: --xi: {message}\n")
+
+
+# integers in and out of range, past any bound, and past int()'s 4300 digits
+_INTEGERS = st.one_of(
+    st.integers(-3, 40).map(str), st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from([str(10 ** 4299), str(-10 ** 4299), "9" * 4301]))
+_VALUES = st.one_of(st.integers(-1, 8).map(str), _INTEGERS, st.text(max_size=12))
+_DRAWN = {
+    "--metric": st.one_of(_VALUES, st.lists(st.sampled_from(["1", "-1", "+1", "2", "0"]),
+                                            max_size=6).map(lambda v: f"diag({','.join(v)})")),
+    "--xi": st.one_of(_VALUES, st.lists(st.sampled_from(["0", "1", "-1/2", "3.5", "1/0"]),
+                                        min_size=1, max_size=6).map(",".join)),
+    "--sign": st.one_of(_VALUES, st.sampled_from(["+", "-"])),
+}
+# subcommand: (file argument, options drawn); Maxwell is left out for time
+_FUZZED = {
+    "symbol": (KDV_PROB, ("--seed",)),
+    "spencer": (KDV_PROB, ("--l-max", "--seed")),
+    "involutive": (KDV_PROB, ("--l-max", "--seed")),
+    "coker": (KDV_PROB, ("--k1", "--seed")),
+    "exactness": (DERHAM, ("--l-max", "--seed")),
+    "kline": (None, ("--k", "--n")),
+    "two-line": (None, ("--k", "--p", "--sign")),
+    "pform-epi": (None, ("--n", "--p", "--metric", "--xi")),
+    "pform-table": (None, ("--n", "--p")),
+}
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_arguments_end_in_an_exit_code(data):
+    # no exception escapes run(); a domain error is one "error:" line and no output
+    command = data.draw(st.sampled_from(sorted(_FUZZED)), label="command")
+    path, options = _FUZZED[command]
+    argv = [command] + ([path] if path else []) + data.draw(st.sampled_from([[], ["--json"]]))
+    for option in options:
+        value = data.draw(_DRAWN.get(option, _VALUES), label=option)
+        argv += data.draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif code == 0:
+        assert err == ""

@@ -56,6 +56,37 @@ def test_parse_error_offset(ctx):
     assert err.value.pos == 1
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (parse_scalar_op, "D_{q}", "expected independent variable in D_{...} at offset 3"),
+    (parse_scalar_op, "D_x", "expected '{' at offset 2"),
+    (parse_scalar_op, "D_{x", "expected '}' at offset 4"),
+    (parse_scalar_op, "D_{x}*u", "D_{...} must end its term at offset 5"),
+    (parse_scalar_op, "u*D_{x} u", "unexpected 'u' at offset 8"),
+    (parse_scalar_op, "D_{x,}", "expected independent variable in D_{...} at offset 5"),
+    (parse_scalar_op, "u + D_{}", "expected independent variable in D_{...} at offset 7"),
+    (parse_scalar_op, "u*D_{t,x} + D_{x", "expected '}' at offset 16"),
+    (parse_scalar_op, "D_{x}^2", "unexpected '^' at offset 5"),
+    (parse_expr, "u_{}", "malformed jet suffix: expected independent name at offset 3"),
+    (parse_expr, "u_{x,q}", "malformed jet suffix: expected independent name at offset 5"),
+    (parse_expr, "u_{x,t", "expected '}' at offset 6"),
+    (parse_expr, "u_{x t}", "expected '}' at offset 5"),
+    (parse_expr, "(u", "expected ')' at offset 2"),
+    (parse_expr, "u x", "unexpected 'x' at offset 2"),
+    (parse_expr, "u)", "unexpected ')' at offset 1"),
+    (parse_expr, "", "unexpected end of input at offset 0"),
+    (parse_coord, "1", "expected a coordinate name at offset 0"),
+    (parse_coord, "u_x t", "unexpected 't' at offset 4"),
+    (parse_coord, "u_{x,}", "malformed jet suffix: expected independent name at offset 5"),
+])
+def test_grammar_error_messages(ctx, reader, text, message):
+    # expressions, operator literals and coordinate names share the braced
+    # index list and the end-of-input check; each message and offset is pinned
+    with pytest.raises(ParseError) as err:
+        reader(text, ctx)
+    assert str(err.value) == message
+    assert err.value.pos == int(message.rsplit(" ", 1)[1])
+
+
 def test_parse_undeclared(ctx):
     with pytest.raises(ParseError, match="undeclared"):
         parse_expr("u + w", ctx)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cdcalc.ops
 import cdcalc.pform
 from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, Metric, MetricError, dbar_operator,
@@ -203,9 +204,14 @@ def test_form_spaces_are_bounded_before_they_are_built(monkeypatch):
     g14 = Metric.diag([1] * 14)
     assert star_operator(ctx14, g14, 4).rows == 1001
     assert e1_table(2000, 1998).dim(1998, 1998) == 1
+    # d-bar counts both sides: C(63, 2) = 1953 targets are accepted, C(64, 2) = 2016 not
+    ctx63, ctx64 = (JetContext.free(" ".join(f"x{i}" for i in range(n)), "u") for n in (63, 64))
+    grad_of_1_forms = dbar_operator(ctx63, 1)
+    assert (grad_of_1_forms.rows, grad_of_1_forms.cols) == (1953, 63)
     # past the bound nothing is enumerated: neither a basis of forms nor a
     # table entry, however large n is
     monkeypatch.setattr(cdcalc.pform, "increasing_tuples", _refuse)
+    monkeypatch.setattr(cdcalc.ops, "increasing_tuples", _refuse)
     monkeypatch.setattr(cdcalc.pform, "itertools", SimpleNamespace(count=_refuse))
     cases = ((lambda: epi_check(30, 15, Metric.diag([1] * 30), [1] + [0] * 29),
               "Lambda^13 in dimension 30 has 119759850 coordinates"),
@@ -217,7 +223,10 @@ def test_form_spaces_are_bounded_before_they_are_built(monkeypatch):
               "Lambda^7 in dimension 14 has 3432 coordinates"),
              (lambda: e1_table(2001, 1), "Lambda^1 in dimension 2001 has 2001 coordinates"),
              (lambda: e1_table(300000, 299998),
-              "Lambda^1 in dimension 300000 has 300000 coordinates"))
+              "Lambda^1 in dimension 300000 has 300000 coordinates"),
+             (lambda: dbar_operator(ctx64, 1), "Lambda^2 in dimension 64 has 2016 coordinates"),
+             (lambda: dbar_operator(ctx14, 4), "Lambda^5 in dimension 14 has 2002 coordinates"),
+             (lambda: dbar_operator(ctx14, 7), "Lambda^7 in dimension 14 has 3432 coordinates"))
     for call, message in cases:
         with pytest.raises(ValueError) as info:
             call()

@@ -346,7 +346,7 @@ def test_prolongation_range_is_validated():
     assert is_involutive(op, MAX_PROLONGATION).involutive
 
 
-def test_graded_symbol_maps_are_bounded_before_any_table():
+def test_graded_symbol_maps_are_bounded_before_any_table(monkeypatch):
     # spencer_cohomology's bounds: l at most MAX_PROLONGATION, then each side
     # of the graded map at most MAX_FIBER_DIM, checked before a shift table
     # (kept for the life of the process) is filled
@@ -381,6 +381,22 @@ def test_graded_symbol_maps_are_bounded_before_any_table():
         assert symbol_kernel_basis(s, l + 1)
     # below the order nothing is built, however low l is
     assert graded_symbol_matrix(sym, -40).rows == [] and len(symbol_kernel_basis(sym, 1)) == 4
+    # delta maps bound both sides: Lambda^1 (x) S^999 in dimension 2 has
+    # 2 * 1000 coordinates, and Lambda^1 (x) S^35 in dimension 3 3 * 666
+    assert delta_map(2, 1, 999, 1).domain_dim == 2000
+    assert delta_map(3, 1, 36, 0).codomain_dim == 1998
+    monkeypatch.setattr(cdcalc.spencer, "_delta_of_subspace", _refuse_delta)
+    for args, message in (((2, 1, 1000, 1), "Lambda^1 (x) S^1000 (x) P in dimension 2 has 2002"),
+                          ((3, 1, 37, 0), "Lambda^1 (x) S^36 (x) P in dimension 3 has 2109"),
+                          ((8, 1, 7, 3), "Lambda^3 (x) S^7 (x) P in dimension 8 has 192192"),
+                          ((1, 2001, 1, 0), "Lambda^0 (x) S^1 (x) P in dimension 1 has 2001")):
+        with pytest.raises(ValueError) as info:
+            delta_map(*args)
+        assert str(info.value) == f"{message} coordinates, more than 2000"
+
+
+def _refuse_delta(*args):
+    raise AssertionError("a delta map was built past its bound")
 
 
 def test_table_size_is_bounded_at_its_edge():
