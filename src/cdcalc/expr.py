@@ -54,46 +54,95 @@ class Coord(tuple):
         return f"Coord({_KIND_NAMES[self.kind]} {self.index})"
 
 
-# A monomial is stored as the sorted tuple of its coordinates' ids, each id
-# repeated once per unit of exponent: u*u_x^2 is (id(u), id(u_x), id(u_x)).
-# Ids are small ints from one append-only table, in order of first use, so they
-# can differ between runs; nothing printed or compared may depend on id order.
+# A monomial is stored as one int, the product of one prime per unit of
+# exponent: u*u_x^2 is p(u) * p(u_x)^2 and the constant monomial is 1, so a
+# product of monomials is one int multiplication and cannot overflow.  Each
+# coordinate has a small int id from one append-only table, in order of first
+# use, and the id-th prime; ids, hence keys, can differ between runs, so nothing
+# printed or compared may depend on id order.  ``_FACTORS`` decodes a key into
+# the sorted tuple of its ids, each repeated once per unit of exponent
+# (u*u_x^2 is (id(u), id(u_x), id(u_x))); every routine that makes a key
+# registers it there on first sight, and the registry lives for the whole
+# process (it holds each distinct monomial once, whatever made it).
 # The public view (``DiffPoly.terms``) keeps (Coord, exponent) pairs in Coord order.
 _COORDS: list = []  # id -> Coord
 _IDS: dict = {}  # Coord -> id
+_PRIMES: list = []  # id -> its prime
+_FACTORS: dict = {1: ()}  # key -> the sorted tuple of its ids
+
+
+def _next_prime() -> int:
+    """The smallest prime above the last one handed out (2 first)."""
+    if not _PRIMES:
+        return 2
+    n = _PRIMES[-1] + 1 | 1
+    while True:
+        for p in _PRIMES:  # trial division up to the square root only
+            if p * p > n:
+                return n
+            if n % p == 0:
+                break
+        n += 2
 
 
 def _coord_id(coord: Coord) -> int:
-    """The id of ``coord``, interned on first use."""
+    """The id of ``coord``, interned with its prime on first use."""
     i = _IDS.get(coord)
     if i is None:
         i = _IDS[coord] = len(_COORDS)
         _COORDS.append(coord if type(coord) is Coord else Coord(*coord))
+        _PRIMES.append(_next_prime())
     return i
 
 
-def _key(pairs) -> tuple:
-    """The id key of a monomial given as (Coord, exponent) pairs, in any order."""
-    ids = []
+def _key(pairs) -> int:
+    """The key of a monomial given as (Coord, exponent) pairs, in any order, registered."""
+    key, ids = 1, []
     for coord, e in pairs:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponents must be non-negative integers")
-        ids += [_coord_id(coord)] * e
-    return tuple(sorted(ids))
+        i = _coord_id(coord)
+        key *= _PRIMES[i] ** e
+        ids += [i] * e
+    if key not in _FACTORS:
+        _FACTORS[key] = tuple(sorted(ids))
+    return key
 
 
-def _pairs(key: tuple) -> tuple:
-    """The (Coord, exponent) pairs of an id key, sorted by coordinate."""
-    return tuple(sorted((_COORDS[i], key.count(i)) for i in set(key)))
+def _lowered(key: int, ids: tuple, pos: int) -> int:
+    """``key`` without the coordinate at ``pos`` of its ids ``_FACTORS[key]``, registered."""
+    m = key // _PRIMES[ids[pos]]
+    if m not in _FACTORS:
+        _FACTORS[m] = ids[:pos] + ids[pos + 1:]
+    return m
+
+
+def _replaced(key: int, ids: tuple, pos: int, new: int) -> int:
+    """``key`` with the coordinate at ``pos`` of its ids ``_FACTORS[key]`` made id ``new``."""
+    m = key // _PRIMES[ids[pos]] * _PRIMES[new]
+    if m not in _FACTORS:
+        f = list(ids)
+        f[pos] = new
+        f.sort()
+        _FACTORS[m] = tuple(f)
+    return m
+
+
+def _pairs(key: int) -> tuple:
+    """The (Coord, exponent) pairs of a key, sorted by coordinate."""
+    ids = _FACTORS[key]
+    return tuple(sorted((_COORDS[i], ids.count(i)) for i in set(ids)))
 
 
 def _accumulate(out: dict, key, value) -> None:
     """Add ``value`` to ``out[key]`` in place, dropping the key when the sum is zero.
 
     Form and operator coefficients keep their no-zero-values invariant
-    through this one routine.  The int numerator loops of ``_mul_into``,
-    ``_sum`` and ``jet.total_derivative`` write it inline: calling it there
-    made the polynomial-heavy benchmark workload about 7% slower.
+    through this one routine.  The numerator loops of ``_mul_into``,
+    ``_sum_multiples`` and ``jet.total_derivative``, over int monomial keys
+    and int numerators, write it inline: calling it there made the
+    polynomial-heavy benchmark workload about 7% slower, and ``_mul_into``
+    also registers each new product key in ``_FACTORS`` on the way.
     """
     s = out[key] + value if key in out else value
     if s:
@@ -103,15 +152,24 @@ def _accumulate(out: dict, key, value) -> None:
 
 
 def _mul_into(out: dict, nums1: dict, nums2: dict, scale: int = 1) -> None:
-    """Accumulate ``scale`` times the product of two numerator maps into ``out``."""
+    """Accumulate ``scale`` times the product of two numerator maps into ``out``.
+
+    A product of keys is registered in ``_FACTORS`` the first time it is
+    made; a key already in ``out`` is registered, so only new ones are looked up.
+    """
     for m1, c1 in nums1.items():
         c1 *= scale
         for m2, c2 in nums2.items():
-            m = tuple(sorted(m1 + m2))
-            if s := out.get(m, 0) + c1 * c2:
-                out[m] = s
+            m = m1 * m2
+            if m in out:
+                if s := out[m] + c1 * c2:
+                    out[m] = s
+                else:
+                    del out[m]
             else:
-                del out[m]
+                if m not in _FACTORS:
+                    _FACTORS[m] = tuple(sorted(_FACTORS[m1] + _FACTORS[m2]))
+                out[m] = c1 * c2
 
 
 def _rational(value) -> Fraction:
@@ -158,9 +216,10 @@ class EvaluationError(ValueError):
 class DiffPoly:
     """Sparse multivariate polynomial with rational coefficients.
 
-    ``nums`` maps monomials (sorted tuples of coordinate ids, see ``_key``)
-    to nonzero int numerators over the one positive int denominator ``den``;
-    the empty monomial carries the constant term.
+    ``nums`` maps monomials (int keys, products of one prime per unit of
+    exponent; ``_FACTORS`` decodes them, see ``_key``) to nonzero int
+    numerators over the one positive int denominator ``den``; the key 1, the
+    empty monomial, carries the constant term.
     The form is canonical: gcd(den, *nums.values()) == 1, so den == 1 when
     every coefficient is an integer and the zero polynomial is ``{}`` over
     1.  ``terms`` is a read-only view of the coefficients as Fractions, keyed
@@ -202,7 +261,7 @@ class DiffPoly:
     def const(value) -> "DiffPoly":
         """The constant ``value``, an int or a Fraction (floats raise TypeError)."""
         q = _rational(value)
-        return _poly({(): q.numerator} if q else {}, q.denominator)
+        return _poly({1: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def var(coord: Coord, exp: int = 1) -> "DiffPoly":
@@ -210,7 +269,11 @@ class DiffPoly:
             raise ValueError("negative exponents are not supported")
         if exp > MAX_EXPONENT:
             raise ValueError(f"power of total degree {exp} exceeds {MAX_EXPONENT}")
-        return _poly({(_coord_id(coord),) * exp: 1}, 1)
+        i = _coord_id(coord)
+        key = _PRIMES[i] ** exp
+        if key not in _FACTORS:
+            _FACTORS[key] = (i,) * exp
+        return _poly({key: 1}, 1)
 
     # -- ring structure ------------------------------------------------
 
@@ -278,11 +341,13 @@ class DiffPoly:
         """Formal partial derivative; every Coord counts as independent."""
         i = _IDS.get(coord)
         out: dict = {}
-        for mono, c in self.nums.items():
-            if i in mono:
-                pos = mono.index(i)
-                # lowering one coordinate maps distinct monomials apart
-                out[mono[:pos] + mono[pos + 1:]] = c * mono.count(i)
+        if i is not None:
+            p = _PRIMES[i]
+            for mono, c in self.nums.items():
+                if not mono % p:
+                    ids = _FACTORS[mono]
+                    # lowering one coordinate maps distinct monomials apart
+                    out[_lowered(mono, ids, ids.index(i))] = c * ids.count(i)
         return _poly(out, self.den)
 
     def evaluate(self, assignment) -> Fraction:
@@ -322,14 +387,15 @@ class DiffPoly:
         """
         total = top = 0  # the sum so far is total / (den * vden^top)
         for mono, v in self.nums.items():
+            ids = _FACTORS[mono]
             try:
-                for i in mono:
+                for i in ids:
                     v *= vals[i]
             except KeyError:
                 for coord, _ in _pairs(mono):  # the first missing one in coordinate order
                     value(coord)
                 raise
-            degree = len(mono)
+            degree = len(ids)
             if degree > top:
                 total *= vden ** (degree - top)
                 top = degree
@@ -341,7 +407,7 @@ class DiffPoly:
     # -- queries ---------------------------------------------------------
 
     def coords(self) -> set:
-        return {_COORDS[i] for i in set().union(*self.nums)}
+        return {_COORDS[i] for i in set().union(*map(_FACTORS.__getitem__, self.nums))}
 
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates occurring here (0 if none)."""
@@ -349,14 +415,14 @@ class DiffPoly:
 
     def degree(self) -> int:
         """Total degree (0 for constants and for the zero polynomial)."""
-        return max(map(len, self.nums), default=0)
+        return max((len(_FACTORS[m]) for m in self.nums), default=0)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
         if not self.nums:
             return Fraction(0)
-        if set(self.nums) == {()}:
-            return Fraction(self.nums[()], self.den)
+        if set(self.nums) == {1}:
+            return Fraction(self.nums[1], self.den)
         raise ValueError("polynomial is not constant")
 
     def __repr__(self) -> str:
@@ -655,7 +721,7 @@ class ExprParser:
                     raise ParseError("expected nonzero integer denominator", doff)
                 self.pos += 2
                 den = int(dlex)
-            return _poly({(): numer} if numer else {}, den)
+            return _poly({1: numer} if numer else {}, den)
         if kind == "ident":
             return DiffPoly.var(self.coordinate())
         raise ParseError(f"unexpected {lex!r}" if lex else "unexpected end of input", off)
@@ -765,11 +831,11 @@ def _signed_terms(p: DiffPoly, ctx) -> list[tuple[int, str]]:
     Coord order; the pairs are compared through each coordinate's rank among
     the coordinates of ``p``, sorted once per call.
     """
-    ids = sorted(set().union(*p.nums), key=_COORDS.__getitem__)
+    factors = [(_FACTORS[mono], c) for mono, c in p.nums.items()]
+    ids = sorted(set().union(*[f for f, _ in factors]), key=_COORDS.__getitem__)
     rank = {i: r for r, i in enumerate(ids)}
     names = [format_coord(_COORDS[i], ctx) for i in ids]
-    keyed = [(len(mono), sorted((rank[i], mono.count(i)) for i in set(mono)), c)
-             for mono, c in p.nums.items()]
+    keyed = [(len(f), sorted((rank[i], f.count(i)) for i in set(f)), c) for f, c in factors]
     out = []
     for _, pairs, c in sorted(keyed):
         mag = Fraction(abs(c), p.den)

@@ -17,9 +17,10 @@ from functools import cached_property, partial
 from math import comb, lcm
 
 from .expr import (
-    _COORDS, INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
-    _accumulate, _as_poly, _coord_id, _mul_into, _over_common_denominator, _parse_integers,
-    _parse_rational, _poly, _rational, format_coord, format_poly, parse_coord, parse_expr,
+    _COORDS, _FACTORS, INDEP, JET, MAX_POINT_DENOMINATOR, PARAM, Coord, DiffPoly, ParseError,
+    _accumulate, _as_poly, _coord_id, _lowered, _mul_into, _over_common_denominator,
+    _parse_integers, _parse_rational, _poly, _rational, _replaced, format_coord, format_poly,
+    parse_coord, parse_expr,
 )
 
 
@@ -87,7 +88,7 @@ class JetContext:
         self._dt_scale = lcm(*(f.den for f in self.evolution_rhs or ()))
 
     def __reduce__(self):
-        # rebuilt from the declarations: the D_t table is keyed by ids local to one process
+        # rebuilt from the declarations: the D_t table's keys are local to one process
         return JetContext, (self.indep, self.dep, self.params, self.evolution_rhs)
 
     # -- construction ----------------------------------------------------
@@ -217,11 +218,12 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
 _DERIVATIVES: dict = {}
 
 
-def _monomial_derivative(mono: tuple, i: int) -> tuple:
+def _monomial_derivative(mono: int, i: int) -> tuple:
     """The terms of D_i of ``mono``, each distinct coordinate lifted once."""
+    ids = _FACTORS[mono]
     terms = []
     prev = None
-    for pos, c in enumerate(mono):
+    for pos, c in enumerate(ids):
         if c == prev:
             continue
         prev = c
@@ -230,19 +232,17 @@ def _monomial_derivative(mono: tuple, i: int) -> tuple:
             sigma = list(sigma)
             insort(sigma, i)
             # sorted already: built as a tuple, past the sort in Coord.__new__
-            m = list(mono)
-            m[pos] = _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma))))
-            m.sort()
-            m = tuple(m)
+            m = _replaced(mono, ids, pos,
+                          _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma)))))
         elif kind == INDEP and index == i:
-            m = mono[:pos] + mono[pos + 1:]
+            m = _lowered(mono, ids, pos)
         else:
             continue
-        terms.append((m, mono.count(c)))
+        terms.append((m, ids.count(c)))
     return tuple(terms)
 
 
-def _monomial_dt(ctx: JetContext, mono: tuple) -> tuple:
+def _monomial_dt(ctx: JetContext, mono: int) -> tuple:
     """The int terms of evolution-mode D_t of ``mono`` over ``ctx._dt_scale``.
 
     Each distinct coordinate is lowered once and multiplied by what D_t makes
@@ -250,9 +250,10 @@ def _monomial_dt(ctx: JetContext, mono: tuple) -> tuple:
     can meet, so the terms are summed in one dict.
     """
     dx = partial(total_derivative, ctx)
+    ids = _FACTORS[mono]
     out: dict = {}
     prev = None
-    for pos, c in enumerate(mono):
+    for pos, c in enumerate(ids):
         if c == prev:
             continue
         prev = c
@@ -266,7 +267,7 @@ def _monomial_dt(ctx: JetContext, mono: tuple) -> tuple:
             g = DiffPoly.const(1)
         else:
             continue
-        _mul_into(out, {mono[:pos] + mono[pos + 1:]: mono.count(c)}, g.nums,
+        _mul_into(out, {_lowered(mono, ids, pos): ids.count(c)}, g.nums,
                   ctx._dt_scale // g.den)
     return tuple(out.items())
 

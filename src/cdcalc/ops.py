@@ -182,7 +182,7 @@ class CDiffOp:
         """
         if order is None and self._constant is not None:
             return self._constant
-        constant = all(set(poly.nums) <= {()} for row in self.entries for e in row
+        constant = all(set(poly.nums) <= {1} for row in self.entries for e in row
                        for sigma, poly in e.terms.items() if order in (None, len(sigma)))
         if order is None:
             self._constant = constant
@@ -386,7 +386,8 @@ def dbar_operator(ctx: JetContext, q: int) -> CDiffOp:
     sources = increasing_tuples(n, q)
     targets = increasing_tuples(n, q + 1)
     tindex = {key: r for r, key in enumerate(targets)}
-    rows = [[ScalarCDiffOp() for _ in sources] for _ in targets]
+    zero = ScalarCDiffOp()  # entries are never mutated, so the zeros share one
+    rows = [[zero] * len(sources) for _ in targets]
     for c, key in enumerate(sources):
         for i in range(n):
             if i in key:

@@ -268,7 +268,7 @@ class _Tower:
         for s, row in enumerate(self.table if not self.constant else ()):
             for j, sigma, poly in row:
                 found = {(): poly}
-                for nu in _taus(op.ctx.n, self.top)[1:] if poly.nums.keys() - {()} else ():
+                for nu in _taus(op.ctx.n, self.top)[1:] if poly.nums.keys() - {1} else ():
                     if (d := found.get(nu[:-1])) and (d := total_derivative(op.ctx, nu[-1], d)):
                         found[nu] = d
                 self.derived.extend(((s, j, sigma, nu), d) for nu, d in found.items() if nu)
@@ -277,7 +277,7 @@ class _Tower:
     def rows(self, pt: JetPoint) -> list[tuple[int, dict]]:
         m, cols, n, top = self.op.rows, self.op.cols, self.op.ctx.n, self.top
         if self.constant:  # the point's values are never read
-            table = [[(j, sigma, (poly.nums[()], poly.den)) for j, sigma, poly in row]
+            table = [[(j, sigma, (poly.nums[1], poly.den)) for j, sigma, poly in row]
                      for row in self.table]
             derived = []
         else:

@@ -55,6 +55,28 @@ def test_symbol_command():
     assert "-xi_x^3" in out
 
 
+def test_symbol_builds_only_the_first_sample(tmp_path, monkeypatch):
+    """The default point is generic sample seed * 3, the first of three, and only it is built."""
+    prob = tmp_path / "varying.prob"
+    prob.write_text("independent x t\ndependent u\nevolution u = u^2*u_{x,x,x}\n")
+    pt_file = tmp_path / "pt"
+    seeds = []
+    real = cdcalc.jet.random_point
+
+    def recorded(ctx, order_bound, seed=0):
+        seeds.append(seed)
+        pt = real(ctx, order_bound, seed)
+        pt_file.write_text("".join(f"{cdcalc.jet.format_coord(c, ctx)} = {v}\n"
+                                   for c, v in pt.values.items()))
+        return pt
+
+    monkeypatch.setattr(cdcalc.jet, "random_point", recorded)
+    code, out, _ = invoke("symbol", str(prob), "--seed", "5")
+    assert code == 0 and seeds == [15]
+    monkeypatch.undo()
+    assert invoke("symbol", str(prob), "--point", str(pt_file)) == (0, out, "")
+
+
 def test_spencer_and_involutive():
     code, out, _ = invoke("spencer", KDV_PROB, "--l-max", "2")
     assert code == 0

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,13 +14,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdcalc import (
-    Coord, DiffPoly, JetContext, JetPoint, ParseError, ScalarCDiffOp, evaluate, format_poly,
-    parse_coord, parse_expr, parse_scalar_op, partial, random_point, total_derivative,
+    Coord, DiffPoly, JetContext, JetPoint, ParseError, ScalarCDiffOp, adjoint, evaluate,
+    format_poly, parse_coord, parse_expr, parse_scalar_op, partial, random_point,
+    total_derivative,
 )
 from cdcalc.expr import (
-    INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, PARAM, EvaluationError, _parse_rational,
-    format_coord,
+    _FACTORS, _PRIMES, INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, PARAM,
+    EvaluationError, _parse_rational, format_coord,
 )
+from cdcalc.ops import parse_operator_matrix
 from cdcalc.jet import _DERIVATIVES
 
 from conftest import (
@@ -372,8 +374,17 @@ def _build(spec):
     return ref, poly
 
 
+def _check_keys(poly):
+    """Every key of ``poly`` is the product of its registered ids' primes, ids sorted."""
+    for key in poly.nums:
+        ids = _FACTORS[key]
+        assert list(ids) == sorted(ids)
+        assert key == prod(_PRIMES[i] for i in ids)
+
+
 def _check(poly, ref):
     """``poly`` equals the reference and is canonical."""
+    _check_keys(poly)
     assert dict(poly.terms) == ref
     assert type(poly.den) is int and poly.den > 0
     assert all(type(c) is int and c for c in poly.nums.values())
@@ -494,6 +505,52 @@ def test_routes_to_one_polynomial_agree(spec):
         assert (p.nums, p.den) == (summed.nums, summed.den)
 
 
+def test_every_route_makes_prime_product_keys():
+    """Each way of making a polynomial keys it by the product of its ids' primes.
+
+    Equal polynomials reached by different routes have equal ``nums``: a key
+    depends only on the monomial, not on how it was made.
+    """
+    ctx = JetContext.free("x y", "u w", "mu")
+    u, u_x, u_y = (ctx.jet_coord("u", s) for s in ((), ("x",), ("y",)))
+    x = Coord(INDEP, 0)
+    parsed = ctx.parse("(u + u_x)^3 - 2/3*mu*x*w_{x,y} + 5")
+    built = DiffPoly({((u, 3),): 1, ((u, 2), (u_x, 1)): 3, ((u_x, 2), (u, 1)): 3,
+                      ((u_x, 3),): 1, ((Coord(PARAM, 0), 1), (ctx.jet_coord("w", ("x", "y")), 1),
+                                       (x, 1)): Fraction(-2, 3), (): 5})
+    by_ops = ((DiffPoly.var(u) + DiffPoly.var(u_x)) ** 3
+              + DiffPoly.var(x) * ctx.parse("mu*w_{y,x}") * Fraction(-2, 3) + 5)
+    assert (parsed.nums, parsed.den) == (built.nums, built.den) == (by_ops.nums, by_ops.den)
+    ev = JetContext.evolution("u", ["u*u_xxx + 1/2*x^2"])
+    routes = [  # (got, the same polynomial made another way)
+        (parsed.partial(u), ctx.parse("3*(u + u_x)^2")),
+        (total_derivative(ctx, "x", ctx.parse("u*u_x^2 + x*u_y")),
+         ctx.parse("u_x^3 + 2*u*u_x*u_{x,x} + u_y + x*u_{x,y}")),
+        (total_derivative(ctx, "y", DiffPoly.var(u_x, 2)),
+         2 * DiffPoly.var(u_x) * DiffPoly.var(ctx.jet_coord("u", ("x", "y")))),
+        (total_derivative(ev, "t", ev.parse("u_x^2 + t")),
+         ev.parse("2*u_x*(u_x*u_xxx + u*u_xxxx + x) + 1")),
+    ]
+    for got, want in routes:
+        assert (got.nums, got.den) == (want.nums, want.den)
+    a = parse_operator_matrix("u*D_{x} + mu ; w_y*D_{x,y}\n1 ; x*u_x*D_{y,y}", ctx)
+    b = parse_operator_matrix("D_{x} ; u*w\nw_xx ; 1/2*D_{y}", ctx)
+    ops = [a @ b, adjoint(a), adjoint(adjoint(a @ b))]
+    assert ops[2] == ops[0]
+    coefficients = [poly for op in ops for row in op.entries for e in row
+                    for poly in e.terms.values()]
+    for poly in [parsed, built, by_ops, *[p for pair in routes for p in pair], *coefficients]:
+        _check_keys(poly)
+    # the id-th prime for id i: a sieve's primes, in order, as many as there are ids
+    sieve = bytearray([1]) * (20 * len(_PRIMES) + 100)
+    sieve[:2] = b"\0\0"
+    for n in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, len(sieve), n)))
+    assert _PRIMES == [n for n, is_prime in enumerate(sieve) if is_prime][:len(_PRIMES)]
+    assert _FACTORS[1] == ()
+
+
 # ---------------------------------------------------------------------------
 # Coordinate ids are interned per process, in order of first use
 # ---------------------------------------------------------------------------
@@ -502,8 +559,12 @@ _INTERNING_SCRIPT = """
 import pickle, sys
 from cdcalc import (JetContext, adjoint, format_operator, format_poly, random_point,
                     total_derivative)
-from cdcalc.expr import _IDS
+from math import prod
+from cdcalc.expr import _FACTORS, _IDS, _PRIMES
 from cdcalc.ops import parse_operator_matrix
+def keys_ok(*polys):
+    return all(list(_FACTORS[k]) == sorted(_FACTORS[k]) and k == prod(map(_PRIMES.__getitem__,
+               _FACTORS[k])) for p in polys for k in p.nums)
 ctx = JetContext.free("x t", "u v", "lam")
 names = ["x", "t", "lam", "u", "v", "u_x", "v_t", "u_xt", "v_xx", "u_ttx"]
 ctx.parse(" + ".join(names if sys.argv[1] == "forward" else names[::-1]))
@@ -522,7 +583,8 @@ print(dt)
 if len(sys.argv) > 2:
     other, other_pt, other_ev = pickle.loads(bytes.fromhex(sys.argv[2]))
     print(other == f, format_poly(other, ctx), other.evaluate(other_pt),
-          other_ev == ev, format_poly(total_derivative(other_ev, "t", g), ev))
+          other_ev == ev, format_poly(total_derivative(other_ev, "t", g), ev),
+          keys_ok(other, total_derivative(other_ev, "t", g)))
 else:
     print(pickle.dumps((f, pt, ev)).hex())
 """
@@ -549,7 +611,8 @@ def test_ids_stay_inside_the_process():
     assert forward[0] != backward[0]  # u_x was given a different id
     # the polynomial, adjoint(a @ b), a value and a D_t, byte for byte
     assert forward[1:-1] == backward[1:-1]
-    assert backward[-1] == f"True {forward[1]} {forward[-3]} True {forward[-2]}"
+    # read back with other ids, it is the same polynomial, keyed by this process's primes
+    assert backward[-1] == f"True {forward[1]} {forward[-3]} True {forward[-2]} True"
 
 
 # ---------------------------------------------------------------------------
