@@ -139,10 +139,11 @@ def _accumulate(out: dict, key, value) -> None:
 
     Form and operator coefficients keep their no-zero-values invariant
     through this one routine.  The numerator loops of ``_mul_into``,
-    ``_sum_multiples`` and ``jet.total_derivative``, over int monomial keys
-    and int numerators, write it inline: calling it there made the
-    polynomial-heavy benchmark workload about 7% slower, and ``_mul_into``
-    also registers each new product key in ``_FACTORS`` on the way.
+    ``_sum_multiples``, ``jet._derivative_into`` and the Leibniz leaves of
+    ``ops.adjoint``, over int monomial keys and int numerators, write it
+    inline: calling it there made the polynomial-heavy benchmark workload
+    about 7% slower, and ``_mul_into`` also registers each new product key
+    in ``_FACTORS`` on the way.
     """
     s = out[key] + value if key in out else value
     if s:

@@ -189,37 +189,57 @@ def total_derivative(ctx: JetContext, i, f: DiffPoly) -> DiffPoly:
     Evolution mode: D_x acts the same way on the internal coordinates; D_t
     substitutes D_x^r(f_j) for the slot of u^j with r trailing x's, and a jet
     with t-derivatives, not being an internal coordinate, is a ValueError.
-    Every direction is one pass over the numerators: each monomial's int
-    terms come from a table filled as monomials are met, the global
-    ``_DERIVATIVES[i]``, or for evolution-mode D_t the context's own table,
-    whose terms are over the lcm of the f_j's denominators.
+    One pass of ``_derivative_into`` over the numerators, then one gcd.
     """
     idx = i if type(i) is int and 0 <= i < len(ctx.indep) else ctx._indep_idx(i)
-    dt = idx == 1 and ctx._dt is not None
-    table = ctx._dt if dt else _DERIVATIVES.setdefault(idx, {})
     out: dict = {}
-    for mono, coeff in f.nums.items():
+    return _poly(out, f.den * _derivative_into(ctx, idx, f.nums, out))
+
+
+def _derivative_into(ctx: JetContext, i: int, nums: dict, out: dict) -> int:
+    """Add the int numerators of D_i of ``nums`` into ``out``; return the scale they are over.
+
+    The terms of D_i of ``nums / den`` are over ``den`` times the returned
+    scale: ``ctx._dt_scale`` for evolution-mode D_t, 1 otherwise.  Each
+    monomial's int terms come from a table filled as monomials are met, the
+    global ``_DERIVATIVES[i]``, or for evolution-mode D_t the context's own
+    table.  Zero sums leave ``out``.  Every total derivative of the package,
+    of a polynomial or of an operator's coefficients, is this one loop.
+    """
+    dt = i == 1 and ctx._dt is not None
+    table = ctx._dt if dt else _DERIVATIVES.setdefault(i, {})
+    for mono, coeff in nums.items():
         if (terms := table.get(mono)) is None:
-            terms = _monomial_dt(ctx, mono) if dt else _monomial_derivative(mono, idx)
-            table[mono] = terms
+            terms = table[mono] = _monomial_dt(ctx, mono) if dt else _monomial_derivative(mono, i)
         for m, e in terms:
             if s := out.get(m, 0) + coeff * e:
                 out[m] = s
             else:
                 del out[m]
-    return _poly(out, f.den * ctx._dt_scale if dt else f.den)
+    return ctx._dt_scale if dt else 1
 
 
 # Per direction i, monomial -> the ((monomial', multiplicity), ...) terms of
 # its D_i, filled as monomials are met.  Ids, hence monomials, mean the same
-# in every context of one process, so these tables are global.  Evolution-mode
-# D_t depends on the right-hand sides: each such context keeps its own table,
-# which lives as long as the context (and is not pickled with it).
+# in every context of one process, so these tables are global; they live for
+# the whole process and grow with every monomial differentiated.
+# Evolution-mode D_t depends on the right-hand sides: each such context keeps
+# its own table, which lives as long as the context (and is not pickled with it).
+# ``_derivative_into`` reads them for ``total_derivative`` and for compose and
+# adjoint, which keep int numerators through a whole chain of derivatives and
+# reduce each output coefficient with one gcd.
 _DERIVATIVES: dict = {}
+
+# Per direction i, coordinate id -> what D_i makes of that coordinate: the id
+# of the jet one index further, -1 for x_i itself, None for anything else.
+# Process-wide like the ids, and bounded by them: at most one entry per
+# coordinate id and direction.
+_LIFTS: dict = {}
 
 
 def _monomial_derivative(mono: int, i: int) -> tuple:
-    """The terms of D_i of ``mono``, each distinct coordinate lifted once."""
+    """The terms of D_i of ``mono``, each distinct coordinate lifted once through ``_LIFTS``."""
+    lifts = _LIFTS.setdefault(i, {})
     ids = _FACTORS[mono]
     terms = []
     prev = None
@@ -227,17 +247,21 @@ def _monomial_derivative(mono: int, i: int) -> tuple:
         if c == prev:
             continue
         prev = c
-        kind, index, sigma = _COORDS[c]
-        if kind == JET:
-            sigma = list(sigma)
-            insort(sigma, i)
-            # sorted already: built as a tuple, past the sort in Coord.__new__
-            m = _replaced(mono, ids, pos,
-                          _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma)))))
-        elif kind == INDEP and index == i:
-            m = _lowered(mono, ids, pos)
+        if c in lifts:
+            lift = lifts[c]
         else:
+            kind, index, sigma = _COORDS[c]
+            if kind == JET:
+                sigma = list(sigma)
+                insort(sigma, i)
+                # sorted already: built as a tuple, past the sort in Coord.__new__
+                lift = _coord_id(tuple.__new__(Coord, (JET, index, tuple(sigma))))
+            else:
+                lift = -1 if kind == INDEP and index == i else None
+            lifts[c] = lift
+        if lift is None:
             continue
+        m = _lowered(mono, ids, pos) if lift < 0 else _replaced(mono, ids, pos, lift)
         terms.append((m, ids.count(c)))
     return tuple(terms)
 

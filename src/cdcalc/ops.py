@@ -8,23 +8,25 @@ operator equality is literal normal-form equality.
 
 Apply, compose and Green remainders take each D_sigma from a prefix table
 built for the call (``jet._along``); adjoints expand each term by the
-Leibniz rule and take each derivative of its coefficient once.  Each output
-coefficient is summed in one dict of int numerators over one common
-denominator.
+Leibniz rule and take each derivative of its coefficient once.  Compose and
+adjoint keep int numerators through the whole chain: every derivative is
+``jet._derivative_into`` on numerators over a denominator tracked beside
+them, and each output coefficient is summed in one dict over one common
+denominator and reduced with one gcd.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 from .expr import (
-    JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _product, _signed_terms,
-    _sum, _sum_by_key, _sum_multiples, _sum_products, format_poly,
+    JET, DiffPoly, ExprParser, ParseError, _as_poly, _join_signed, _mul_into, _poly, _product,
+    _signed_terms, _sum_by_key, _sum_products, format_poly,
 )
 from .jet import (
-    JetContext, _along, _check_size, _merge_sign, _statements, _table, _walk, increasing_tuples,
-    total_derivative,
+    JetContext, _along, _check_size, _derivative_into, _merge_sign, _statements, _table, _walk,
+    increasing_tuples, total_derivative,
 )
 
 
@@ -83,19 +85,41 @@ class ScalarCDiffOp:
         return f"ScalarCDiffOp({len(self.terms)} terms, order {self.order})"
 
 
-def _left_Di(ctx: JetContext, i: int, op: ScalarCDiffOp) -> ScalarCDiffOp:
-    """Normalize D_i composed with ``op``: D_i (f D_sigma) = f D_{sigma i} + D_i(f) D_sigma."""
-    out = {tuple(sorted(sigma + (i,))): poly for sigma, poly in op.terms.items()}
-    for sigma, poly in op.terms.items():
-        if d := total_derivative(ctx, i, poly):
-            # the one other term at sigma, if any, is the coefficient at sigma - i
-            if sigma not in out:
-                out[sigma] = d
-            elif s := _sum((out[sigma], d)):
-                out[sigma] = s
-            else:
-                del out[sigma]
-    return ScalarCDiffOp._normal(out)
+def _node(entry: ScalarCDiffOp) -> tuple:
+    """``entry`` as a compose node ``(den, {tau: int numerators over den})``, den the lcm.
+
+    A coefficient already over den keeps its own numerator dict.
+    """
+    den = lcm(*(p.den for p in entry.terms.values()))
+    return den, {tau: p.nums if p.den == den else _scaled(p.nums, den // p.den)
+                 for tau, p in entry.terms.items()}
+
+
+def _scaled(nums: dict, k: int) -> dict:
+    return {m: c * k for m, c in nums.items()}
+
+
+def _after_Di(ctx: JetContext, i: int, node: tuple) -> tuple:
+    """D_i composed with a node: D_i (f D_tau) = f D_{tau i} + D_i(f) D_tau, on numerators.
+
+    The result is over den times the scale of D_i's terms (``_dt_scale`` for
+    evolution-mode D_t, else 1); with scale 1 each shifted coefficient is the
+    node's own dict, copied only where D_i(f) of another term lands on it.
+    """
+    den, terms = node
+    scale = ctx._dt_scale if i == 1 and ctx._dt is not None else 1
+    out = {tuple(sorted(tau + (i,))): nums if scale == 1 else _scaled(nums, scale)
+           for tau, nums in terms.items()}
+    for tau, nums in terms.items():
+        # the one other term at tau, if any, is the shifted coefficient at tau - i
+        shifted = out.get(tau)
+        d = {} if shifted is None else dict(shifted) if scale == 1 else shifted
+        _derivative_into(ctx, i, nums, d)
+        if d:
+            out[tau] = d
+        elif shifted is not None:
+            del out[tau]
+    return den * scale, out
 
 
 class CDiffOp:
@@ -217,21 +241,30 @@ class CDiffOp:
                 f"{inner.rows}x{inner.cols}")
         if self.ctx != inner.ctx:
             raise ValueError("operators live over different contexts")
-        tables = [[_table(b) for b in row] for row in inner.entries]
-        step = partial(_left_Di, self.ctx)
+        # a zero inner entry adds nothing: it gets no table
+        tables = [[_table(_node(b)) if b.terms else None for b in row] for row in inner.entries]
+        step = partial(_after_Di, self.ctx)
         out = []
         for outer_row in self.entries:
             row = []
             for j in range(inner.cols):
-                acc: dict = {}  # multi-index -> the (coefficient, polynomial) products to sum
+                acc: dict = {}  # multi-index -> the (coefficient, den, numerators) products to sum
                 for a, inner_row in zip(outer_row, tables):
                     table = inner_row[j]
-                    if table[0].terms:  # a zero inner entry adds nothing
+                    if table:
                         for sigma, coeff in a.terms.items():
-                            for tau, poly in _along(table, sigma, step).terms.items():
-                                acc.setdefault(tau, []).append((coeff, poly))
-                row.append(ScalarCDiffOp._normal(
-                    {tau: s for tau, pairs in acc.items() if (s := _sum_products(pairs))}))
+                            den, node = _along(table, sigma, step)
+                            for tau, nums in node.items():
+                                acc.setdefault(tau, []).append((coeff, den, nums))
+                entry = {}
+                for tau, products in acc.items():  # as _sum_products, b being nums over d
+                    den = lcm(*(a.den * d for a, d, _ in products))
+                    nums = {}
+                    for a, d, b in products:
+                        _mul_into(nums, a.nums, b, den // (a.den * d))
+                    if nums:
+                        entry[tau] = _poly(nums, den)
+                row.append(ScalarCDiffOp._normal(entry))
             out.append(row)
         return CDiffOp(self.ctx, out)
 
@@ -273,41 +306,60 @@ def adjoint(op: CDiffOp) -> CDiffOp:
     the pairing uses the coordinate volume element, so no extra weights
     appear.  Each term is expanded by the Leibniz rule, (f D_sigma)* =
     (-1)^|sigma| sum over rho <= sigma of C(sigma, rho) D_{sigma-rho}(f) D_rho.
+    An entry is summed on int numerators over one lcm, to which each term
+    brings f's denominator times ``_dt_scale`` once per t in sigma, since
+    each evolution-mode D_t puts its terms over that scale.
     """
-    step = partial(total_derivative, op.ctx)
+    ctx = op.ctx
+    scale = ctx._dt_scale  # 1 in free mode and for integral rules
 
     def entry_adjoint(entry: ScalarCDiffOp) -> ScalarCDiffOp:
-        acc: dict = {}  # rho -> the (multiplier, D_{sigma-rho}(f)) pairs to sum
-        for sigma, coeff in entry.terms.items():
+        terms = entry.terms.items()
+        den = lcm(*(f.den * scale ** sigma.count(1) for sigma, f in terms))
+        acc: dict = {}  # rho -> its int numerators over den
+        for sigma, f in terms:
             runs = [(i, sigma.count(i)) for i in sorted(set(sigma))]
-            _leibniz(acc, runs, 0, coeff, (), -1 if len(sigma) % 2 else 1, step)
-        return ScalarCDiffOp._normal(
-            {rho: s for rho, pairs in acc.items() if (s := _sum_multiples(pairs))})
+            k = den // f.den
+            _leibniz_into(ctx, acc, runs, 0, f.nums, (), -k if len(sigma) % 2 else k)
+        return ScalarCDiffOp._normal({rho: _poly(nums, den) for rho, nums in acc.items() if nums})
 
-    return CDiffOp(op.ctx, [[entry_adjoint(row[j]) for row in op.entries]
-                            for j in range(op.cols)])
+    return CDiffOp(ctx, [[entry_adjoint(row[j]) for row in op.entries]
+                         for j in range(op.cols)])
 
 
-def _leibniz(acc: dict, runs: list, r: int, value: DiffPoly, rho: tuple, k: int, step) -> None:
-    """Add to ``acc`` the Leibniz terms of ``value`` over the runs from ``r`` on.
+def _leibniz_into(ctx: JetContext, acc: dict, runs: list, r: int, nums: dict, rho: tuple,
+                  k: int) -> None:
+    """Add to ``acc`` the Leibniz terms of ``nums`` over the runs from ``r`` on.
 
     ``runs`` are the (index, count) runs of sigma in index order.  Run r
     puts j of its n indices into nu and the other n - j into ``rho``, for
-    j = 0..n, taking D_nu(value) one total derivative further and C(n, j)
-    into the multiplier ``k`` at each j.  A zero derivative ends its branch,
-    since every longer one is zero too.  The recursion is one level a run.
+    j = 0..n, taking D_nu one total derivative further on the numerators,
+    C(n, j) into the multiplier ``k`` and, for a D_t whose terms are over a
+    scale, that scale out of it.  Each leaf adds ``k`` times its numerators
+    straight into its rho's dict.  A zero derivative ends its branch, since
+    every longer one is zero too.  The recursion is one level a run.
     """
     if r == len(runs):
-        acc.setdefault(rho, []).append((k, value))
+        out = acc.get(rho)
+        if out is None:
+            acc[rho] = _scaled(nums, k)
+            return
+        for m, c in nums.items():
+            if s := out.get(m, 0) + c * k:
+                out[m] = s
+            else:
+                del out[m]
         return
     i, n = runs[r]
     for j in range(n + 1):
         if j:
-            value = step(i, value)
-            if not value:
+            d: dict = {}
+            scale = _derivative_into(ctx, i, nums, d)
+            if not d:
                 return
-            k = k * (n - j + 1) // j  # C(n, j) from C(n, j - 1)
-        _leibniz(acc, runs, r + 1, value, rho + (i,) * (n - j), k, step)
+            nums = d
+            k = k // scale * (n - j + 1) // j  # C(n, j) from C(n, j - 1)
+        _leibniz_into(ctx, acc, runs, r + 1, nums, rho + (i,) * (n - j), k)
 
 
 def linearize(ctx: JetContext, components) -> CDiffOp:

@@ -20,10 +20,10 @@ from cdcalc import (
 )
 from cdcalc.expr import (
     _FACTORS, _PRIMES, INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, PARAM,
-    EvaluationError, _parse_rational, format_coord,
+    EvaluationError, _coord_id, _parse_rational, format_coord,
 )
 from cdcalc.ops import parse_operator_matrix
-from cdcalc.jet import _DERIVATIVES
+from cdcalc.jet import _DERIVATIVES, _LIFTS
 
 from conftest import (
     rand_poly, ref_add, ref_coords, ref_degree, ref_evaluate, ref_jet_order, ref_monomial,
@@ -430,11 +430,36 @@ def test_monomial_derivative_table_is_only_a_cache(spec):
                     total_derivative(ctx, i, a)
             continue
         kept = total_derivative(ctx, i, a)
+        kept_lifts = {d: dict(lifts) for d, lifts in _LIFTS.items()}
         _DERIVATIVES.clear()
+        _LIFTS.clear()
         _EVOLUTION._dt.clear()
         fresh = total_derivative(ctx, i, a)
         assert (fresh.nums, fresh.den) == (kept.nums, kept.den)
+        # the lifts made again are the ones dropped
+        assert all(kept_lifts[d][c] == lift for d, lifts in _LIFTS.items()
+                   for c, lift in lifts.items())
         assert total_derivative(ctx, i, a) == fresh  # from the table just filled
+
+
+@pytest.mark.parametrize("ctx", [_FREE, _EVOLUTION], ids=["free", "evolution"])
+def test_lift_table_lifts_jets_lowers_x_i_and_skips_the_rest(ctx):
+    # D_x of x*t*lam*u*v_x lifts each jet, lowers x and skips t and lam
+    _LIFTS.clear()
+    _DERIVATIVES.clear()
+    f = ctx.parse("x*t*lam*u*v_x")
+    assert total_derivative(ctx, 0, f) == ctx.parse("t*lam*u*v_x + x*t*lam*u_x*v_x"
+                                                    " + x*t*lam*u*v_{x,x}")
+    ids = {name: _coord_id(parse_coord(name, ctx)) for name in
+           ("x", "t", "lam", "u", "u_x", "v_x", "v_{x,x}")}
+    assert _LIFTS == {0: {ids["x"]: -1, ids["t"]: None, ids["lam"]: None,
+                          ids["u"]: ids["u_x"], ids["v_x"]: ids["v_{x,x}"]}}
+    if not ctx.is_evolution:  # free D_t lowers t and skips x; evolution D_t has its own table
+        g = total_derivative(ctx, 1, f)
+        assert g == ctx.parse("x*lam*u*v_x + x*t*lam*u_t*v_x + x*t*lam*u*v_{x,t}")
+        assert _LIFTS[1] == {ids["x"]: None, ids["t"]: -1, ids["lam"]: None,
+                             ids["u"]: _coord_id(parse_coord("u_t", ctx)),
+                             ids["v_x"]: _coord_id(parse_coord("v_{x,t}", ctx))}
 
 
 @_PROPERTY

@@ -121,9 +121,9 @@ def test_adjoint_keeps_zero_and_single_term_entries(ctx):
 
 def test_adjoint_takes_each_derivative_once(ctx, monkeypatch):
     calls = []
-    total = cdcalc.ops.total_derivative
-    monkeypatch.setattr(cdcalc.ops, "total_derivative",
-                        lambda *args: calls.append(args[1]) or total(*args))
+    derivative_into = cdcalc.ops._derivative_into
+    monkeypatch.setattr(cdcalc.ops, "_derivative_into",
+                        lambda *args: calls.append(args[1]) or derivative_into(*args))
     op = parse_operator_matrix("u*D_{x,x,x}", ctx)
     # D_x(u), D_{x,x}(u) and D_{x,x,x}(u), one step each
     assert adjoint(op) == parse_operator_matrix(
@@ -155,10 +155,18 @@ def test_adjoint_gives_each_binomial_term(ctx):
         for a in range(21) for b in range(21)})
 
 
-@pytest.mark.parametrize("mode", ["free", "evolution", "u_t = 0"])
+# two dependents under rules with fractional coefficients: D_t's terms are over
+# _dt_scale = 12, which compose and adjoint carry beside their int numerators
+_FRACTIONAL_RULES = ["1/4*u*v_x - 3/2*u_{x,x,x}", "2/3*v^2 - 5/6*u_{x,x}"]
+
+
+@pytest.mark.parametrize("mode", ["free", "evolution", "u_t = 0", "fractional"])
 def test_adjoint_matches_reference_definition(mode):
     if mode == "free":
         ctx, rng = JetContext.free("x y z", "u v", ("a",)), random.Random(31)
+    elif mode == "fractional":
+        ctx, rng = JetContext.evolution("u v", _FRACTIONAL_RULES, ("a",)), random.Random(33)
+        assert ctx._dt_scale == 12
     else:
         rule = ["0"] if mode == "u_t = 0" else ["u*u_x + a*u_{x,x,x}"]
         ctx, rng = JetContext.evolution("u", rule, ("a",)), random.Random(32)
@@ -273,28 +281,32 @@ def test_dbar_operator_matches_forms():
 
 def test_operator_algebra_in_evolution_mode():
     # composition and adjoints stay consistent when the time derivative
-    # substitutes the evolution rule inside coefficients
-    ectx = JetContext.evolution("u", ["u*u_x + u_{x,x,x}"])
-    rng = random.Random(16)
-    for _ in range(10):
-        a = rand_operator(rng, ectx, 2, 2, max_op_order=2)
-        b = rand_operator(rng, ectx, 2, 2, max_op_order=2)
-        v = [rand_poly(rng, ectx), rand_poly(rng, ectx)]
-        assert (a @ b)(v) == a(b(v))
-        assert adjoint(adjoint(a)) == a
-        assert adjoint(a @ b) == adjoint(b) @ adjoint(a)
+    # substitutes the evolution rule inside coefficients, with integer and
+    # with fractional rules
+    for ectx in (JetContext.evolution("u", ["u*u_x + u_{x,x,x}"]),
+                 JetContext.evolution("u v", _FRACTIONAL_RULES)):
+        rng = random.Random(16)
+        for _ in range(10):
+            a = rand_operator(rng, ectx, 2, 2, max_op_order=2)
+            b = rand_operator(rng, ectx, 2, 2, max_op_order=2)
+            v = [rand_poly(rng, ectx), rand_poly(rng, ectx)]
+            assert (a @ b)(v) == a(b(v))
+            assert adjoint(adjoint(a)) == a
+            assert adjoint(a @ b) == adjoint(b) @ adjoint(a)
 
 
 def test_composition_pushes_each_prefix_once(ctx, monkeypatch):
     pushes = []
-    left_Di = cdcalc.ops._left_Di
-    monkeypatch.setattr(cdcalc.ops, "_left_Di",
-                        lambda *args: pushes.append(args[1]) or left_Di(*args))
+    derivative_into = cdcalc.ops._derivative_into
+    monkeypatch.setattr(cdcalc.ops, "_derivative_into",
+                        lambda *args: pushes.append(args[1]) or derivative_into(*args))
     outer = parse_operator_matrix("D_{x,x,x} + u*D_{x,x} + D_{x}", ctx)
     inner = parse_operator_matrix("u_x*D_{t} + 1", ctx)
     composed = outer @ inner
-    # D_{x,x,x} reuses the push for D_{x,x}, which reuses the one for D_{x}
-    assert pushes == [0, 0, 0]
+    # D_{x,x,x} reuses the push for D_{x,x}, which reuses the one for D_{x}; a
+    # push takes D_x of each term of its node once, and those nodes have 2, 3
+    # and 4 terms (pushing each outer term from the start would make 2+3+4 + 2+3 + 2)
+    assert pushes == [0] * (2 + 3 + 4)
     v = [ctx.parse("u^2*u_t")]
     assert composed(v) == outer(inner(v))
 
