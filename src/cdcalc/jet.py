@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import insort
+from bisect import bisect, insort
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import comb, lcm
 
 from .expr import (
@@ -423,6 +423,17 @@ def _merge_sign(left: tuple, right: tuple):
     return tuple(sorted(left + right)), -1 if inversions % 2 else 1
 
 
+@cache
+def _wedge_table(n: int, k: int) -> tuple:
+    """For each I of ``increasing_tuples(n, k)``, the triples (i, position of
+    I + {i} in ``increasing_tuples(n, k + 1)``, (-1)^(indices of I below i))
+    of dx_i ^ dx_I, i ascending over range(n) less I.  Callers check sizes first."""
+    targets = {key: t for t, key in enumerate(increasing_tuples(n, k + 1))}
+    return tuple(tuple((i, targets[tuple(sorted(key + (i,)))], -1 if bisect(key, i) % 2 else 1)
+                       for i in range(n) if i not in key)
+                 for key in increasing_tuples(n, k))
+
+
 def wedge(a: HorizontalForm, b: HorizontalForm) -> HorizontalForm:
     """Exterior product; degrees beyond n collapse to the zero form."""
     if a.n != b.n:
@@ -444,7 +455,9 @@ def wedge(a: HorizontalForm, b: HorizontalForm) -> HorizontalForm:
 
 def dbar(ctx: JetContext, omega: HorizontalForm) -> HorizontalForm:
     """Horizontal differential: coefficients differentiated by D_i, then
-    dx_i wedged in front with the permutation sign."""
+    dx_i wedged in front with the permutation sign.  The sign comes from
+    ``_merge_sign``, not ``_wedge_table``: this stays an independent check
+    of ``ops.dbar_operator``, which reads the table."""
     n = ctx.n
     if omega.n != n:
         raise ValueError("form does not match the context")
@@ -567,10 +580,10 @@ def _point_coords(ctx: JetContext, order_bound: int):
 
 # Bounds on what a rank computation may build, set from a timed sweep (see
 # the README).  They cap size, not time; the slowest accepted requests timed
-# take about 0.25 s (the cokernel of rank 867 at k1 = 13, and the x y z
-# system at k1 = 15), and nonconstant coefficients stay within seconds since
-# towers eliminate highest order first, and tall towers through their
-# transpose.
+# take about 0.25 s (the cokernel of rank 867 at k1 = 13, the x y z system at
+# k1 = 15), the n = 4 Laplacian's Spencer table at l_max = 10 half as long, and
+# nonconstant coefficients stay within seconds since towers eliminate highest
+# order first, and tall towers through their transpose.
 MAX_PROLONGATION = 15  # prolongation depth: coker's k1, l_max
 MAX_FIBER_DIM = 2000  # coordinates of a point, a jet fiber or Lambda^i (x) S^r (x) P
 

@@ -25,8 +25,8 @@ from .expr import (
     _signed_terms, _sum_by_key, _sum_products, format_poly,
 )
 from .jet import (
-    JetContext, _along, _check_size, _derivative_into, _merge_sign, _statements, _table, _walk,
-    increasing_tuples, total_derivative,
+    JetContext, _along, _check_size, _derivative_into, _statements, _table, _walk, _wedge_table,
+    total_derivative,
 )
 
 
@@ -435,18 +435,12 @@ def dbar_operator(ctx: JetContext, q: int) -> CDiffOp:
         raise ValueError(f"dbar degree {q} out of range 0..{n - 1}")
     for d in (q, q + 1):
         _check_size(comb(n, d), f"Lambda^{d} in dimension {n}")
-    sources = increasing_tuples(n, q)
-    targets = increasing_tuples(n, q + 1)
-    tindex = {key: r for r, key in enumerate(targets)}
+    table = _wedge_table(n, q)
     zero = ScalarCDiffOp()  # entries are never mutated, so the zeros share one
-    rows = [[zero] * len(sources) for _ in targets]
-    for c, key in enumerate(sources):
-        for i in range(n):
-            if i in key:
-                continue
-            newkey, sign = _merge_sign((i,), key)
-            rows[tindex[newkey]][c] = ScalarCDiffOp(
-                {(i,): DiffPoly.const(sign)})
+    rows = [[zero] * len(table) for _ in range(comb(n, q + 1))]
+    for c, wedges in enumerate(table):
+        for i, t, sign in wedges:
+            rows[t][c] = ScalarCDiffOp({(i,): DiffPoly.const(sign)})
     return CDiffOp(ctx, rows)
 
 

@@ -11,9 +11,9 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .expr import DiffPoly, _accumulate
+from .expr import DiffPoly, _accumulate, _rational
 from .jet import (
-    HorizontalForm, JetContext, _Record, _check_size, increasing_tuples, _merge_sign,
+    HorizontalForm, JetContext, _Record, _check_size, _merge_sign, _wedge_table, increasing_tuples,
 )
 from .linalg import rank
 from .ops import CDiffOp, ScalarCDiffOp
@@ -31,7 +31,7 @@ class Metric(_Record):
     def __init__(self, entries: tuple):
         if not entries:
             raise MetricError("metric needs at least one diagonal entry")
-        if any(e not in (1, -1) for e in entries):
+        if any(type(e) is not int or e not in (1, -1) for e in entries):
             raise MetricError(
                 "only diagonal entries +1/-1 are supported (keeps the star "
                 "operator rational)")
@@ -50,7 +50,7 @@ class Metric(_Record):
 
     @staticmethod
     def diag(entries) -> "Metric":
-        return Metric(tuple(int(e) for e in entries))
+        return Metric(tuple(entries))
 
     @property
     def n(self) -> int:
@@ -125,16 +125,6 @@ class EpiCheck(_Record):
         self.surjective, self.rank, self.dim, self.degree = surjective, rank, dim, degree
 
 
-def _wedge_entries(n: int, xi, k: int):
-    """Nonzero entries (target, source, value) of (xi ^ .): Lambda^k -> Lambda^{k+1}."""
-    tpos = {key: t for t, key in enumerate(increasing_tuples(n, k + 1))}
-    for c, key in enumerate(increasing_tuples(n, k)):
-        for i in range(n):
-            if xi[i] and i not in key:
-                newkey, sign = _merge_sign((i,), key)
-                yield tpos[newkey], c, sign * xi[i]
-
-
 def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
     """Joint surjectivity of wedging by xi and its metric adjoint.
 
@@ -153,26 +143,26 @@ def epi_check(n: int, p: int, metric: Metric, xi) -> EpiCheck:
         _check_size(comb(n, k), f"Lambda^{k} in dimension {n}")
     if metric.n != n:
         raise MetricError("metric dimension does not match n")
-    xi = [Fraction(v) for v in xi]
+    xi = [_rational(v) for v in xi]
     if len(xi) != n:
         raise ValueError(f"covector must have {n} components")
     if all(v == 0 for v in xi):
         raise ValueError("covector must be nonzero (degenerate input)")
 
-    mids = increasing_tuples(n, m)
-    highs = increasing_tuples(n, m + 1)
-    offset = comb(n, m - 1)
-    # row I of Lambda^m: wedge by xi from Lambda^{m-1} in the first columns,
-    # then the adjoint [A*]_{I,J} = g_I g_J [A]_{J,I} of the wedge from
-    # Lambda^m to Lambda^{m+1} (diagonal +-1 metrics)
-    combined = [{} for _ in mids]
-    for t, c, value in _wedge_entries(n, xi, m - 1):
-        combined[t][c] = value
-    for t, c, value in _wedge_entries(n, xi, m):
-        sign = metric.product(mids[c]) * metric.product(highs[t])
-        combined[c][offset + t] = sign * value
+    dim, offset = comb(n, m), comb(n, m - 1)
+    # row I of Lambda^m: wedge by xi from Lambda^{m-1} in the first columns, then
+    # the adjoint [A*]_{I,J} = g_I g_J [A]_{J,I} = g_i [A]_{J,I} of the wedge from
+    # Lambda^m to Lambda^{m+1} (diagonal +-1 metrics, J = I + {i})
+    combined = [{} for _ in range(dim)]
+    for c, wedges in enumerate(_wedge_table(n, m - 1)):
+        for i, t, sign in wedges:
+            if xi[i]:
+                combined[t][c] = sign * xi[i]
+    for c, wedges in enumerate(_wedge_table(n, m)):
+        for i, t, sign in wedges:
+            if xi[i]:
+                combined[c][offset + t] = metric.entries[i] * sign * xi[i]
     r = rank(combined)
-    dim = comb(n, m)
     return EpiCheck(surjective=(r == dim), rank=r, dim=dim, degree=m)
 
 

@@ -23,6 +23,10 @@ n dim g^r - dim g^{r+1} (g^{r+1} is the prolongation of g^r, so H^1 = 0);
 on Lambda^n (x) g^r it is 0 (Lambda^{n+1} = 0).  So dims[l][0] = dims[l][1]
 = 0 by construction; the tests eliminate those ranks and check them.  Only
 2 <= i < n is eliminated, over the int kernel rows of ``linalg._kernel_rows``.
+
+delta puts dx_i in front by the table ``jet._wedge_table``, as d_h
+(``ops.dbar_operator``) and xi ^ (``pform.epi_check``) do, and lowers mu by
+e_i through ``_lowerings``: both are built once per size, not per call.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from operator import methodcaller, mul
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
 from .jet import (
     JetContext, JetPoint, PointError, _Record, _at_generic_points, _check_depth, _check_size,
-    _merge_sign, increasing_tuples, total_derivative,
+    _wedge_table, total_derivative,
 )
 from .linalg import _fraction_rows, _kernel_rows, _prefix_ranks, rank
 from .ops import CDiffOp
@@ -81,6 +85,16 @@ def _shifted(n: int, top: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
+def _lowerings(n: int, r: int) -> tuple[dict[int, int], ...]:
+    """{i: position of mu - e_i in S^{r-1}} for each mu of ``multiindices(n, r)``;
+    i is removed at its first place k in mu, where mu[k - 1] differs (mu is sorted)."""
+    lower = {nu: c for c, nu in enumerate(multiindices(n, r - 1))}
+    return tuple({i: lower[mu[:k] + mu[k + 1:]]
+                  for k, i in enumerate(mu) if k == 0 or mu[k - 1] != i}
+                 for mu in multiindices(n, r))
+
+
+@cache
 def _binomials(n: int, r: int, nu: tuple[int, ...]) -> tuple[int, ...]:
     """C(nu + rho, nu), the product of C(nu_i + rho_i, nu_i), for each rho of ``_taus(n, r)``."""
     out = (1,) * len(_taus(n, r))
@@ -96,11 +110,6 @@ def sym_dim(n: int, r: int) -> int:
 
 def jet_fiber_dim(n: int, r: int) -> int:
     return comb(n + r, n) if r >= 0 else 0
-
-
-def _remove_one(sigma: tuple, i: int) -> tuple:
-    pos = sigma.index(i)
-    return sigma[:pos] + sigma[pos + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +390,17 @@ def _delta_of_subspace(n: int, rank_p: int, r: int, s: int,
     """
     if r == 0:
         return []
-    src_sym = multiindices(n, r)
-    tgt_sym = multiindices(n, r - 1)
-    tgt_form_pos = {f: i for i, f in enumerate(increasing_tuples(n, s + 1))}
-    tgt_sym_pos = {m: i for i, m in enumerate(tgt_sym)}
+    width, low, lowerings = sym_dim(n, r), sym_dim(n, r - 1), _lowerings(n, r)
     images = []
-    for form in increasing_tuples(n, s):
+    for wedges in _wedge_table(n, s):
         for vec in basis:
             out: dict = {}
             for pos, value in vec.items():
-                comp, sym_i = divmod(pos, len(src_sym))
-                mu = src_sym[sym_i]
-                for i in set(mu):
-                    newform, sign = _merge_sign((i,), form)
-                    if newform is None:
-                        continue
-                    idx = (tgt_form_pos[newform] * rank_p + comp) * len(tgt_sym) \
-                        + tgt_sym_pos[_remove_one(mu, i)]
-                    _accumulate(out, idx, sign * value)
+                comp, sym_i = divmod(pos, width)
+                lowered = lowerings[sym_i]
+                for i, t, sign in wedges:
+                    if i in lowered:
+                        _accumulate(out, (t * rank_p + comp) * low + lowered[i], sign * value)
             images.append(out)
     return images
 

@@ -13,7 +13,7 @@ from cdcalc import (
     total_derivative, total_derivative_sigma, wedge,
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, Coord, ParseError
-from cdcalc.jet import _coord_names, _draw
+from cdcalc.jet import _coord_names, _draw, _merge_sign, _wedge_table
 
 from conftest import SympyJets, count_draws, rand_poly
 
@@ -97,6 +97,21 @@ def rand_form(rng, ctx, degree):
         if rng.random() < 0.8:
             coeffs[key] = rand_poly(rng, ctx, max_order=2)
     return HorizontalForm(ctx.n, degree, coeffs)
+
+
+def test_wedge_table_is_the_merge_sign_of_each_new_index():
+    for n in range(1, 8):
+        for k in range(n):
+            targets = list(itertools.combinations(range(n), k + 1))
+            expected = []
+            for key in itertools.combinations(range(n), k):
+                row = []
+                for i in range(n):
+                    if i not in key:  # no index of I appears: dx_i ^ dx_I = 0 there
+                        merged, sign = _merge_sign((i,), key)
+                        row.append((i, targets.index(merged), sign))
+                expected.append(tuple(row))
+            assert _wedge_table(n, k) == tuple(expected)
 
 
 def test_dbar_function(ctx):

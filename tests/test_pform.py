@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import cdcalc.ops
+import cdcalc.jet
 import cdcalc.pform
 from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, Metric, MetricError, dbar_operator,
@@ -21,11 +21,11 @@ def basis(n, indices):
 
 def test_metric_validation():
     g = Metric.diag([-1, 1, 1, 1])
-    assert g.index == 1 and g.n == 4
-    with pytest.raises(MetricError):
-        Metric.diag([2, 1])
-    with pytest.raises(MetricError):
-        Metric.diag([])
+    assert g.index == 1 and g.n == 4 and g.entries == (-1, 1, 1, 1)
+    # only the ints +1 and -1: no entry is truncated or kept as a float
+    for bad in ([2, 1], [], [1.5, -1.9, 1], [1.0, -1.0], [Fraction(-1)], [True, 1], ["1"]):
+        with pytest.raises(MetricError):
+            Metric.diag(bad)
 
 
 def test_star_examples_n2():
@@ -126,6 +126,16 @@ def test_epi_check_zero_covector_rejected():
         epi_check(4, 1, Metric.diag([1, 1, 1, 1]), [0, 0, 0, 0])
 
 
+def test_epi_check_takes_exact_covectors_only():
+    g = Metric.diag([1, 1, 1, 1])
+    exact = epi_check(4, 1, g, [Fraction(1, 10), Fraction(1, 3), 0, 2])
+    assert exact.surjective and exact.rank == 6
+    # a float or a string is not read as a rational, as DiffPoly.const refuses them
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            epi_check(4, 1, g, [bad, 1, 0, 0])
+
+
 def test_epi_check_range_validation():
     with pytest.raises(ValueError):
         epi_check(4, 3, Metric.diag([1, 1, 1, 1]), [1, 0, 0, 0])
@@ -209,9 +219,11 @@ def test_form_spaces_are_bounded_before_they_are_built(monkeypatch):
     grad_of_1_forms = dbar_operator(ctx63, 1)
     assert (grad_of_1_forms.rows, grad_of_1_forms.cols) == (1953, 63)
     # past the bound nothing is enumerated: neither a basis of forms nor a
-    # table entry, however large n is
+    # table entry, however large n is; the wedge table enumerates in jet, and
+    # is emptied first so that no entry is read from an earlier call
+    cdcalc.jet._wedge_table.cache_clear()
     monkeypatch.setattr(cdcalc.pform, "increasing_tuples", _refuse)
-    monkeypatch.setattr(cdcalc.ops, "increasing_tuples", _refuse)
+    monkeypatch.setattr(cdcalc.jet, "increasing_tuples", _refuse)
     monkeypatch.setattr(cdcalc.pform, "itertools", SimpleNamespace(count=_refuse))
     cases = ((lambda: epi_check(30, 15, Metric.diag([1] * 30), [1] + [0] * 29),
               "Lambda^13 in dimension 30 has 119759850 coordinates"),

@@ -61,7 +61,7 @@ def test_position_check_repr_matches_the_dataclass_text():
 
 
 def test_metric_is_validated_frozen_and_hashable():
-    for bad in ((), (1, 2), (0,), (1, -1, 3)):
+    for bad in ((), (1, 2), (0,), (1, -1, 3), (1.0, -1.0)):
         with pytest.raises(MetricError):
             Metric(bad)
     metric = Metric.diag([1, -1, 1])

@@ -20,8 +20,8 @@ from cdcalc.ops import ScalarCDiffOp
 from cdcalc.expr import MAX_EXPONENT
 from cdcalc.jet import MAX_PROLONGATION
 from cdcalc.spencer import (
-    MAX_TWO_LINE_TERMS, _binomials, _delta_of_subspace, _dims_table, _positions, _shifted,
-    _taus, _Tower, graded_symbol_matrix, multiindices, multiindices_upto, sym_dim,
+    MAX_TWO_LINE_TERMS, _binomials, _delta_of_subspace, _dims_table, _lowerings, _positions,
+    _shifted, _taus, _Tower, graded_symbol_matrix, multiindices, multiindices_upto, sym_dim,
     symbol_kernel_basis,
 )
 
@@ -539,6 +539,12 @@ def test_index_tables_equal_direct_lookups():
             assert _binomials(n, top, sigma) == tuple(
                 prod(comb(sigma.count(i) + rho.count(i), rho.count(i)) for i in range(n))
                 for rho in multiindices_upto(n, top))
+        # mu - e_i: remove one i from mu, then look the rest up in S^{r-1}
+        for r in range(1, 6):
+            lower = multiindices(n, r - 1)
+            for mu, lowered in zip(multiindices(n, r), _lowerings(n, r), strict=True):
+                assert lowered == {i: lower.index(mu[:mu.index(i)] + mu[mu.index(i) + 1:])
+                                   for i in set(mu)}
     # the public basis stays the caller's own list
     assert multiindices_upto(2, 2) is not multiindices_upto(2, 2)
 
