@@ -118,7 +118,14 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     nonnegative by the complex property.  Each operator's prolongation
     tower is built once per call, never kept between calls (only the index
     tables the towers share outlive it), and ranked only at the levels of
-    its two roles (once, if its coefficients are constant).  With no
+    its two roles (once, if its coefficients are constant).  A rank is read
+    off the tower's lead bounds (``spencer._Tower``) where lo == hi, or where
+    the complex certifies it: the image of the incoming map lies in the
+    kernel of the outgoing one, so rank_in + rank_out is at most the middle
+    fiber's dimension, and where lo_in + lo_out reaches it both ranks are
+    their lo and the defect is 0.  A tower that an uncertified position
+    needs at an unsettled level is eliminated once, at all its levels; so a
+    defect is found by an elimination or by settled bounds.  With no
     explicit point the policy takes one sample when every operator has
     constant coefficients (every sample gives the same ranks) and three
     otherwise; with constant coefficients no point's values are drawn.
@@ -128,7 +135,7 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
         raise ValueError("exactness needs at least two operators")
     _check_depth("l_max", l_max)
     n = cplx.ctx.n
-    towers = []
+    towers, positions = [], []  # built by the first sample, for this call
 
     def roles(idx, l):
         _check_fiber_size(ops[idx], orders[idx], orders[idx + 1] + l)
@@ -147,15 +154,24 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
                 levels[idx].update(range(orders[idx + 1], orders[idx + 1] + l_max + 1))
                 levels[idx + 1].update(range(l_max + 1))
             towers.extend(map(_Tower, ops, levels))
-        ranks = [tower.ranks(point) for tower in towers]
+            for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
+                middle = orders[idx + 1] + l
+                dims = (ops[idx].cols * jet_fiber_dim(n, orders[idx] + middle),
+                        ops[idx + 1].cols * jet_fiber_dim(n, middle),
+                        ops[idx + 1].rows * jet_fiber_dim(n, l))
+                if ops[idx].rows * jet_fiber_dim(n, middle) != dims[1]:
+                    raise AssertionError("fiber dimensions out of step")
+                positions.append((idx, l, middle, dims))
+        # lo_in + lo_out == the middle fiber's dimension certifies both lo
+        lows = [tower.lows(point) for tower in towers]
+        certified = [set() for _ in towers]
+        for idx, l, middle, dims in positions:
+            if lows[idx][middle] + lows[idx + 1][l] == dims[1]:
+                certified[idx].add(middle)
+                certified[idx + 1].add(l)
+        ranks = [tower.settled_ranks(point, levels) for tower, levels in zip(towers, certified)]
         checks = []
-        for idx, l in product(range(len(ops) - 1), range(l_max + 1)):
-            middle = orders[idx + 1] + l
-            dims = (ops[idx].cols * jet_fiber_dim(n, orders[idx] + middle),
-                    ops[idx + 1].cols * jet_fiber_dim(n, middle),
-                    ops[idx + 1].rows * jet_fiber_dim(n, l))
-            if ops[idx].rows * jet_fiber_dim(n, middle) != dims[1]:
-                raise AssertionError("fiber dimensions out of step")
+        for idx, l, middle, dims in positions:
             pair = (ranks[idx][middle], ranks[idx + 1][l])
             defect = (dims[1] - pair[1]) - pair[0]
             assert defect >= 0, "image not contained in kernel"
@@ -178,7 +194,8 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     policy's samples is reported as a RuntimeWarning; with constant
     coefficients the policy takes one sample, since every sample gives the
     same ranks.  One prolongation tower, built for this call alone, gives
-    the ranks at levels 0 and k1.
+    the ranks at levels 0 and k1: read off its lead bounds
+    (``spencer._Tower``) where lo == hi at both, else from one elimination.
     """
     _check_depth("prolongation depth k1", k1, low=1)
     towers = []
@@ -188,7 +205,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
             _check_fiber_size(op, op.order, 0)
             _check_fiber_size(op, op.order, k1)
             towers.append(_Tower(op, (0, k1)))
-        ranks = towers[0].ranks(point)
+        ranks = towers[0].settled_ranks(point)
         if ranks[0] != op.rows:
             raise ValueError(
                 "order-0 fiber map is not surjective; renormalize the target "

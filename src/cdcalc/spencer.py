@@ -242,27 +242,48 @@ class _Tower:
     row (tau, s) as ``(scale, {-(graded position of mu) * cols - j: c})``,
     entry (j, mu) being c / scale, by the Leibniz rule at the point:
     D_tau(a D_sigma) is the sum of C(tau, nu) D_nu(a) D_{sigma + rho} over
-    nu + rho = tau.  Each nonzero D_nu a, |nu| <= top, is taken once per call
-    from the one before it (a zero ends its branch) and evaluated once per
-    point, all over one lcm.  The nu = () part is row s of the operator
-    shifted by tau: with constant coefficients the whole row, the point's
-    values never read.  The binomial multiples of the rest are added as ints,
-    zero sums dropped.  The index tables (``_taus``, ``_positions``,
-    ``_shifted``, ``_binomials``) are shared by every tower, keyed by sizes
-    and multi-indices only.
+    nu + rho = tau.  Each nonzero D_nu a, |nu| <= top, is taken once per call,
+    on the first ``rows`` call, from the one before it (a zero ends its
+    branch) and evaluated once per point, all over one lcm.  The nu = () part
+    is row s of the operator shifted by tau: with constant coefficients the
+    whole row, the point's values never read.  The binomial multiples of the
+    rest are added as ints, zero sums dropped.  The index tables (``_taus``,
+    ``_positions``, ``_shifted``, ``_binomials``) are shared by every tower,
+    keyed by sizes and multi-indices only.
 
-    ``ranks`` ranks every level with one elimination (``linalg._prefix_ranks``)
-    that consumes these rows uncopied (``fiber_map`` builds its own): ints
-    with no zero value, each a pivot at once when no pivot row before it
-    leads its smallest column.  Column keys fall as |mu| rises (an orderly
-    ranking), so the elimination meets the highest-order columns first,
-    where the prolonged rows are nearly in echelon form and the integers
-    stay small.  The shorter side of the top level is eliminated: a wide or
-    square tower row by row, the pivots counted at each level's end; a tall
-    one (more rows than nonzero columns, an overdetermined system with a
-    large cokernel) through its transpose, whose columns are the rows in
-    tower order.  With constant coefficients the first point's ranks serve
-    every point (a chain samples three points when another varies).
+    ``lows`` and ``highs`` bound each level's rank without building a row.
+    The graded order (degree, then lex on sorted index tuples) is graded lex,
+    a monomial order, so the smallest key of row (tau, s) is that of
+    a D_{sigma + tau}, a D_sigma being the lead of row s (``leads``), its
+    term of greatest (position of sigma, j): no other term's nu = () part
+    lands on that column, and every Leibniz term has lower degree.  That
+    holds with constant coefficients, and at a point where each lead
+    coefficient is nonzero; elsewhere (``u*D_{x,x} + D_x`` at u = 0) a
+    derivative of the vanishing lead can lead, and lo is 0.  Rows with
+    distinct smallest keys are independent, so lo, the number of distinct
+    leads among a level's rows, is at most its rank (Seiler, *Involution*,
+    2010, ch. 4-6); it is counted once per point, once per call with constant
+    coefficients.  hi is the number of nonzero rows, or when fewer that of
+    the columns (j, sigma + tau) of the operator's terms over the level's
+    taus: every Leibniz term lands on one of them, so hi bounds the rank at
+    every point.  ``settled_ranks`` reads the ranks off lo where lo == hi at
+    every level, or where the caller certifies lo
+    (``compat.check_formal_exactness`` does, from the complex property); hi
+    is counted only where lo falls short of the rows.
+
+    Otherwise ``ranks`` ranks every level with one elimination
+    (``linalg._prefix_ranks``) that consumes these rows uncopied
+    (``fiber_map`` builds its own): ints with no zero value, each a pivot at
+    once when no pivot row before it leads its smallest column.  Column keys
+    fall as |mu| rises (an orderly ranking), so the elimination meets the
+    highest-order columns first, where the prolonged rows are nearly in
+    echelon form and the integers stay small.  The shorter side of the top
+    level is eliminated: a wide or square tower row by row, the pivots
+    counted at each level's end; a tall one (more rows than nonzero columns,
+    an overdetermined system with a large cokernel) through its transpose,
+    whose columns are the rows in tower order.  With constant coefficients
+    the first point's ranks, settled or eliminated, serve every point (a
+    chain samples three points when another varies).
     """
 
     def __init__(self, op: CDiffOp, levels):
@@ -273,18 +294,27 @@ class _Tower:
         # per row s, (j, sigma, a) for each term a D_sigma of entry (s, j)
         self.table = [[(j, sigma, poly) for j, e in enumerate(row)
                        for sigma, poly in e.terms.items()] for row in op.entries]
-        self.derived = []  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
+        # per nonzero row s, its term of greatest (graded position of sigma, j)
+        self.leads = [max(row, key=lambda term: (len(term[1]), term[1], term[0]))
+                      for row in self.table if row]
+        self.derived = None  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
+        self._ranks = self._lows = None
+
+    def _derive(self) -> list:
+        ctx, derived = self.op.ctx, []
         for s, row in enumerate(self.table if not self.constant else ()):
             for j, sigma, poly in row:
                 found = {(): poly}
-                for nu in _taus(op.ctx.n, self.top)[1:] if poly.nums.keys() - {1} else ():
-                    if (d := found.get(nu[:-1])) and (d := total_derivative(op.ctx, nu[-1], d)):
+                for nu in _taus(ctx.n, self.top)[1:] if poly.nums.keys() - {1} else ():
+                    if (d := found.get(nu[:-1])) and (d := total_derivative(ctx, nu[-1], d)):
                         found[nu] = d
-                self.derived.extend(((s, j, sigma, nu), d) for nu, d in found.items() if nu)
-        self._ranks = None
+                derived.extend(((s, j, sigma, nu), d) for nu, d in found.items() if nu)
+        return derived
 
     def rows(self, pt: JetPoint) -> list[tuple[int, dict]]:
         m, cols, n, top = self.op.rows, self.op.cols, self.op.ctx.n, self.top
+        if self.derived is None:
+            self.derived = self._derive()
         if self.constant:  # the point's values are never read
             table = [[(j, sigma, (poly.nums[1], poly.den)) for j, sigma, poly in row]
                      for row in self.table]
@@ -311,12 +341,65 @@ class _Tower:
                 _accumulate(rows[t * m + s][1], key - j, b * c)
         return rows
 
+    def lows(self, pt: JetPoint) -> dict[int, int]:
+        """lo at each level, at most the rank of its fiber map at ``pt``: counted once per
+        point, once per call with constant coefficients."""
+        if self._lows is None or not (self.constant or self._lows[0] is pt):
+            self._lows = (pt, self._count_leads(pt))
+        return self._lows[1]
+
+    def _count_leads(self, pt: JetPoint) -> dict[int, int]:
+        if not self.constant and not all(poly.evaluate(pt) for _, _, poly in self.leads):
+            return dict.fromkeys(self.ends, 0)  # a lead vanishes: no prediction
+        return _distinct_shifts(self.op.ctx.n, self.top,
+                                {(j, sigma) for j, sigma, _ in self.leads}, self.ends)
+
+    def highs(self, levels) -> dict[int, int]:
+        """hi at each of ``levels``: at least the rank of its fiber map at every point."""
+        n = self.op.ctx.n
+        pairs = {(j, sigma) for row in self.table for j, sigma, _ in row}
+        return {l: min(len(self.leads) * jet_fiber_dim(n, l), columns)
+                for l, columns in _distinct_shifts(n, self.top, pairs, levels).items()}
+
+    def settled_ranks(self, pt: JetPoint, certified=()) -> dict[int, int]:
+        """The rank of the level-l fiber map at ``pt``, for each level l: lo when every
+        level has lo == hi or is in ``certified`` (levels whose lo the caller has shown
+        to be the rank), else ``ranks``.  hi is counted only where lo falls short of
+        the rows."""
+        if self._ranks is not None and self.constant:
+            return self._ranks
+        lows, rows = self.lows(pt), len(self.leads)
+        unsettled = [l for l, lo in lows.items()
+                     if lo < rows * jet_fiber_dim(self.op.ctx.n, l) and l not in certified]
+        if unsettled and any(lows[l] < hi for l, hi in self.highs(unsettled).items()):
+            return self.ranks(pt)
+        if self.constant:
+            self._ranks = lows
+        return lows
+
     def ranks(self, pt: JetPoint) -> dict[int, int]:
-        """The rank of the level-l fiber map at ``pt``, for each level l."""
+        """The rank of the level-l fiber map at ``pt``, for each level l, from one
+        elimination (with constant coefficients, unless the ranks are known)."""
         if self._ranks is None or not self.constant:
             rows = [row for _, row in self.rows(pt)]
             self._ranks = dict(zip(self.ends, _prefix_ranks(rows, list(self.ends.values()))))
         return self._ranks
+
+
+def _distinct_shifts(n: int, top: int, pairs, levels) -> dict[int, int]:
+    """For each of ``levels``, the number of distinct columns (position of sigma + tau, j)
+    over the (j, sigma) of ``pairs`` and the taus of that level, top being the tower's."""
+    shifts = {}
+    for j, sigma in pairs:
+        shifts.setdefault(j, []).append(_shifted(n, top, sigma))
+    met = [set() for _ in shifts]
+    out, start = {}, 0
+    for l in sorted(levels):
+        stop = jet_fiber_dim(n, l)
+        for seen, group in zip(met, shifts.values()):
+            seen.update(*(shifted[start:stop] for shifted in group))
+        out[l], start = sum(map(len, met)), stop
+    return out
 
 
 def fiber_map(op: CDiffOp, l: int, pt: JetPoint,

@@ -4,6 +4,7 @@ import time
 import warnings
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from cdcalc import (
 )
 from cdcalc.jet import _DISAGREEMENT, MAX_PROLONGATION
 from cdcalc.linalg import kernel_basis
+from cdcalc.ops import ScalarCDiffOp
 from cdcalc.spencer import fiber_map, jet_fiber_dim
 
 from conftest import count_draws, rand_operator, split_samples, sympy_rank
@@ -566,6 +568,119 @@ def test_evolution_mode_cokernels_under_the_policy():
 
 
 # ---------------------------------------------------------------------------
+# Lead bounds against sympy ranks and the tower's own rows
+# ---------------------------------------------------------------------------
+
+
+def _constant_operator(rng, ctx, rows, cols):
+    """Constant rational coefficients on D_sigma, |sigma| <= 2; some entries zero."""
+    return CDiffOp(ctx, [[ScalarCDiffOp({
+        tuple(sorted(rng.randrange(ctx.n) for _ in range(rng.randint(0, 2)))):
+            DiffPoly.const(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3))}) for _ in range(cols)] for _ in range(rows)])
+
+
+def _with_zeros(rng, pt, count=3):
+    """``pt`` with ``count`` of its coordinates set to 0."""
+    zeros = dict.fromkeys(rng.sample(sorted(pt.values, key=repr), count), Fraction(0))
+    return JetPoint(pt.ctx, pt.order_bound, {**pt.values, **zeros})
+
+
+def _bounds_hold(op, levels, pt):
+    """lo <= the sympy rank <= hi at each level; where a lead is predicted, every
+    nonzero row's smallest key is the key of its entry's greatest term D_{sigma + tau}
+    (found by brute force over the row's terms), and lo counts those keys.
+    Gives the tower."""
+    tower = cdcalc.spencer._Tower(op, levels)
+    lows, highs = tower.lows(pt), tower.highs(levels)
+    for l in levels:
+        assert lows[l] <= _oracle_rank(op, l, op.order, pt) <= highs[l]
+    n, top, m = op.ctx.n, tower.top, op.rows
+    predicted = tower.constant or all(
+        evaluate(max(((len(sigma), sigma, j), poly) for j, e in enumerate(row)
+                     for sigma, poly in e.terms.items())[1], pt)
+        for row in op.entries if any(e.terms for e in row))
+    if not predicted:
+        assert set(lows.values()) == {0}
+        return tower
+    taus, mus = _graded(n, top), _graded(n, top + op.order)
+    rows = tower.rows(pt)
+    for l in levels:
+        leads = set()
+        for t, tau in enumerate(taus[:jet_fiber_dim(n, l)]):
+            for s, (_, row) in enumerate(rows[t * m:(t + 1) * m]):
+                if row:
+                    pos, j = max((mus.index(tuple(sorted(sigma + tau))), j)
+                                 for j, e in enumerate(op.entries[s]) for sigma in e.terms)
+                    assert min(row) == -pos * op.cols - j
+                    leads.add(min(row))
+        assert lows[l] == len(leads)
+    return tower
+
+
+def test_lead_bounds_hold_on_random_operators():
+    rng = random.Random(0)
+    for case in range(24):
+        c = _free(("x t", "x y z")[case % 2]) if case % 4 < 2 else \
+            JetContext.free(("x t", "x y z")[case % 2], "u v")
+        shape = (rng.randint(1, 3), c.m if case % 3 else 1)
+        constant = case < 12
+        op = _constant_operator(rng, c, *shape) if constant else \
+            rand_operator(rng, c, *shape, max_op_order=2, max_coeff_order=1)
+        levels = (0, 1, 2) if c.n == 2 else (0, 1)
+        pt = random_point(c, op.point_order(max(levels)), seed=case)
+        for point in (pt, _with_zeros(rng, pt)):
+            _bounds_hold(op, levels, point)
+
+
+def test_lead_bounds_fall_back_to_the_elimination(ctx, monkeypatch):
+    counts = _count_calls(monkeypatch, "_prefix_ranks")
+    # u_{x,x} - u and u_{x,y}: D_y of the first less D_x of the second is -u_y,
+    # which no lead predicts, so lo falls short of the rank and both the
+    # cokernel and the chain eliminate
+    c = _free("x y")
+    op = parse_operator_matrix("D_{x,x} - 1\nD_{x,y}", c)
+    pt = random_point(c, 3, seed=0)
+    tower = _bounds_hold(op, (0, 1, 2), pt)
+    ranks = tower.settled_ranks(pt)
+    assert counts["_prefix_ranks"] == 1
+    assert ranks[0] == tower.lows(pt)[0] and ranks[2] > tower.lows(pt)[2]
+    assert ranks == {l: _oracle_rank(op, l, 2, pt) for l in (0, 1, 2)}
+    counts.clear()
+    assert cokernel_rank(op, 2, pt=pt) == 2 * jet_fiber_dim(2, 2) - ranks[2]
+    chain = OperatorComplex([op, CDiffOp.zero(c, 1, 2)], orders=[2, 1])
+    report = check_formal_exactness(chain, 1, pt=pt)
+    assert [check.ranks for check in report.checks] == [(ranks[1], 0), (ranks[2], 0)]
+    # at l_max = 0 the level-1 map alone: its 5 leads are one short of the
+    # 6 rows of the middle fiber, so the complex certifies nothing
+    assert tower.lows(pt)[1] + 1 == ranks[1] == 2 * jet_fiber_dim(2, 1)
+    assert check_formal_exactness(chain, 0, pt=pt).checks[0].ranks == (ranks[1], 0)
+    assert counts["_prefix_ranks"] == 1 + 1 + 1
+    # u*D_{x,x} + D_x at u = 0: D_x(u) D_x leads the row D_x of it, not u D_{x,x,x},
+    # so there are no bounds and the ranks are eliminated
+    op = parse_operator_matrix("u*D_{x,x} + D_{x}", c)
+    pt = JetPoint(c, 3, {**random_point(c, 3, seed=1).values, c.jet_coord("u"): Fraction(0)})
+    tower = _bounds_hold(op, (0, 1, 2), pt)
+    assert tower.lows(pt) == {0: 0, 1: 0, 2: 0}
+    counts.clear()
+    assert tower.settled_ranks(pt) == {l: _oracle_rank(op, l, 2, pt) for l in (0, 1, 2)}
+    assert counts["_prefix_ranks"] == 1
+    # the broken chain's defect is read off settled bounds: grad's every column
+    # leads, the zero map has no row
+    counts.clear()
+    report = check_formal_exactness(
+        OperatorComplex([dbar_operator(ctx, 0), CDiffOp.zero(ctx, 1, 2)], orders=[1, 1]), 2, seed=0)
+    # the order-(l + 1) jets of the two components, less grad's image: every jet of u but u
+    assert [check.defect for check in report.checks] == \
+        [2 * jet_fiber_dim(2, l + 1) - (jet_fiber_dim(2, l + 2) - 1) for l in range(3)]
+    assert counts["_prefix_ranks"] == 0
+    # the wave operator's gauge freedom leaves its cokernel to the elimination
+    wave = _wave(_free("x y z w"), 1, 2, 2)
+    assert cokernel_rank(wave, 1, seed=0) == comb(3 + 1, 4)
+    assert counts["_prefix_ranks"] == 1
+
+
+# ---------------------------------------------------------------------------
 # One tower per call: the work it saves, and the work it must not skip
 # ---------------------------------------------------------------------------
 
@@ -583,70 +698,120 @@ def _count_calls(monkeypatch, name, owner=cdcalc.spencer, counts=None):
     return counts
 
 
-def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
-    counts = _count_calls(monkeypatch, "_prefix_ranks")
+def _count_bounds_and_eliminations(monkeypatch):
+    """Count each tower's lead count (``_Tower._count_leads``), ``_prefix_ranks`` and ``rank``."""
+    counts = _count_calls(monkeypatch, "_count_leads", cdcalc.spencer._Tower)
+    _count_calls(monkeypatch, "_prefix_ranks", counts=counts)
     _count_calls(monkeypatch, "rank", counts=counts)
+    return counts
+
+
+def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
+    counts = _count_bounds_and_eliminations(monkeypatch)
     cplx = derham2(ctx)
     policy = check_formal_exactness(cplx, 3, seed=0)
-    at_policy, counts["_prefix_ranks"] = counts["_prefix_ranks"], 0
     at_point = check_formal_exactness(cplx, 3, pt=random_point(ctx, 4, seed=0))
-    assert counts["_prefix_ranks"] == at_policy > 0
+    # one lead count per tower and call; the leads and the complex settle every rank
+    assert counts == {"_count_leads": 2 + 2}
     assert policy.checks == at_point.checks
     grad = dbar_operator(ctx, 0)
-    counts["_prefix_ranks"] = 0
+    counts.clear()
     assert cokernel_rank(grad, 2, seed=0) == cokernel_rank(grad, 2, pt=random_point(ctx, 2))
-    assert counts["_prefix_ranks"] == 1 + 1  # one elimination per tower, all levels
-    assert counts["rank"] == 0
+    assert counts == {"_count_leads": 1 + 1}  # tall: every nonzero column leads a row
+    # u_{x,x} - u and u_{x,y}: D_y of the first less D_x of the second is -u_y,
+    # below both leads, so each call eliminates its one tower once, all levels
+    op = parse_operator_matrix("D_{x,x} - 1\nD_{x,t}", ctx)
+    chain = OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)])
+    counts.clear()
+    assert cokernel_rank(op, 2, seed=0) == cokernel_rank(op, 2, pt=random_point(ctx, 2))
+    check_formal_exactness(chain, 2, seed=0)
+    assert counts == {"_count_leads": 1 + 1 + 2, "_prefix_ranks": 1 + 1 + 1}
 
 
 def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
-    counts = _count_calls(monkeypatch, "_prefix_ranks")
-    _count_calls(monkeypatch, "rank", counts=counts)
+    counts = _count_bounds_and_eliminations(monkeypatch)
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
     assert cokernel_rank(kdv, 2, seed=0) == 0
-    assert counts["_prefix_ranks"] == 3  # one call per sample for levels 0 and k1
+    assert counts == {"_count_leads": 3}  # once per sample, for levels 0 and k1
+    # a certified chain of a varying operator: its leads at each sample, the
+    # constant zero map's once, and no elimination
+    counts.clear()
+    assert check_formal_exactness(OperatorComplex([kdv, CDiffOp.zero(ctx, 1, 1)]), 2,
+                                  seed=0).all_exact
+    assert counts == {"_count_leads": 3 + 1}
     # a chain whose middle sample sees a smaller rank still reports it
     op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
     cplx = OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1])
     samples = split_samples(ctx, cplx.required_point_order(1))
     monkeypatch.setattr(cdcalc.jet, "generic_points", lambda *args, **kwargs: samples)
-    counts["_prefix_ranks"] = 0
+    counts.clear()
     report = check_formal_exactness(cplx, 1, seed=0)
     assert report.warnings == [_DISAGREEMENT]
-    # levels 1, 2 of the incoming map at each sample; levels 0, 1 of the
-    # constant outgoing map once
-    assert counts["_prefix_ranks"] == 3 + 1
-    assert counts["rank"] == 0
+    # the rows' leads D_t and D_x meet at D_{x,t}, so levels 1, 2 of the
+    # incoming map are eliminated at each sample; the constant zero map's
+    # leads are counted once and settle it
+    assert counts == {"_count_leads": 3 + 1, "_prefix_ranks": 3}
     assert report.checks == check_formal_exactness(cplx, 1, pt=samples[0]).checks
 
 
 def test_a_wrong_tower_rank_shows(ctx, monkeypatch):
-    # every tower rank comes from its one elimination: lower the rank of each
-    # tower's top level by one, and the chains report defects and the cokernel moves
+    # a tower rank comes from its lead bounds (lo == hi, or lo certified by the
+    # complex) or from its one elimination: lower the top level's rank at each
+    # source, and the chains report defects and the cokernels move
     grad = dbar_operator(ctx, 0)
-    coker = cokernel_rank(grad, 2, seed=0)
+    wave = _wave(_free("x y z w"), 1, 2, 2)
+    cokernels = [(grad, 2), (wave, 1)]  # the wave operator's leads do not settle it
+    before = [cokernel_rank(op, k1, seed=0) for op, k1 in cokernels]
+    assert before[1] == comb(3 + 1, 4)  # the closed form of the benchmark's oracle
     calls = [_ONE_SAMPLE[case]()[2] for case in ("derham2", "maxwell")]
     assert not any(c.defect for call in calls for c in call(None, 0)[0])
-    original = cdcalc.spencer._prefix_ranks
-    monkeypatch.setattr(cdcalc.spencer, "_prefix_ranks", lambda rows, ends: [
-        r - (end == max(ends)) for r, end in zip(original(rows, ends), ends)])
+    tower = cdcalc.spencer._Tower
+    sources = {(tower, "lows"): tower.lows, (tower, "highs"): tower.highs,
+               (cdcalc.spencer, "_prefix_ranks"): cdcalc.spencer._prefix_ranks}
+
+    def lowered(owner, name):
+        original = sources[owner, name]
+        if name == "_prefix_ranks":
+            return lambda rows, ends: [r - (end == max(ends))
+                                       for r, end in zip(original(rows, ends), ends)]
+        return lambda self, *args: {l: r - (l == self.top)
+                                    for l, r in original(self, *args).items()}
+
+    def plant(*names):
+        for (owner, name), original in sources.items():
+            monkeypatch.setattr(owner, name, lowered(owner, name) if name in names else original)
+        return [cokernel_rank(op, k1, seed=0) for op, k1 in cokernels]
+
+    assert plant("lows", "highs", "_prefix_ranks") == [before[0] + 1, before[1] + 1]
     for call in calls:
         assert any(c.defect for c in call(None, 0)[0])
-    assert cokernel_rank(grad, 2, seed=0) == coker + 1
+    # each source alone: the bounds settle the de Rham chain and the gradient
+    # cokernel, the elimination ranks the wave cokernel
+    assert plant("lows", "highs") == [before[0] + 1, before[1]]
+    assert any(c.defect for c in calls[0](None, 0)[0])
+    assert plant("_prefix_ranks") == [before[0], before[1] + 1]
+    assert not any(c.defect for call in calls for c in call(None, 0)[0])
 
 
 def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
-    # a tower takes each nonzero D_nu a once per call, from D_(nu less its
-    # last index) a, whatever the number of samples: one D_i per child of a
-    # nonzero node.  KdV's varying coefficients u and u_x never end.
+    # a tower takes each nonzero D_nu a once per call, on its first rows, from
+    # D_(nu less its last index) a, whatever the number of samples: one D_i
+    # per child of a nonzero node.  KdV's varying coefficients u and u_x never
+    # end; its lead, -D_{x,x,x}, settles every rank, so ranking it builds no row.
     counts = _count_calls(monkeypatch, "total_derivative")
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
     for pt in (None, random_point(ctx, kdv.point_order(3), seed=1)):
         counts["total_derivative"] = 0
         assert cokernel_rank(kdv, 3, pt=pt, seed=0) == 0
-        assert counts["total_derivative"] == 2 * (jet_fiber_dim(2, 3) - 1)
+        assert counts["total_derivative"] == 0
+    tower = cdcalc.spencer._Tower(kdv, (0, 3))
+    assert counts["total_derivative"] == 0
+    for pt in generic_points(ctx, kdv.point_order(3), seed=0):
+        assert tower.ranks(pt) == {0: 1, 3: jet_fiber_dim(2, 3)}
+    assert counts["total_derivative"] == 2 * (jet_fiber_dim(2, 3) - 1)
     # x ends after one step: D_x x = 1, D_t x = 0, then D_x 1 = D_t 1 = 0
-    # end every branch; the constant coefficients take no derivative
+    # end every branch; the constant coefficients take no derivative.  The
+    # leads D_x and u*D_t meet at D_{x,t}, so the rows are built
     op = parse_operator_matrix("D_{x} ; 0\nu*D_{t} ; x*D_{x}", JetContext.free("x t", "u v"))
     counts["total_derivative"] = 0
     cokernel_rank(op, 2, seed=0)

@@ -7,10 +7,20 @@ denominators, the scale of D_t's terms, is 12).  Each seeded case draws two
 the printed ``adjoint(A)``, ``A @ B``, ``B @ A``, ``A(p)`` and
 ``green_remainder(A, p, q)``.  In every other case one cell of A holds long
 ``D_{...}`` literals of 12-41 indices; in the others ``adjoint(A @ B)`` is
-recorded too.  The SHA-256 of all records is printed.  Run it
-from the repository root against the tree to check:
+recorded too.  The SHA-256 of all records is printed.
 
-    PYTHONPATH=src python3 tools/op_digest.py [--cases 30]
+A second hash covers prolongation-tower ranks, the ranks that lead bounds,
+the complex certificate and the elimination give.  Seeded random operators,
+constant and varying, of 1-2 rows over n = 2 (u, or u and v) and n = 3 (u)
+are ranked by ``cokernel_rank`` at k1 = 1..3 and by ``check_formal_exactness``
+on the chain ``[op, zero]``, under the sample policy and at a drawn point with
+three coordinates set to 0; errors are recorded by type and message.  Fixed
+cases follow: ``u*D_{x,x} + D_x`` at u = 0, ``u_{x,x} - u, u_{x,y}``, the chain
+of ``(u - 1)*D_{x,x} + D_x`` at u = 1, and de Rham (n = 2..4), Maxwell and
+the p = 2, n = 5 gauge chain with gradient and wave cokernels.  Run it from
+the repository root against the tree to check:
+
+    PYTHONPATH=src python3 tools/op_digest.py [--cases 30] [--tower-cases 200]
 """
 
 import argparse
@@ -18,7 +28,11 @@ import hashlib
 import random
 from fractions import Fraction
 
-from cdcalc import JetContext, adjoint, format_operator, format_poly, green_remainder
+from cdcalc import (
+    CDiffOp, JetContext, JetPoint, Metric, OperatorComplex, adjoint, check_formal_exactness,
+    cokernel_rank, dbar_operator, format_operator, format_poly, green_remainder, random_point,
+    star_operator,
+)
 from cdcalc.ops import parse_operator_matrix
 
 
@@ -66,9 +80,90 @@ def operator_text(rng: random.Random, ctx: JetContext, coords: list, long: int =
                                 for c in range(2)) for r in range(2))
 
 
+def tower_operator_text(rng: random.Random, ctx: JetContext, rows: int,
+                        constant: bool) -> str:
+    """A rows x m literal of up to two terms per cell, |sigma| <= 2; some cells 0."""
+    coords = [*ctx.indep, *ctx.dep, *(f"{u}_{x}" for u in ctx.dep for x in ctx.indep)]
+
+    def cell() -> str:
+        out = []
+        for _ in range(rng.randint(0, 2)):
+            sigma = [rng.choice(ctx.indep) for _ in range(rng.randint(0, 2))]
+            coeff = f"({Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))})" if constant \
+                else poly_text(rng, coords, 2)
+            out.append(coeff + ("*D_{" + ",".join(sigma) + "}" if sigma else ""))
+        return " + ".join(out) or "0"
+
+    return "\n".join(" ; ".join(cell() for _ in ctx.dep) for _ in range(rows))
+
+
+def zeroed(rng: random.Random, pt: JetPoint, count: int = 3) -> JetPoint:
+    """``pt`` with ``count`` of its coordinates, drawn by ``rng``, set to 0."""
+    values = pt.values
+    names = sorted(values, key=repr)
+    return JetPoint(pt.ctx, pt.order_bound,
+                    {**values, **dict.fromkeys(rng.sample(names, count), Fraction(0))})
+
+
+def ranked(call) -> str:
+    """What a rank call prints: its value, or its error's type and message."""
+    try:
+        value = call()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, int):
+        return str(value)
+    return "\n".join([f"{c.position} {c.l} {c.dims} {c.ranks} {c.defect}"
+                      for c in value.checks] + value.warnings)
+
+
+def tower_records(op: CDiffOp, pts: list, k1_max: int, l_max: int):
+    """(what, text) of the cokernels and the chain [op, zero] of ``op`` at each point."""
+    chain = OperatorComplex([op, CDiffOp.zero(op.ctx, 1, op.rows)], orders=[op.order, 1])
+    for p, pt in enumerate(pts):
+        for k1 in range(1, k1_max + 1):
+            yield f"coker {p} {k1}", ranked(lambda: cokernel_rank(op, k1, pt=pt, seed=p))
+        yield f"chain {p}", ranked(lambda: check_formal_exactness(chain, l_max, pt=pt, seed=p))
+
+
+def tower_cases(cases: int):
+    """(name, records) of the seeded and the fixed tower-rank cases."""
+    frames = [JetContext.free("x y", "u"), JetContext.free("x y", "u v"),
+              JetContext.free("x y z", "u")]
+    rng = random.Random("op-digest towers")
+    for case in range(cases):
+        ctx, constant = frames[case % 3], case % 2 == 0
+        op = parse_operator_matrix(tower_operator_text(rng, ctx, rng.randint(1, 2), constant), ctx)
+        pt = zeroed(rng, random_point(ctx, op.point_order(3), seed=case))
+        yield f"random {case}", tower_records(op, [None, pt], 3, 2 if ctx.n == 2 else 1)
+    ctx = frames[0]
+    at_one = {**random_point(ctx, 4, seed=1).values}
+    at_zero = JetPoint(ctx, 4, {**at_one, ctx.jet_coord("u"): Fraction(0)})
+    at_one = JetPoint(ctx, 4, {**at_one, ctx.jet_coord("u"): Fraction(1)})
+    for name, text, pts in (("u*Dxx + Dx", "u*D_{x,x} + D_{x}", [None, at_zero]),
+                            ("uxx - u, uxy", "D_{x,x} - 1\nD_{x,y}", [None, at_one]),
+                            ("(u - 1)*Dxx + Dx", "(u - 1)*D_{x,x} + D_{x}", [None, at_one])):
+        yield name, tower_records(parse_operator_matrix(text, ctx), pts, 3, 2)
+    for n, l_max in ((2, 3), (3, 2), (4, 1)):
+        c = JetContext.free("x y z w"[:2 * n - 1], "u")
+        cplx = OperatorComplex([dbar_operator(c, q) for q in range(n)])
+        yield f"derham{n}", [("chain", ranked(lambda: check_formal_exactness(cplx, l_max)))]
+        yield f"grad{n}", [(f"coker {k1}", ranked(lambda: cokernel_rank(dbar_operator(c, 0), k1)))
+                           for k1 in (1, 2, 3)]
+    for names, first, star_q, last, l_max in (("x y z w", 1, 2, 2, 2), ("a b c d e", 2, 3, 2, 1)):
+        c = JetContext.free(names, "u")
+        wave = dbar_operator(c, last) @ star_operator(c, Metric.diag([1] * c.n), star_q) \
+            @ dbar_operator(c, first)
+        cplx = OperatorComplex([wave, *(dbar_operator(c, q) for q in range(last + 1, c.n))])
+        pt = random_point(c, cplx.required_point_order(l_max), seed=0)
+        yield f"gauge {names}", [("chain", ranked(lambda: check_formal_exactness(cplx, l_max, pt))),
+                                 ("coker", ranked(lambda: cokernel_rank(wave, 1)))]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", type=int, default=30)
+    parser.add_argument("--tower-cases", type=int, default=200)
     args = parser.parse_args()
     digest, records = hashlib.sha256(), 0
     for name, ctx, coords in contexts():
@@ -94,6 +189,13 @@ def main() -> None:
                 digest.update(f"{name}\0{case}\0{what}\0{text}\n".encode())
     print(f"records {records}")
     print(f"sha256 {digest.hexdigest()}")
+    digest, records = hashlib.sha256(), 0
+    for name, results in tower_cases(args.tower_cases):
+        for what, text in results:
+            records += 1
+            digest.update(f"{name}\0{what}\0{text}\n".encode())
+    print(f"tower-ranks records {records}")
+    print(f"tower-ranks sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
