@@ -169,7 +169,8 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
             if lows[idx][middle] + lows[idx + 1][l] == dims[1]:
                 certified[idx].add(middle)
                 certified[idx + 1].add(l)
-        ranks = [tower.settled_ranks(point, levels) for tower, levels in zip(towers, certified)]
+        ranks = [tower.settled_ranks(point, lo, levels)
+                 for tower, lo, levels in zip(towers, lows, certified)]
         checks = []
         for idx, l, middle, dims in positions:
             pair = (ranks[idx][middle], ranks[idx + 1][l])
@@ -205,7 +206,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
             _check_fiber_size(op, op.order, 0)
             _check_fiber_size(op, op.order, k1)
             towers.append(_Tower(op, (0, k1)))
-        ranks = towers[0].settled_ranks(point)
+        ranks = towers[0].settled_ranks(point, towers[0].lows(point))
         if ranks[0] != op.rows:
             raise ValueError(
                 "order-0 fiber map is not surjective; renormalize the target "

@@ -19,9 +19,10 @@ meets; ``kernel_basis`` and ``spencer.symbol_kernel_basis`` are its
 from one elimination of the shorter side, consuming the caller's int rows
 as they are; ``rank`` is its one end, over copies, so every rank takes the
 shorter side.  A prolongation tower (``spencer._Tower``) calls it only when
-its lead bounds, and the complex the tower sits in, leave a rank open.  A wide or square list (no more rows than nonzero columns,
-which are counted only until they reach the number of rows) is reduced in
-place, the count of pivots read at each end.  A tall list's dependent rows
+its lead bounds, and the complex the tower sits in, leave a rank open.  A
+wide or square list (no more rows than nonzero columns, which are counted
+only until they reach the number of rows) is reduced in place, the count
+of pivots read at each end.  A tall list's dependent rows
 would each reduce all the way to zero, so its transpose is eliminated
 instead, keyed by row index: row operations on the transpose keep the
 relations among its columns, the original rows, and an echelon basis has

@@ -263,11 +263,12 @@ class _Tower:
     distinct smallest keys are independent, so lo, the number of distinct
     leads among a level's rows, is at most its rank (Seiler, *Involution*,
     2010, ch. 4-6); it is counted once per point, once per call with constant
-    coefficients.  hi is the number of nonzero rows, or when fewer that of
+    coefficients (whose ranks, once found, are the later points' lo).  hi is
+    the number of nonzero rows (``nonzero``), or when fewer that of
     the columns (j, sigma + tau) of the operator's terms over the level's
     taus: every Leibniz term lands on one of them, so hi bounds the rank at
-    every point.  ``settled_ranks`` reads the ranks off lo where lo == hi at
-    every level, or where the caller certifies lo
+    every point.  ``settled_ranks`` reads the ranks off the caller's lo where
+    lo == hi at every level, or where the caller certifies lo
     (``compat.check_formal_exactness`` does, from the complex property); hi
     is counted only where lo falls short of the rows.
 
@@ -288,7 +289,8 @@ class _Tower:
 
     def __init__(self, op: CDiffOp, levels):
         self.op = op
-        self.ends = {l: op.rows * jet_fiber_dim(op.ctx.n, l) for l in levels}
+        self.widths = {l: jet_fiber_dim(op.ctx.n, l) for l in levels}  # the taus of level l
+        self.ends = {l: op.rows * width for l, width in self.widths.items()}
         self.top = max(self.ends)
         self.constant = op.has_constant_coefficients()
         # per row s, (j, sigma, a) for each term a D_sigma of entry (s, j)
@@ -297,8 +299,9 @@ class _Tower:
         # per nonzero row s, its term of greatest (graded position of sigma, j)
         self.leads = [max(row, key=lambda term: (len(term[1]), term[1], term[0]))
                       for row in self.table if row]
+        self.nonzero = {l: len(self.leads) * width for l, width in self.widths.items()}
         self.derived = None  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
-        self._ranks = self._lows = None
+        self._ranks = None
 
     def _derive(self) -> list:
         ctx, derived = self.op.ctx, []
@@ -342,35 +345,33 @@ class _Tower:
         return rows
 
     def lows(self, pt: JetPoint) -> dict[int, int]:
-        """lo at each level, at most the rank of its fiber map at ``pt``: counted once per
-        point, once per call with constant coefficients."""
-        if self._lows is None or not (self.constant or self._lows[0] is pt):
-            self._lows = (pt, self._count_leads(pt))
-        return self._lows[1]
+        """lo at each level, at most the rank of its fiber map at ``pt``; for a constant
+        tower already ranked in this call, its ranks."""
+        if self._ranks is not None and self.constant:
+            return self._ranks
+        return self._count_leads(pt)
 
     def _count_leads(self, pt: JetPoint) -> dict[int, int]:
         if not self.constant and not all(poly.evaluate(pt) for _, _, poly in self.leads):
             return dict.fromkeys(self.ends, 0)  # a lead vanishes: no prediction
         return _distinct_shifts(self.op.ctx.n, self.top,
-                                {(j, sigma) for j, sigma, _ in self.leads}, self.ends)
+                                {(j, sigma) for j, sigma, _ in self.leads}, self.widths)
 
     def highs(self, levels) -> dict[int, int]:
         """hi at each of ``levels``: at least the rank of its fiber map at every point."""
-        n = self.op.ctx.n
         pairs = {(j, sigma) for row in self.table for j, sigma, _ in row}
-        return {l: min(len(self.leads) * jet_fiber_dim(n, l), columns)
-                for l, columns in _distinct_shifts(n, self.top, pairs, levels).items()}
+        columns = _distinct_shifts(self.op.ctx.n, self.top, pairs,
+                                   {l: self.widths[l] for l in levels})
+        return {l: min(self.nonzero[l], c) for l, c in columns.items()}
 
-    def settled_ranks(self, pt: JetPoint, certified=()) -> dict[int, int]:
-        """The rank of the level-l fiber map at ``pt``, for each level l: lo when every
-        level has lo == hi or is in ``certified`` (levels whose lo the caller has shown
-        to be the rank), else ``ranks``.  hi is counted only where lo falls short of
-        the rows."""
+    def settled_ranks(self, pt: JetPoint, lows: dict[int, int], certified=()) -> dict[int, int]:
+        """The rank of the level-l fiber map at ``pt``, for each level l: ``lows`` (from
+        ``lows(pt)``) when every level has lo == hi or is in ``certified`` (levels whose
+        lo the caller has shown to be the rank), else ``ranks``.  hi is counted only
+        where lo falls short of the nonzero rows."""
         if self._ranks is not None and self.constant:
             return self._ranks
-        lows, rows = self.lows(pt), len(self.leads)
-        unsettled = [l for l, lo in lows.items()
-                     if lo < rows * jet_fiber_dim(self.op.ctx.n, l) and l not in certified]
+        unsettled = [l for l, lo in lows.items() if lo < self.nonzero[l] and l not in certified]
         if unsettled and any(lows[l] < hi for l, hi in self.highs(unsettled).items()):
             return self.ranks(pt)
         if self.constant:
@@ -386,16 +387,17 @@ class _Tower:
         return self._ranks
 
 
-def _distinct_shifts(n: int, top: int, pairs, levels) -> dict[int, int]:
-    """For each of ``levels``, the number of distinct columns (position of sigma + tau, j)
-    over the (j, sigma) of ``pairs`` and the taus of that level, top being the tower's."""
+def _distinct_shifts(n: int, top: int, pairs, widths) -> dict[int, int]:
+    """For each level l of ``widths`` (l: the number of taus up to level l), the number
+    of distinct columns (position of sigma + tau, j) over the (j, sigma) of ``pairs``
+    and the taus of that level, top being the tower's."""
     shifts = {}
     for j, sigma in pairs:
         shifts.setdefault(j, []).append(_shifted(n, top, sigma))
     met = [set() for _ in shifts]
     out, start = {}, 0
-    for l in sorted(levels):
-        stop = jet_fiber_dim(n, l)
+    for l in sorted(widths):
+        stop = widths[l]
         for seen, group in zip(met, shifts.values()):
             seen.update(*(shifted[start:stop] for shifted in group))
         out[l], start = sum(map(len, met)), stop

@@ -642,9 +642,10 @@ def test_lead_bounds_fall_back_to_the_elimination(ctx, monkeypatch):
     op = parse_operator_matrix("D_{x,x} - 1\nD_{x,y}", c)
     pt = random_point(c, 3, seed=0)
     tower = _bounds_hold(op, (0, 1, 2), pt)
-    ranks = tower.settled_ranks(pt)
+    lows = tower.lows(pt)
+    ranks = tower.settled_ranks(pt, lows)
     assert counts["_prefix_ranks"] == 1
-    assert ranks[0] == tower.lows(pt)[0] and ranks[2] > tower.lows(pt)[2]
+    assert ranks[0] == lows[0] and ranks[2] > lows[2]
     assert ranks == {l: _oracle_rank(op, l, 2, pt) for l in (0, 1, 2)}
     counts.clear()
     assert cokernel_rank(op, 2, pt=pt) == 2 * jet_fiber_dim(2, 2) - ranks[2]
@@ -653,7 +654,7 @@ def test_lead_bounds_fall_back_to_the_elimination(ctx, monkeypatch):
     assert [check.ranks for check in report.checks] == [(ranks[1], 0), (ranks[2], 0)]
     # at l_max = 0 the level-1 map alone: its 5 leads are one short of the
     # 6 rows of the middle fiber, so the complex certifies nothing
-    assert tower.lows(pt)[1] + 1 == ranks[1] == 2 * jet_fiber_dim(2, 1)
+    assert lows[1] + 1 == ranks[1] == 2 * jet_fiber_dim(2, 1)
     assert check_formal_exactness(chain, 0, pt=pt).checks[0].ranks == (ranks[1], 0)
     assert counts["_prefix_ranks"] == 1 + 1 + 1
     # u*D_{x,x} + D_x at u = 0: D_x(u) D_x leads the row D_x of it, not u D_{x,x,x},
@@ -663,7 +664,8 @@ def test_lead_bounds_fall_back_to_the_elimination(ctx, monkeypatch):
     tower = _bounds_hold(op, (0, 1, 2), pt)
     assert tower.lows(pt) == {0: 0, 1: 0, 2: 0}
     counts.clear()
-    assert tower.settled_ranks(pt) == {l: _oracle_rank(op, l, 2, pt) for l in (0, 1, 2)}
+    assert tower.settled_ranks(pt, tower.lows(pt)) == \
+        {l: _oracle_rank(op, l, 2, pt) for l in (0, 1, 2)}
     assert counts["_prefix_ranks"] == 1
     # the broken chain's defect is read off settled bounds: grad's every column
     # leads, the zero map has no row
