@@ -82,8 +82,7 @@ def _cmd_adjoint(args):
 def _cmd_symbol(args):
     ctx, op = _linearization(args.problem)
     order = op.coefficient_jet_order()
-    # the first of the three default samples, point seed * 3, built alone
-    pt = _point_for(args, ctx, order) or generic_points(ctx, order, args.seed * 3, count=1)[0]
+    pt = _point_for(args, ctx, order) or generic_points(ctx, order, args.seed)[0]
     sym = symbol(op, pt)
     entry_strs = [[format_symbol_entry(sym.entry(s, j), ctx)
                    for j in range(sym.cols)] for s in range(sym.rows)]

@@ -126,9 +126,9 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     their lo and the defect is 0.  A tower that an uncertified position
     needs at an unsettled level is eliminated once, at all its levels; so a
     defect is found by an elimination or by settled bounds.  With no
-    explicit point the policy takes one sample when every operator has
-    constant coefficients (every sample gives the same ranks) and three
-    otherwise; with constant coefficients no point's values are drawn.
+    explicit point the policy takes one sample when its run reads no value
+    (constant coefficients, or varying ones whose constant leads settle
+    every rank, as KdV's) and three otherwise.
     """
     ops, orders = cplx.operators, cplx.orders
     if len(ops) < 2:
@@ -180,8 +180,7 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
         return checks, tuple(r for c in checks for r in c.ranks)
 
     checks, notes = _at_generic_points(
-        cplx.ctx, cplx.required_point_order(l_max), pt, seed, run,
-        constant=all(op.has_constant_coefficients() for op in ops))
+        cplx.ctx, cplx.required_point_order(l_max), pt, seed, run)
     return ExactnessReport(l_max=l_max, checks=checks, warnings=notes)
 
 
@@ -192,9 +191,9 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     This is the rank of the next module in the compatibility construction;
     zero means the complex terminates here.  The order-0 fiber map must be
     surjective (checked, not normalized away).  A disagreement between the
-    policy's samples is reported as a RuntimeWarning; with constant
-    coefficients the policy takes one sample, since every sample gives the
-    same ranks.  One prolongation tower, built for this call alone, gives
+    policy's samples is reported as a RuntimeWarning; a run that reads no
+    value of its point takes one sample, since every sample gives the same
+    ranks.  One prolongation tower, built for this call alone, gives
     the ranks at levels 0 and k1: read off its lead bounds
     (``spencer._Tower``) where lo == hi at both, else from one elimination.
     """
@@ -213,9 +212,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
                 "module before the cokernel construction")
         return ranks[k1], (ranks[k1],)
 
-    best, notes = _at_generic_points(
-        op.ctx, op.point_order(k1), pt, seed, run,
-        constant=op.has_constant_coefficients())
+    best, notes = _at_generic_points(op.ctx, op.point_order(k1), pt, seed, run)
     for message in notes:
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     return op.rows * jet_fiber_dim(op.ctx.n, k1) - best

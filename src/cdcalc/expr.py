@@ -311,7 +311,10 @@ class DiffPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "DiffPoly":
         other = _coerce(other)
@@ -352,33 +355,39 @@ class DiffPoly:
         return _poly(out, self.den)
 
     def evaluate(self, assignment) -> Fraction:
-        """Evaluate at a point.
-
-        ``assignment`` is either a mapping Coord -> rational or a jet-space
-        point (an object with ``value(coord)``).  At a point whose values
-        share a common denominator of at most ``MAX_POINT_DENOMINATOR``
-        (a JetPoint's ``scaled`` is then that denominator and the values'
-        int numerators over it, keyed by coordinate id), the sum is taken in
-        int by ``_evaluate_scaled``, and its unreduced (numerator,
-        denominator) pair becomes one Fraction here (a prolongation tower,
-        ``spencer._Tower.rows``, takes the pairs as they are and brings them
-        to one lcm per point); otherwise each value is a Fraction.  Raises
-        EvaluationError naming the first unassigned coordinate of a mapping.
+        """Evaluate at a mapping Coord -> rational or a jet-space point (an
+        object with ``value(coord)``), by ``_ratio``.  Raises EvaluationError
+        naming the first unassigned coordinate of a mapping.
         """
+        return Fraction(*self._ratio(assignment))
+
+    def _ratio(self, assignment) -> tuple[int, int]:
+        """The value at a point as an unreduced (numerator, denominator) pair.
+
+        A constant reads nothing of the point, so a drawn point stays
+        undrawn.  Otherwise, at a point with a ``scaled`` (JetPoint: its
+        values' common denominator and int numerators, keyed by coordinate
+        id) the sum is taken in int by ``_evaluate_scaled``; elsewhere each
+        value is a Fraction.  A prolongation tower (``spencer._Tower.rows``)
+        brings the pairs to one lcm per point.
+        """
+        nums = self.nums
+        if not nums or len(nums) == 1 and 1 in nums:  # zero, or the constant monomial alone
+            return nums.get(1, 0), self.den
         if hasattr(assignment, "value"):
             value = assignment.value
             scaled = getattr(assignment, "scaled", None)
             if scaled is not None:
-                return Fraction(*self._evaluate_scaled(*scaled, value))
+                return self._evaluate_scaled(*scaled, value)
         else:
             def value(coord):
                 return _assigned(assignment, coord)
         total = Fraction(0)
-        for mono, v in self.nums.items():
+        for mono, v in nums.items():
             for coord, e in _pairs(mono):
                 v *= value(coord) ** e
             total += v
-        return total / self.den
+        return (total / self.den).as_integer_ratio()
 
     def _evaluate_scaled(self, vden: int, vals: dict, value) -> tuple[int, int]:
         """The value where coordinate id i is ``vals[i] / vden``; ``value`` reports a missing one.

@@ -503,9 +503,10 @@ class JetPoint:
     evolution mode).  Lookups beyond the bound raise PointError.  ``scaled``
     is ``(den, numerators)``, the values over their common denominator keyed
     by coordinate id, for ``DiffPoly.evaluate``; None when that denominator
-    exceeds ``MAX_POINT_DENOMINATOR``.  A point from ``random_point`` draws
-    its ``values``, then ``scaled``, on first read: a computation that reads
-    no coefficient (constant coefficients) never draws them.
+    exceeds ``MAX_POINT_DENOMINATOR``.  It is built on first read.  A point
+    from ``random_point`` draws its ``values`` on first read too: a
+    computation that evaluates only constants never draws them, and
+    ``_has_values`` tells the sample policy whether anything did.
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, values: dict):
@@ -516,7 +517,15 @@ class JetPoint:
             if coord not in self.values:
                 raise PointError(
                     f"point is missing {format_coord(coord, ctx)}")
-        self.scaled = _scaled(self.values)
+
+    @cached_property
+    def scaled(self) -> tuple[int, dict] | None:
+        return _over_common_denominator(
+            {_coord_id(c): v for c, v in self.values.items()}, MAX_POINT_DENOMINATOR)
+
+    def _has_values(self) -> bool:
+        """Whether the values are at hand: given, or drawn by a read."""
+        return "values" in vars(self)
 
     def __reduce__(self):
         # rebuilt from the values: ``scaled`` is keyed by ids local to one process
@@ -537,16 +546,11 @@ class JetPoint:
         return f"JetPoint(order<={self.order_bound}, {len(self.values)} values)"
 
 
-def _scaled(values: dict) -> tuple[int, dict] | None:
-    """A point's ``scaled``: its values over their common denominator, keyed by id."""
-    return _over_common_denominator(
-        {_coord_id(c): v for c, v in values.items()}, MAX_POINT_DENOMINATOR)
-
-
 class _DrawnPoint(JetPoint):
     """A ``random_point`` whose values are drawn on first read, then kept.
 
-    Pickled as the plain ``JetPoint`` of its values (``JetPoint.__reduce__``).
+    Until then ``_has_values`` is False.  Pickled as the plain ``JetPoint``
+    of its values (``JetPoint.__reduce__``).
     """
 
     def __init__(self, ctx: JetContext, order_bound: int, seed: int):
@@ -557,10 +561,6 @@ class _DrawnPoint(JetPoint):
     @cached_property
     def values(self) -> dict:
         return _draw(self.ctx, self.order_bound, self.seed)
-
-    @cached_property
-    def scaled(self):
-        return _scaled(self.values)
 
 
 def _point_coords(ctx: JetContext, order_bound: int):
@@ -639,30 +639,30 @@ _DISAGREEMENT = ("rank profiles disagree between sample points; using the maxima
                  "profile (non-generic sample or variable rank)")
 
 
-def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, compute,
-                       constant: bool = False):
+def _at_generic_points(ctx: JetContext, needed_order: int, pt, seed: int, compute):
     """The sample-point policy shared by every rank computation.
 
     ``compute(point)`` returns ``(result, rank_profile)``.  It runs at the
     explicit point ``pt`` (which must cover ``needed_order``) or, when ``pt``
-    is None, at each of the seeded ``generic_points``: three of them, or one
-    when ``constant`` says that no coefficient ``compute`` reads can vary.
-    Random samples only guard against a draw on the zero set of a nonzero
-    polynomial minor (Schwartz, J. ACM 27, 1980); with constant coefficients
-    the matrices, hence the ranks, are the same at every point, so one sample
-    is exact.  A sample's values are drawn when ``compute`` first reads them
-    (``random_point``), so a computation that reads no coefficient draws
-    none.  Returns the result with the lexicographically maximal profile
-    and the list of warnings: one when the samples' profiles disagree.
+    is None, at the first of the seeded ``generic_points``, and at the other
+    two only when that run read the point's values.  Random samples only
+    guard against a draw on the zero set of a nonzero polynomial minor
+    (Schwartz, J. ACM 27, 1980); a run that reads no value (a sample's values
+    are drawn on first read, ``random_point``) gives the same result at every
+    point, so one sample is exact.  Returns the result with the
+    lexicographically maximal profile and the list of warnings: one when the
+    samples' profiles disagree.
     """
     if pt is not None:
         if pt.order_bound < needed_order:
             raise PointError(
                 f"point order {pt.order_bound} insufficient; need {needed_order}")
-        points = [pt]
+        runs = [compute(pt)]
     else:
-        points = generic_points(ctx, needed_order, seed, count=1 if constant else 3)
-    runs = [compute(point) for point in points]
+        first, *rest = generic_points(ctx, needed_order, seed)
+        runs = [compute(first)]
+        if first._has_values():
+            runs.extend(map(compute, rest))
     result, _ = max(runs, key=lambda run: run[1])
     disagree = len({profile for _, profile in runs}) > 1
     return result, [_DISAGREEMENT] if disagree else []

@@ -197,20 +197,15 @@ class CDiffOp:
         r = max((f.jet_order() for f in self.ctx.evolution_rhs or ()), default=0)
         return self.coefficient_jet_order() + depth * max(1, r)
 
-    def has_constant_coefficients(self, order: int | None = None) -> bool:
-        """Whether no coefficient can vary with the point: every coefficient,
-        or with ``order`` those of the terms of that order (what ``symbol``
-        reads).  Total derivatives of a constant vanish, so every
-        prolongation of such an operator is constant too.  The answer for
-        every coefficient is kept after the first call.
+    def has_constant_coefficients(self) -> bool:
+        """Whether no coefficient can vary with the point.  Total derivatives
+        of a constant vanish, so every prolongation of such an operator is
+        constant too.  Kept after the first call.
         """
-        if order is None and self._constant is not None:
-            return self._constant
-        constant = all(set(poly.nums) <= {1} for row in self.entries for e in row
-                       for sigma, poly in e.terms.items() if order in (None, len(sigma)))
-        if order is None:
-            self._constant = constant
-        return constant
+        if self._constant is None:
+            self._constant = all(poly.nums.keys() <= {1} for row in self.entries
+                                 for e in row for poly in e.terms.values())
+        return self._constant
 
     def __eq__(self, other):
         if not isinstance(other, CDiffOp):

@@ -244,12 +244,13 @@ class _Tower:
     D_tau(a D_sigma) is the sum of C(tau, nu) D_nu(a) D_{sigma + rho} over
     nu + rho = tau.  Each nonzero D_nu a, |nu| <= top, is taken once per call,
     on the first ``rows`` call, from the one before it (a zero ends its
-    branch) and evaluated once per point, all over one lcm.  The nu = () part
+    branch) and evaluated once per point (``DiffPoly._ratio``, which reads
+    nothing of the point for a constant), all over one lcm.  The nu = () part
     is row s of the operator shifted by tau: with constant coefficients the
-    whole row, the point's values never read.  The binomial multiples of the
-    rest are added as ints, zero sums dropped.  The index tables (``_taus``,
-    ``_positions``, ``_shifted``, ``_binomials``) are shared by every tower,
-    keyed by sizes and multi-indices only.
+    whole row.  The binomial multiples of the rest are added as ints, zero
+    sums dropped.  The index tables (``_taus``, ``_positions``, ``_shifted``,
+    ``_binomials``) are shared by every tower, keyed by sizes and
+    multi-indices only.
 
     ``lows`` and ``highs`` bound each level's rank without building a row.
     The graded order (degree, then lex on sorted index tuples) is graded lex,
@@ -283,8 +284,9 @@ class _Tower:
     counted at each level's end; a tall one (more rows than nonzero columns,
     an overdetermined system with a large cokernel) through its transpose,
     whose columns are the rows in tower order.  With constant coefficients
-    the first point's ranks, settled or eliminated, serve every point (a
-    chain samples three points when another varies).
+    (``constant``) the first point's ranks, settled or eliminated, serve
+    every point (a chain samples three points when another tower reads its
+    point's values) and the leads are counted without evaluating them.
     """
 
     def __init__(self, op: CDiffOp, levels):
@@ -305,10 +307,12 @@ class _Tower:
 
     def _derive(self) -> list:
         ctx, derived = self.op.ctx, []
-        for s, row in enumerate(self.table if not self.constant else ()):
+        for s, row in enumerate(self.table):
             for j, sigma, poly in row:
+                if poly.nums.keys() <= {1}:
+                    continue  # a constant: every derivative vanishes
                 found = {(): poly}
-                for nu in _taus(ctx.n, self.top)[1:] if poly.nums.keys() - {1} else ():
+                for nu in _taus(ctx.n, self.top)[1:]:
                     if (d := found.get(nu[:-1])) and (d := total_derivative(ctx, nu[-1], d)):
                         found[nu] = d
                 derived.extend(((s, j, sigma, nu), d) for nu, d in found.items() if nu)
@@ -318,16 +322,9 @@ class _Tower:
         m, cols, n, top = self.op.rows, self.op.cols, self.op.ctx.n, self.top
         if self.derived is None:
             self.derived = self._derive()
-        if self.constant:  # the point's values are never read
-            table = [[(j, sigma, (poly.nums[1], poly.den)) for j, sigma, poly in row]
-                     for row in self.table]
-            derived = []
-        else:
-            pair = (methodcaller("_evaluate_scaled", *pt.scaled, pt.value) if pt.scaled
-                    else lambda poly: poly.evaluate(pt).as_integer_ratio())
-            table = [[(j, sigma, v) for j, sigma, poly in row if (v := pair(poly))[0]]
-                     for row in self.table]
-            derived = [(term, v) for term, d in self.derived if (v := pair(d))[0]]
+        table = [[(j, sigma, v) for j, sigma, poly in row if (v := poly._ratio(pt))[0]]
+                 for row in self.table]
+        derived = [(term, v) for term, d in self.derived if (v := d._ratio(pt))[0]]
         scale = lcm(*(den for row in table for _, _, (_, den) in row),
                     *(den for _, (_, den) in derived))
         table = [[(j, sigma, num * (scale // den)) for j, sigma, (num, den) in row]
@@ -586,8 +583,9 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
     With no explicit point, coefficients are frozen at three seeded random
     points; ranks are taken at the sample maximizing them and a warning is
     recorded if the samples disagree (a non-generic draw or genuinely
-    variable rank).  When the symbol's coefficients (the top-order ones) are
-    constant, every sample gives the same table, so one point is drawn.
+    variable rank).  When the symbol's coefficients (the top-order ones, all
+    that ``symbol`` evaluates) are constant, the first sample reads no value,
+    so the policy takes that one alone.
     """
     _check_depth("l_max", l_max)
     n = op.ctx.n
@@ -597,8 +595,7 @@ def spencer_cohomology(op: CDiffOp, l_max: int, pt: JetPoint | None = None,
                 f"Lambda (x) S^r (x) P up to l_max = {l_max}")
     dims, warnings = _at_generic_points(
         op.ctx, op.coefficient_jet_order(), pt, seed,
-        lambda point: _dims_table(symbol(op, point), op.cols, l_max, n),
-        constant=op.has_constant_coefficients(op.order))
+        lambda point: _dims_table(symbol(op, point), op.cols, l_max, n))
     return SpencerReport(order=op.order, l_max=l_max, n=n, dims=dims,
                          warnings=warnings)
 

@@ -56,21 +56,22 @@ def test_symbol_command():
 
 
 def test_symbol_builds_only_the_first_sample(tmp_path, monkeypatch):
-    """The default point is generic sample seed * 3, the first of three, and only it is built."""
+    """The default point is generic sample seed * 3, the first of three, and only its
+    values are drawn."""
     prob = tmp_path / "varying.prob"
     prob.write_text("independent x t\ndependent u\nevolution u = u^2*u_{x,x,x}\n")
     pt_file = tmp_path / "pt"
     seeds = []
-    real = cdcalc.jet.random_point
+    real = cdcalc.jet._draw
 
-    def recorded(ctx, order_bound, seed=0):
+    def recorded(ctx, order_bound, seed):
         seeds.append(seed)
-        pt = real(ctx, order_bound, seed)
+        values = real(ctx, order_bound, seed)
         pt_file.write_text("".join(f"{cdcalc.jet.format_coord(c, ctx)} = {v}\n"
-                                   for c, v in pt.values.items()))
-        return pt
+                                   for c, v in values.items()))
+        return values
 
-    monkeypatch.setattr(cdcalc.jet, "random_point", recorded)
+    monkeypatch.setattr(cdcalc.jet, "_draw", recorded)
     code, out, _ = invoke("symbol", str(prob), "--seed", "5")
     assert code == 0 and seeds == [15]
     monkeypatch.undo()

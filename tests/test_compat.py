@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cdcalc.compat
 import cdcalc.jet
 import cdcalc.ops
 import cdcalc.spencer
@@ -732,13 +733,25 @@ def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
 
 def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
     counts = _count_bounds_and_eliminations(monkeypatch)
+    # KdV's coefficients vary, but its constant lead -D_{x,x,x} settles every
+    # rank unread, so one sample serves: its leads are counted once
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
     assert cokernel_rank(kdv, 2, seed=0) == 0
-    assert counts == {"_count_leads": 3}  # once per sample, for levels 0 and k1
-    # a certified chain of a varying operator: its leads at each sample, the
-    # constant zero map's once, and no elimination
+    assert counts == {"_count_leads": 1}
     counts.clear()
     assert check_formal_exactness(OperatorComplex([kdv, CDiffOp.zero(ctx, 1, 1)]), 2,
+                                  seed=0).all_exact
+    assert counts == {"_count_leads": 1 + 1}
+    # the lead -u*D_{x,x} of u_t - u*u_{x,x} varies: counted once per sample,
+    # for levels 0 and k1
+    heat = linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")])
+    counts.clear()
+    assert cokernel_rank(heat, 2, seed=0) == 0
+    assert counts == {"_count_leads": 3}
+    # a certified chain of a varying lead: its leads at each sample, the
+    # constant zero map's once, and no elimination
+    counts.clear()
+    assert check_formal_exactness(OperatorComplex([heat, CDiffOp.zero(ctx, 1, 1)]), 2,
                                   seed=0).all_exact
     assert counts == {"_count_leads": 3 + 1}
     # a chain whose middle sample sees a smaller rank still reports it
@@ -838,22 +851,24 @@ def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One policy sample when no coefficient a call reads can vary
+# One policy sample when a call reads no value of its point
 # ---------------------------------------------------------------------------
 
 
-def _drawn_points(monkeypatch):
-    """The number of points of each ``generic_points`` draw, in order."""
-    drawn = []
-    original = cdcalc.jet.generic_points
+def _policy_runs(monkeypatch):
+    """The point of each run of the sample policy, as called from compat and spencer."""
+    runs = []
+    original = cdcalc.jet._at_generic_points
 
-    def counted(*args, **kwargs):
-        points = original(*args, **kwargs)
-        drawn.append(len(points))
-        return points
+    def counted(ctx, needed_order, pt, seed, compute):
+        def run(point):
+            runs.append(point)
+            return compute(point)
+        return original(ctx, needed_order, pt, seed, run)
 
-    monkeypatch.setattr(cdcalc.jet, "generic_points", counted)
-    return drawn
+    for module in (cdcalc.compat, cdcalc.spencer):
+        monkeypatch.setattr(module, "_at_generic_points", counted)
+    return runs
 
 
 def _exactness(cplx, l_max):
@@ -892,6 +907,10 @@ def _derham(ctx):
     return OperatorComplex([dbar_operator(ctx, q) for q in range(ctx.n)])
 
 
+def _kdv(ctx):
+    return linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+
+
 _ONE_SAMPLE = {
     "derham2": lambda: _exactness(_derham(_free("x t")), 3),
     "derham3": lambda: _exactness(_derham(_free("x y z")), 2),
@@ -903,36 +922,41 @@ _ONE_SAMPLE = {
         [dbar_operator(c := _free("x t"), 0), CDiffOp.zero(c, 1, 2)], orders=[1, 1]), 2),
     "grad2-coker": lambda: _cokernel(dbar_operator(_free("x t"), 0), 3),
     "grad3-coker": lambda: _cokernel(dbar_operator(_free("x y z"), 0), 2),
-    # a constant symbol over nonconstant lower-order terms
-    "kdv-spencer": lambda: _spencer_table(
-        linearize(c := _free("x t"), [c.parse("u_t - u*u_x - u_{x,x,x}")]), 2),
+    # varying coefficients under a constant lead -D_{x,x,x}, which settles every
+    # rank, and a constant symbol over nonconstant lower-order terms
+    "kdv-coker": lambda: _cokernel(_kdv(_free("x t")), 2),
+    "kdv-chain": lambda: _exactness(OperatorComplex(
+        [_kdv(c := _free("x t")), CDiffOp.zero(c, 1, 1)]), 2),
+    "kdv-spencer": lambda: _spencer_table(_kdv(_free("x t")), 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ONE_SAMPLE))
 def test_constant_coefficients_take_one_sample(case, monkeypatch):
     ctx, needed, call = _ONE_SAMPLE[case]()
-    drawn = _drawn_points(monkeypatch)
+    runs = _policy_runs(monkeypatch)
+    draws = count_draws(monkeypatch)
     for seed in (0, 7):
         policy = call(None, seed)
-        assert drawn == [1]
-        # the answer at each of the three samples the policy used to take
+        assert len(runs) == 1 and draws == []
+        # the answer at each of the three samples the policy would take after a read
         for pt in generic_points(ctx, needed, seed):
             assert call(pt, seed) == policy
-        drawn.clear()
+        runs.clear()
+        draws.clear()
 
 
 def test_variable_coefficients_take_three_samples(ctx, monkeypatch):
-    drawn = _drawn_points(monkeypatch)
+    runs = _policy_runs(monkeypatch)
     # a chain whose first operator varies, though its second is constant
     op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
     check_formal_exactness(OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1]),
                            1, seed=0)
-    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
-    cokernel_rank(kdv, 1, seed=0)
-    # a symbol with a nonconstant coefficient
-    spencer_cohomology(linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")]), 1, seed=0)
-    assert drawn == [3, 3, 3]
+    # a varying lead, and a symbol with a nonconstant coefficient
+    heat = linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")])
+    cokernel_rank(heat, 1, seed=0)
+    spencer_cohomology(heat, 1, seed=0)
+    assert [point.seed for point in runs] == [0, 1, 2] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +964,7 @@ def test_variable_coefficients_take_three_samples(ctx, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", sorted(set(_ONE_SAMPLE) - {"kdv-spencer"}))
+@pytest.mark.parametrize("case", sorted(_ONE_SAMPLE))
 def test_constant_coefficients_read_no_point_values(case, monkeypatch):
     ctx, needed, call = _ONE_SAMPLE[case]()
     draws = count_draws(monkeypatch)
@@ -949,11 +973,11 @@ def test_constant_coefficients_read_no_point_values(case, monkeypatch):
     assert draws == []
 
 
-def test_the_kdv_linearization_reads_each_of_its_samples(ctx, monkeypatch):
-    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
-    cplx = OperatorComplex([kdv, CDiffOp.zero(ctx, 1, 1)], orders=[3, 1])
+def test_a_varying_lead_reads_each_of_its_samples(ctx, monkeypatch):
+    heat = linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")])
+    cplx = OperatorComplex([heat, CDiffOp.zero(ctx, 1, 1)], orders=[2, 1])
     draws = count_draws(monkeypatch)
-    assert cokernel_rank(kdv, 2, seed=4) == 0
+    assert cokernel_rank(heat, 2, seed=4) == 0
     assert check_formal_exactness(cplx, 1, seed=5).checks
     # generic_points' seeds: seed * 3 + k for its three samples
     assert [seed for _, _, seed in draws] == [12, 13, 14, 15, 16, 17]

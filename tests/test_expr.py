@@ -336,6 +336,15 @@ def test_const_takes_only_exact_values(ctx):
                 lambda: DiffPoly({(): 0.5}), lambda: evaluate(DiffPoly.var(u), {u: 0.5})):
         with pytest.raises(TypeError, match="int or Fraction"):
             bad()
+    # arithmetic with a float or a string names the operator, either way round
+    p = DiffPoly.var(u)
+    for bad, message in ((lambda: p - 1.5, "-: 'DiffPoly' and 'float'"),
+                         (lambda: 1.5 - p, "-: 'float' and 'DiffPoly'"),
+                         (lambda: "a" - p, "-: 'str' and 'DiffPoly'"),
+                         (lambda: 1.5 + p, "+: 'float' and 'DiffPoly'"),
+                         (lambda: 1.5 * p, "*: 'float' and 'DiffPoly'")):
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {message}")):
+            bad()
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +509,36 @@ def test_points_with_large_coprime_denominators():
         ref, a = _build(spec)
         for point in (pt, small):
             assert a.evaluate(point) == ref_evaluate(ref, point.values)
+
+
+def test_evaluate_reads_each_kind_of_point_by_one_rule(monkeypatch):
+    """A mapping, a JetPoint, a point past MAX_POINT_DENOMINATOR and an object
+    with ``value`` alone give the same value; a constant reads no point."""
+    from cdcalc.expr import MAX_POINT_DENOMINATOR
+    from cdcalc.jet import _point_coords
+    from conftest import count_draws
+    values = {c: Fraction(k - 9, 3 ** (k % 4)) for k, c in enumerate(_point_coords(_FREE, 2))}
+    # one value over a denominator past the bound leaves the point unscaled
+    wide = {**values, _INTERNAL[0]: Fraction(1, 2 * MAX_POINT_DENOMINATOR + 1)}
+    for spec in ([], [(Fraction(3, 7), {})], [(Fraction(-5, 2), {c: 3}) for c in _INTERNAL],
+                 [(Fraction(1, 6), {_INTERNAL[0]: 2, _INTERNAL[1]: 1}), (4, {})]):
+        ref, a = _build(spec)
+        for assignment in (values, wide):
+            pt = JetPoint(_FREE, 2, assignment)
+            assert (pt.scaled is None) == (assignment is wide)
+            want = ref_evaluate(ref, assignment)
+            for point in (assignment, pt, SimpleNamespace(value=pt.value)):
+                assert a.evaluate(point) == want
+                num, den = a._ratio(point)
+                assert Fraction(num, den) == want and den > 0
+    draws = count_draws(monkeypatch)
+    drawn = random_point(_FREE, 2, seed=4)
+    for c in (0, 1, Fraction(-2, 3)):
+        assert DiffPoly.const(c).evaluate(drawn) == c
+        assert DiffPoly.const(c).evaluate(SimpleNamespace()) == c
+    assert draws == [] and not drawn._has_values()
+    assert DiffPoly.var(_INTERNAL[0]).evaluate(drawn) == drawn.values[_INTERNAL[0]]
+    assert len(draws) == 1
 
 
 @_PROPERTY

@@ -13,7 +13,9 @@ from cdcalc import (
     total_derivative, total_derivative_sigma, wedge,
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, Coord, ParseError
-from cdcalc.jet import _coord_names, _draw, _merge_sign, _wedge_table
+from cdcalc.jet import (
+    _DISAGREEMENT, _at_generic_points, _coord_names, _draw, _merge_sign, _wedge_table,
+)
 
 from conftest import SympyJets, count_draws, rand_poly
 
@@ -272,6 +274,42 @@ def test_points_are_drawn_on_first_read(ctx, monkeypatch):
     value = pt.value(ctx.jet_coord("u", ("x",)))
     assert value == pt.values[ctx.jet_coord("u", ("x",))] and pt.scaled is not None
     assert len(draws) == 1  # values drawn once, then kept
+
+
+def test_the_policy_samples_again_only_after_a_read(ctx, monkeypatch):
+    # a run that reads none of its point's values gives the same result at
+    # every point, so the policy takes the other two samples only after a read
+    draws = count_draws(monkeypatch)
+    u_x = ctx.jet_coord("u", ("x",))
+    reads = {"nothing": lambda point: None, "values": lambda point: point.values,
+             "value": lambda point: point.value(u_x), "scaled": lambda point: point.scaled}
+    for (name, read), seed in itertools.product(reads.items(), (0, 4)):
+        runs = []
+
+        def compute(point):
+            runs.append(point)
+            read(point)
+            return point.seed, (0,)
+
+        assert _at_generic_points(ctx, 2, None, seed, compute) == (3 * seed, [])
+        want = [3 * seed] if name == "nothing" else [3 * seed + k for k in range(3)]
+        assert [point.seed for point in runs] == want, name
+        assert [args[2] for args in draws] == (want if name != "nothing" else [])
+        draws.clear()
+
+    def spread(point):  # reads, and ranks the first sample highest
+        runs.append(point.values)
+        return point.seed, (-point.seed,)
+
+    # the maximal profile wins, and unequal profiles warn
+    runs = []
+    assert _at_generic_points(ctx, 1, None, 2, spread) == (6, [_DISAGREEMENT])
+    # an explicit point runs once, read or not, and must cover the order
+    runs = []
+    assert _at_generic_points(ctx, 2, random_point(ctx, 2, seed=9), 0, spread) == (9, [])
+    assert len(runs) == 1
+    with pytest.raises(PointError, match="point order 2 insufficient; need 3"):
+        _at_generic_points(ctx, 3, random_point(ctx, 2), 0, spread)
 
 
 def test_an_oversized_point_is_refused_before_anything_is_drawn(monkeypatch):

@@ -409,20 +409,16 @@ def test_operator_literal_grammar(ctx):
 
 
 def _fresh_facts(op):
-    """coefficient_jet_order and has_constant_coefficients(order) for each order,
-    read from the coefficients' coordinates."""
-    polys = [(len(sigma), poly) for row in op.entries for e in row
-             for sigma, poly in e.terms.items()]
-    jet_order = max((len(c.sigma) for _, poly in polys for c in poly.coords()
+    """coefficient_jet_order and has_constant_coefficients, read from the
+    coefficients' coordinates."""
+    polys = [poly for row in op.entries for e in row for poly in e.terms.values()]
+    jet_order = max((len(c.sigma) for poly in polys for c in poly.coords()
                      if c.kind == JET), default=0)
-    constant = {order: not any(poly.coords() for k, poly in polys if order in (None, k))
-                for order in (None, *range(op.order + 2))}
-    return jet_order, constant
+    return jet_order, not any(poly.coords() for poly in polys)
 
 
 def _facts(op):
-    return op.coefficient_jet_order(), {order: op.has_constant_coefficients(order)
-                                        for order in (None, *range(op.order + 2))}
+    return op.coefficient_jet_order(), op.has_constant_coefficients()
 
 
 def test_operator_facts_are_kept_and_equal_a_fresh_computation(ctx):
@@ -438,5 +434,5 @@ def test_operator_facts_are_kept_and_equal_a_fresh_computation(ctx):
         assert _facts(op) == _facts(op) == want  # the first call fills, the second reads
         for twin in (unread, pickle.loads(pickle.dumps(op))):
             assert twin == op and _facts(twin) == _fresh_facts(twin) == want
-        constants.add(want[1][None])
+        constants.add(want[1])
     assert constants == {True, False}
