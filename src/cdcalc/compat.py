@@ -117,18 +117,18 @@ def check_formal_exactness(cplx: OperatorComplex, l_max: int,
     and the defect is dim ker(outgoing) - rank(incoming), which is
     nonnegative by the complex property.  Each operator's prolongation
     tower is built once per call, never kept between calls (only the index
-    tables the towers share outlive it), and ranked only at the levels of
-    its two roles (once, if its coefficients are constant).  A rank is read
-    off the tower's lead bounds (``spencer._Tower``) where lo == hi, or where
-    the complex certifies it: the image of the incoming map lies in the
-    kernel of the outgoing one, so rank_in + rank_out is at most the middle
-    fiber's dimension, and where lo_in + lo_out reaches it both ranks are
-    their lo and the defect is 0.  A tower that an uncertified position
-    needs at an unsettled level is eliminated once, at all its levels; so a
-    defect is found by an elimination or by settled bounds.  With no
-    explicit point the policy takes one sample when its run reads no value
-    (constant coefficients, or varying ones whose constant leads settle
-    every rank, as KdV's) and three otherwise.
+    tables the towers share outlive it), and ranked at each sample only at
+    the levels of its two roles.  A rank is read off the tower's lead bounds
+    (``spencer._Tower``) where lo == hi, or where the complex certifies it:
+    the image of the incoming map lies in the kernel of the outgoing one, so
+    rank_in + rank_out is at most the middle fiber's dimension, and where
+    lo_in + lo_out reaches it both ranks are their lo and the defect is 0.
+    A tower that an uncertified position needs at an unsettled level is
+    eliminated once per sample, at all its levels; so a defect is found by
+    an elimination or by settled bounds.  With no explicit point the policy
+    takes one sample when its run reads no value (constant coefficients, or
+    varying ones whose constant leads settle every rank, as KdV's) and three
+    otherwise.
     """
     ops, orders = cplx.operators, cplx.orders
     if len(ops) < 2:
@@ -194,7 +194,7 @@ def cokernel_rank(op: CDiffOp, k1: int, pt: JetPoint | None = None,
     policy's samples is reported as a RuntimeWarning; a run that reads no
     value of its point takes one sample, since every sample gives the same
     ranks.  One prolongation tower, built for this call alone, gives
-    the ranks at levels 0 and k1: read off its lead bounds
+    the ranks at levels 0 and k1 at each sample: read off its lead bounds
     (``spencer._Tower``) where lo == hi at both, else from one elimination.
     """
     _check_depth("prolongation depth k1", k1, low=1)

@@ -209,6 +209,12 @@ MAX_POINT_DENOMINATOR = 2 ** 512
 # larger literal exponent.
 MAX_EXPONENT = 64
 
+# A product expands in full: m by n terms form m * n term products, and when
+# none meet (distinct binomials) each is a term of the result.  ** and the
+# parser's products refuse to form more than this in one multiply, a bound
+# set from a timed sweep (see the README).
+MAX_PRODUCT_TERMS = 20000
+
 
 class EvaluationError(ValueError):
     """A coordinate needed during evaluation has no assigned value."""
@@ -329,15 +335,14 @@ class DiffPoly:
             raise ValueError("exponent must be a non-negative integer")
         if n > 1 and (degree := self.degree() * n) > MAX_EXPONENT:
             raise ValueError(f"power of total degree {degree} exceeds {MAX_EXPONENT}")
-        result = DiffPoly.const(1)
-        base = self
+        result, base = None, self  # None for 1: no multiply by it
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else _bounded_product(result, base)
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = _bounded_product(base, base)
+        return DiffPoly.const(1) if result is None else result
 
     # -- calculus ------------------------------------------------------
 
@@ -492,13 +497,29 @@ def _sum_multiples(pairs) -> DiffPoly:
     return _poly(out, den)
 
 
-def _product(polys) -> DiffPoly:
-    """The product of a nonempty list of DiffPolys, in one numerator dict with one gcd."""
+def _too_large(a: dict, b: dict) -> str:
+    """Why a product of the terms ``a`` by those of ``b`` is refused."""
+    return f"product of {len(a)} by {len(b)} terms exceeds {MAX_PRODUCT_TERMS} term products"
+
+
+def _bounded_product(a: DiffPoly, b: DiffPoly) -> DiffPoly:
+    """``a * b``, refused by a ValueError before it forms over MAX_PRODUCT_TERMS term products."""
+    if len(a.nums) * len(b.nums) > MAX_PRODUCT_TERMS:
+        raise ValueError(_too_large(a.nums, b.nums))
+    return _sum_products(((a, b),))
+
+
+def _product(polys, stars) -> DiffPoly:
+    """The product of a nonempty list of parsed DiffPolys, in one numerator dict with
+    one gcd; ``stars`` are the offsets of the "*" before each later factor, where a
+    product past MAX_PRODUCT_TERMS is refused before it is formed."""
     first, *rest = polys
     if not rest:
         return first
     nums, den = first.nums, first.den
-    for p in rest:
+    for p, star in zip(rest, stars):
+        if len(nums) * len(p.nums) > MAX_PRODUCT_TERMS:
+            raise ParseError(_too_large(nums, p.nums), star)
         out: dict = {}
         _mul_into(out, nums, p.nums)
         nums, den = out, den * p.den
@@ -684,11 +705,12 @@ class ExprParser:
         return _sum_multiples(terms)
 
     def term(self) -> DiffPoly:
-        factors = [self.factor()]
-        while self.tokens[self.pos][1] == "*":
+        factors, stars = [self.factor()], []
+        while (token := self.tokens[self.pos])[1] == "*":
+            stars.append(token[2])
             self.pos += 1
             factors.append(self.factor())
-        return _product(factors)
+        return _product(factors, stars)
 
     def factor(self) -> DiffPoly:
         value = self.base()

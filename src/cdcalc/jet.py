@@ -599,40 +599,35 @@ def _check_size(dim: int, what: str) -> None:
         raise ValueError(f"{what} has {dim} coordinates, more than {MAX_FIBER_DIM}")
 
 
+def _check_point_size(ctx: JetContext, order_bound: int) -> None:
+    """Reject, before it is drawn, a point of over MAX_FIBER_DIM coordinates."""
+    per_dep = order_bound + 1 if ctx.is_evolution else comb(ctx.n + order_bound, ctx.n)
+    _check_size(ctx.m * per_dep, f"a point of jet order {order_bound}")
+
+
 def random_point(ctx: JetContext, order_bound: int, seed: int = 0) -> JetPoint:
     """Seeded random point: numerators in +-1..9, denominators in 1..4.
 
-    The size is checked here; the values are drawn on first read.
+    The size is checked here (``generic_points`` checks it once for its three
+    samples); the values are drawn on first read.
     """
-    per_dep = order_bound + 1 if ctx.is_evolution else comb(ctx.n + order_bound, ctx.n)
-    _check_size(ctx.m * per_dep, f"a point of jet order {order_bound}")
+    _check_point_size(ctx, order_bound)
     return _DrawnPoint(ctx, order_bound, seed)
 
 
 def _draw(ctx: JetContext, order_bound: int, seed: int) -> dict:
-    """The values of ``random_point``, in ``_point_coords`` order from one seeded stream.
-
-    Each is ``randint(1, 9) * choice((1, -1)) / randint(1, 4)``, drawn as
-    ``random.Random._randbelow`` draws below n: n.bit_length() bits, drawn
-    again while they reach n.  The bits are read directly, the same stream.
-    """
-    bits = random.Random(1000003 * seed + 7).getrandbits
-    values = {}
-    for coord in _point_coords(ctx, order_bound):
-        while (num := bits(4)) >= 9:
-            pass
-        while (sign := bits(2)) >= 2:
-            pass
-        while (den := bits(3)) >= 4:
-            pass
-        values[coord] = Fraction(-num - 1 if sign else num + 1, den + 1)
-    return values
+    """The values of ``random_point``, in ``_point_coords`` order from one seeded
+    stream: each is ``randint(1, 9) * choice((1, -1)) / randint(1, 4)``."""
+    rng = random.Random(1000003 * seed + 7)
+    return {coord: Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
+            for coord in _point_coords(ctx, order_bound)}
 
 
-def generic_points(ctx: JetContext, order_bound: int, seed: int = 0,
-                   count: int = 3) -> list[JetPoint]:
-    """Independent seeded samples for the generic-point rank policy."""
-    return [random_point(ctx, order_bound, seed * count + k) for k in range(count)]
+def generic_points(ctx: JetContext, order_bound: int, seed: int = 0) -> list[JetPoint]:
+    """The three seeded samples of the generic-point rank policy, seeds 3 * seed + k;
+    the size is checked once for all three."""
+    _check_point_size(ctx, order_bound)
+    return [_DrawnPoint(ctx, order_bound, 3 * seed + k) for k in range(3)]
 
 
 _DISAGREEMENT = ("rank profiles disagree between sample points; using the maximal "

@@ -129,13 +129,13 @@ class CDiffOp:
     ``(op2 @ op1)(v) == op2(op1(v))``), and combine with ``+``/``-``.
     """
 
-    __slots__ = ("ctx", "entries", "_jet_order", "_constant")
+    __slots__ = ("ctx", "entries", "_jet_order")
 
     def __init__(self, ctx: JetContext, entries):
         self.ctx = ctx
         self.entries = tuple(tuple(row) for row in entries)
         # filled on first call: an operator is not changed once built
-        self._jet_order = self._constant = None
+        self._jet_order = None
         if not self.entries or not self.entries[0]:
             raise ValueError("operator matrix must be at least 1x1")
         width = len(self.entries[0])
@@ -196,16 +196,6 @@ class CDiffOp:
         """
         r = max((f.jet_order() for f in self.ctx.evolution_rhs or ()), default=0)
         return self.coefficient_jet_order() + depth * max(1, r)
-
-    def has_constant_coefficients(self) -> bool:
-        """Whether no coefficient can vary with the point.  Total derivatives
-        of a constant vanish, so every prolongation of such an operator is
-        constant too.  Kept after the first call.
-        """
-        if self._constant is None:
-            self._constant = all(poly.nums.keys() <= {1} for row in self.entries
-                                 for e in row for poly in e.terms.values())
-        return self._constant
 
     def __eq__(self, other):
         if not isinstance(other, CDiffOp):
@@ -467,7 +457,7 @@ class _OpParser(ExprParser):
         while (sym := tokens[self.pos][1]) in ("+", "-"):
             self.pos += 1
             negate ^= sym == "-"
-        factors = []
+        factors, stars = [], []
         sigma = ()
         while True:
             if tokens[self.pos][1] == "D" and tokens[self.pos + 1][1] == "_":
@@ -479,8 +469,9 @@ class _OpParser(ExprParser):
                 break
             if sigma:
                 raise ParseError("D_{...} must end its term", tokens[self.pos][2])
+            stars.append(tokens[self.pos][2])
             self.pos += 1
-        coeff = _product(factors) if factors else DiffPoly.const(1)
+        coeff = _product(factors, stars) if factors else DiffPoly.const(1)
         return sigma, -coeff if negate else coeff
 
 

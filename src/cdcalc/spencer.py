@@ -35,7 +35,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import methodcaller, mul
 
 from .expr import MAX_EXPONENT, DiffPoly, Coord, PARAM, _accumulate, _join_signed
@@ -263,8 +263,8 @@ class _Tower:
     derivative of the vanishing lead can lead, and lo is 0.  Rows with
     distinct smallest keys are independent, so lo, the number of distinct
     leads among a level's rows, is at most its rank (Seiler, *Involution*,
-    2010, ch. 4-6); it is counted once per point, once per call with constant
-    coefficients (whose ranks, once found, are the later points' lo).  hi is
+    2010, ch. 4-6); it is counted once per point, and only the lead
+    coefficients that can vanish there (``varying``) are evaluated.  hi is
     the number of nonzero rows (``nonzero``), or when fewer that of
     the columns (j, sigma + tau) of the operator's terms over the level's
     taus: every Leibniz term lands on one of them, so hi bounds the rank at
@@ -283,10 +283,7 @@ class _Tower:
     level is eliminated: a wide or square tower row by row, the pivots
     counted at each level's end; a tall one (more rows than nonzero columns,
     an overdetermined system with a large cokernel) through its transpose,
-    whose columns are the rows in tower order.  With constant coefficients
-    (``constant``) the first point's ranks, settled or eliminated, serve
-    every point (a chain samples three points when another tower reads its
-    point's values) and the leads are counted without evaluating them.
+    whose columns are the rows in tower order.
     """
 
     def __init__(self, op: CDiffOp, levels):
@@ -294,7 +291,6 @@ class _Tower:
         self.widths = {l: jet_fiber_dim(op.ctx.n, l) for l in levels}  # the taus of level l
         self.ends = {l: op.rows * width for l, width in self.widths.items()}
         self.top = max(self.ends)
-        self.constant = op.has_constant_coefficients()
         # per row s, (j, sigma, a) for each term a D_sigma of entry (s, j)
         self.table = [[(j, sigma, poly) for j, e in enumerate(row)
                        for sigma, poly in e.terms.items()] for row in op.entries]
@@ -302,8 +298,10 @@ class _Tower:
         self.leads = [max(row, key=lambda term: (len(term[1]), term[1], term[0]))
                       for row in self.table if row]
         self.nonzero = {l: len(self.leads) * width for l, width in self.widths.items()}
+        # the lead coefficients a point can make vanish: all but the constants
+        self.varying = [poly for _, _, poly in self.leads
+                        if len(poly.nums) > 1 or 1 not in poly.nums]
         self.derived = None  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
-        self._ranks = None
 
     def _derive(self) -> list:
         ctx, derived = self.op.ctx, []
@@ -342,15 +340,10 @@ class _Tower:
         return rows
 
     def lows(self, pt: JetPoint) -> dict[int, int]:
-        """lo at each level, at most the rank of its fiber map at ``pt``; for a constant
-        tower already ranked in this call, its ranks."""
-        if self._ranks is not None and self.constant:
-            return self._ranks
-        return self._count_leads(pt)
-
-    def _count_leads(self, pt: JetPoint) -> dict[int, int]:
-        if not self.constant and not all(poly.evaluate(pt) for _, _, poly in self.leads):
-            return dict.fromkeys(self.ends, 0)  # a lead vanishes: no prediction
+        """lo at each level, at most the rank of its fiber map at ``pt``."""
+        for poly in self.varying:
+            if not poly._ratio(pt)[0]:
+                return dict.fromkeys(self.ends, 0)  # a lead vanishes: no prediction
         return _distinct_shifts(self.op.ctx.n, self.top,
                                 {(j, sigma) for j, sigma, _ in self.leads}, self.widths)
 
@@ -366,22 +359,16 @@ class _Tower:
         ``lows(pt)``) when every level has lo == hi or is in ``certified`` (levels whose
         lo the caller has shown to be the rank), else ``ranks``.  hi is counted only
         where lo falls short of the nonzero rows."""
-        if self._ranks is not None and self.constant:
-            return self._ranks
         unsettled = [l for l, lo in lows.items() if lo < self.nonzero[l] and l not in certified]
         if unsettled and any(lows[l] < hi for l, hi in self.highs(unsettled).items()):
             return self.ranks(pt)
-        if self.constant:
-            self._ranks = lows
         return lows
 
     def ranks(self, pt: JetPoint) -> dict[int, int]:
         """The rank of the level-l fiber map at ``pt``, for each level l, from one
-        elimination (with constant coefficients, unless the ranks are known)."""
-        if self._ranks is None or not self.constant:
-            rows = [row for _, row in self.rows(pt)]
-            self._ranks = dict(zip(self.ends, _prefix_ranks(rows, list(self.ends.values()))))
-        return self._ranks
+        elimination."""
+        rows = [row for _, row in self.rows(pt)]
+        return dict(zip(self.ends, _prefix_ranks(rows, list(self.ends.values()))))
 
 
 def _distinct_shifts(n: int, top: int, pairs, widths) -> dict[int, int]:
@@ -653,7 +640,10 @@ def two_line_polynomial(k: int, p: int, sign) -> TwoLineResult:
     for th in thetas:
         power_sum = power_sum + th ** k
         linear = linear + th
-    poly = power_sum + linear ** k if sgn > 0 else power_sum - linear ** k
+    # k multiplies by the linear form, each within MAX_TWO_LINE_TERMS terms:
+    # ** would square its way past expr.MAX_PRODUCT_TERMS (p = 3, k = 61)
+    power = prod([linear] * (k - 1), start=linear)
+    poly = power_sum + power if sgn > 0 else power_sum - power
     return TwoLineResult(k=k, p=p, sign=sgn, nonzero=not poly.is_zero(),
                          poly=poly, ctx=ctx)
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stdout, redirect_stderr
@@ -240,6 +241,24 @@ def test_huge_exponent_is_domain_error(tmp_path):
     code, out, err = invoke("linearize", str(bad))
     assert (code, out, err) == \
         (1, "", "error: power of total degree 4096 exceeds 64 at offset 17\n")
+
+
+def test_expanding_input_is_domain_error(tmp_path):
+    # 39 characters that would expand to C(69, 5) terms, and a product of 24
+    # binomials (2^24 terms): both refused at the multiply that passes the bound
+    jets = [c for r in range(7) for c in itertools.combinations_with_replacement("xt", r)]
+    product = "*".join(f"(u_{{{','.join(c)}}} + 1)" if c else "(u + 1)" for c in jets[:24])
+    stars = [i for i, c in enumerate(product) if c == "*"]
+    bad = tmp_path / "expanding.prob"
+    for body, err_want in (
+            ("(u + u_x + u_t + u_xx + u_xt + u_tt)^64",
+             "error: product of 1287 by 1287 terms exceeds 20000 term products at offset 37\n"),
+            (product, "error: product of 16384 by 2 terms exceeds 20000 term products "
+                      f"at offset {stars[13]}\n")):
+        bad.write_text(f"independent x t\ndependent u\nequation {body}\n")
+        start = time.perf_counter()
+        assert invoke("linearize", str(bad)) == (1, "", err_want)
+        assert time.perf_counter() - start < 1
 
 
 def test_long_integer_literal_is_domain_error(tmp_path):

@@ -597,7 +597,7 @@ def _bounds_hold(op, levels, pt):
     for l in levels:
         assert lows[l] <= _oracle_rank(op, l, op.order, pt) <= highs[l]
     n, top, m = op.ctx.n, tower.top, op.rows
-    predicted = tower.constant or all(
+    predicted = all(
         evaluate(max(((len(sigma), sigma, j), poly) for j, e in enumerate(row)
                      for sigma, poly in e.terms.items())[1], pt)
         for row in op.entries if any(e.terms for e in row))
@@ -702,8 +702,8 @@ def _count_calls(monkeypatch, name, owner=cdcalc.spencer, counts=None):
 
 
 def _count_bounds_and_eliminations(monkeypatch):
-    """Count each tower's lead count (``_Tower._count_leads``), ``_prefix_ranks`` and ``rank``."""
-    counts = _count_calls(monkeypatch, "_count_leads", cdcalc.spencer._Tower)
+    """Count each tower's lead count (``_Tower.lows``), ``_prefix_ranks`` and ``rank``."""
+    counts = _count_calls(monkeypatch, "lows", cdcalc.spencer._Tower)
     _count_calls(monkeypatch, "_prefix_ranks", counts=counts)
     _count_calls(monkeypatch, "rank", counts=counts)
     return counts
@@ -715,12 +715,12 @@ def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
     policy = check_formal_exactness(cplx, 3, seed=0)
     at_point = check_formal_exactness(cplx, 3, pt=random_point(ctx, 4, seed=0))
     # one lead count per tower and call; the leads and the complex settle every rank
-    assert counts == {"_count_leads": 2 + 2}
+    assert counts == {"lows": 2 + 2}
     assert policy.checks == at_point.checks
     grad = dbar_operator(ctx, 0)
     counts.clear()
     assert cokernel_rank(grad, 2, seed=0) == cokernel_rank(grad, 2, pt=random_point(ctx, 2))
-    assert counts == {"_count_leads": 1 + 1}  # tall: every nonzero column leads a row
+    assert counts == {"lows": 1 + 1}  # tall: every nonzero column leads a row
     # u_{x,x} - u and u_{x,y}: D_y of the first less D_x of the second is -u_y,
     # below both leads, so each call eliminates its one tower once, all levels
     op = parse_operator_matrix("D_{x,x} - 1\nD_{x,t}", ctx)
@@ -728,7 +728,7 @@ def test_constant_coefficients_are_ranked_once_per_call(ctx, monkeypatch):
     counts.clear()
     assert cokernel_rank(op, 2, seed=0) == cokernel_rank(op, 2, pt=random_point(ctx, 2))
     check_formal_exactness(chain, 2, seed=0)
-    assert counts == {"_count_leads": 1 + 1 + 2, "_prefix_ranks": 1 + 1 + 1}
+    assert counts == {"lows": 1 + 1 + 2, "_prefix_ranks": 1 + 1 + 1}
 
 
 def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
@@ -737,23 +737,23 @@ def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
     # rank unread, so one sample serves: its leads are counted once
     kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
     assert cokernel_rank(kdv, 2, seed=0) == 0
-    assert counts == {"_count_leads": 1}
+    assert counts == {"lows": 1}
     counts.clear()
     assert check_formal_exactness(OperatorComplex([kdv, CDiffOp.zero(ctx, 1, 1)]), 2,
                                   seed=0).all_exact
-    assert counts == {"_count_leads": 1 + 1}
+    assert counts == {"lows": 1 + 1}
     # the lead -u*D_{x,x} of u_t - u*u_{x,x} varies: counted once per sample,
     # for levels 0 and k1
     heat = linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")])
     counts.clear()
     assert cokernel_rank(heat, 2, seed=0) == 0
-    assert counts == {"_count_leads": 3}
-    # a certified chain of a varying lead: its leads at each sample, the
-    # constant zero map's once, and no elimination
+    assert counts == {"lows": 3}
+    # a certified chain of a varying lead: its leads and the constant zero
+    # map's at each sample, and no elimination
     counts.clear()
     assert check_formal_exactness(OperatorComplex([heat, CDiffOp.zero(ctx, 1, 1)]), 2,
                                   seed=0).all_exact
-    assert counts == {"_count_leads": 3 + 1}
+    assert counts == {"lows": 3 + 3}
     # a chain whose middle sample sees a smaller rank still reports it
     op = parse_operator_matrix("D_{t} + x - 1\n(x - 1)*D_{x} + 1", ctx)
     cplx = OperatorComplex([op, CDiffOp.zero(ctx, 1, 2)], orders=[1, 1])
@@ -764,8 +764,8 @@ def test_variable_coefficients_are_ranked_at_every_sample(ctx, monkeypatch):
     assert report.warnings == [_DISAGREEMENT]
     # the rows' leads D_t and D_x meet at D_{x,t}, so levels 1, 2 of the
     # incoming map are eliminated at each sample; the constant zero map's
-    # leads are counted once and settle it
-    assert counts == {"_count_leads": 3 + 1, "_prefix_ranks": 3}
+    # leads are counted at each sample too and settle it
+    assert counts == {"lows": 3 + 3, "_prefix_ranks": 3}
     assert report.checks == check_formal_exactness(cplx, 1, pt=samples[0]).checks
 
 
@@ -831,6 +831,22 @@ def test_prolongation_is_built_once_per_call(ctx, monkeypatch):
     counts["total_derivative"] = 0
     cokernel_rank(op, 2, seed=0)
     assert counts["total_derivative"] == (jet_fiber_dim(2, 2) - 1) + 2 + 2
+
+
+def test_only_varying_leads_are_evaluated(ctx, monkeypatch):
+    # KdV's coefficients u and u_x vary, but its lead -D_{x,x,x} is constant and
+    # cannot vanish at a point: lo evaluates no lead and leaves the point undrawn
+    kdv = linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])
+    heat = linearize(ctx, [ctx.parse("u_t - u*u_{x,x}")])
+    towers = [cdcalc.spencer._Tower(op, (0, 3)) for op in (kdv, heat)]
+    counts = _count_calls(monkeypatch, "_ratio", DiffPoly)
+    draws = count_draws(monkeypatch)
+    pt = random_point(ctx, kdv.point_order(3), seed=1)
+    assert towers[0].lows(pt) == {0: 1, 3: jet_fiber_dim(2, 3)}
+    assert counts["_ratio"] == 0 and draws == []
+    # the lead -u*D_{x,x} varies: evaluated once, which draws the point
+    assert towers[1].lows(pt) == {0: 1, 3: jet_fiber_dim(2, 3)}
+    assert counts["_ratio"] == 1 and len(draws) == 1
 
 
 def test_constant_towers_are_ranked_unprolonged(ctx, monkeypatch):

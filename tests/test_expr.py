@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -19,8 +20,8 @@ from cdcalc import (
     total_derivative,
 )
 from cdcalc.expr import (
-    _FACTORS, _PRIMES, INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, PARAM,
-    EvaluationError, _coord_id, _parse_rational, format_coord,
+    _FACTORS, _PRIMES, INDEP, JET, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS,
+    PARAM, EvaluationError, _coord_id, _parse_rational, format_coord,
 )
 from cdcalc.ops import parse_operator_matrix
 from cdcalc.jet import _DERIVATIVES, _LIFTS
@@ -128,6 +129,39 @@ def test_nesting_depth_is_bounded(ctx):
     u = parse_expr("u", ctx)
     assert parse_expr("-" * 100 + "u", ctx) == u
     assert parse_expr("(" * 100 + "u" + ")" * 100, ctx) == u
+
+
+def _binomials(count: int) -> str:
+    """(u + 1)*(u_{x} + 1)*... over ``count`` distinct jets: 2^count terms."""
+    jets = [c for r in range(7) for c in itertools.combinations_with_replacement("xt", r)]
+    return "*".join(f"(u_{{{','.join(c)}}} + 1)" if c else "(u + 1)" for c in jets[:count])
+
+
+def test_products_are_bounded_before_they_expand(ctx):
+    # a multiply of m by n terms is refused when m * n passes MAX_PRODUCT_TERMS,
+    # at the "*" of the parser's product, before the product is formed
+    assert len(parse_expr(_binomials(14), ctx).nums) == 2 ** 14 <= MAX_PRODUCT_TERMS
+    text = _binomials(15)
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, ctx)
+    assert str(err.value) == \
+        f"product of 16384 by 2 terms exceeds 20000 term products at offset {err.value.pos}"
+    assert err.value.pos == [i for i, c in enumerate(text) if c == "*"][-1]
+    with pytest.raises(ParseError, match="product of 16384 by 2 terms") as op_err:
+        parse_scalar_op(f"{text}*D_{{x}}", ctx)
+    assert op_err.value.pos == err.value.pos
+    # a power squares its way up: (6 terms)^8 forms 126 * 126 term products,
+    # ^16 would form 1287 * 1287; ** and the parser's ^ refuse alike
+    six = "(u + u_x + u_t + u_xx + u_xt + u_tt)"
+    assert len(parse_expr(f"{six}^8", ctx).nums) == 1287
+    with pytest.raises(ParseError, match="product of 1287 by 1287 terms exceeds") as err:
+        parse_expr(f"{six}^64", ctx)
+    assert err.value.pos == len(six) + 1  # where the power's other refusals are
+    with pytest.raises(ValueError, match="product of 1287 by 1287 terms exceeds"):
+        parse_expr(six, ctx) ** 16
+    # the operator algebra is not bounded: 2^14 by 2 terms and more
+    wide = parse_expr(_binomials(14), ctx) * parse_expr("u_{x,x,x,x,x,x} + 1", ctx)
+    assert len(wide.nums) == 2 ** 15
 
 
 def test_exponent_is_bounded(ctx):

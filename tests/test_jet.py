@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import pickle
@@ -9,7 +10,7 @@ import pytest
 import cdcalc.jet
 from cdcalc import (
     DiffPoly, HorizontalForm, JetContext, JetPoint, PointError, dbar, format_form,
-    format_poly, linearize, parse_point_file, parse_problem, random_point,
+    format_poly, generic_points, linearize, parse_point_file, parse_problem, random_point,
     total_derivative, total_derivative_sigma, wedge,
 )
 from cdcalc.expr import INDEP, JET, MAX_DIGITS, PARAM, Coord, ParseError
@@ -256,9 +257,9 @@ def test_drawn_points_give_the_eager_values(ctx):
 
 
 def test_draw_reads_the_randint_and_choice_stream():
-    # _draw reads the stream's bits itself; each value must be the one the
-    # randint(1, 9) * choice((1, -1)) / randint(1, 4) loop gives, rejections
-    # included, in free, parameter and evolution contexts
+    # _draw gives its values in _point_coords order; each must be the one the
+    # randint(1, 9) * choice((1, -1)) / randint(1, 4) loop over the coordinates
+    # in the eager order gives, in free, parameter and evolution contexts
     contexts = [JetContext.free("x t", "u"), JetContext.free("x y", "u v", "a b"),
                 JetContext.evolution("u", ["u*u_x + u_{x,x,x}"], ["c"])]
     for ctx, seed in itertools.product(contexts, range(-20, 200)):
@@ -310,6 +311,32 @@ def test_the_policy_samples_again_only_after_a_read(ctx, monkeypatch):
     assert len(runs) == 1
     with pytest.raises(PointError, match="point order 2 insufficient; need 3"):
         _at_generic_points(ctx, 3, random_point(ctx, 2), 0, spread)
+
+
+def test_generic_points_check_their_size_once(ctx, monkeypatch):
+    # the policy's three samples share one size, checked once per call; their
+    # seeds are 3 * seed + k, with no count to choose
+    checks = []
+    original = cdcalc.jet._check_size
+    monkeypatch.setattr(cdcalc.jet, "_check_size",
+                        lambda *args: checks.append(args) or original(*args))
+
+    def compute(point):
+        return point.seed, (len(point.values),)
+
+    for seed in (0, 4):
+        checks.clear()
+        assert _at_generic_points(ctx, 2, None, seed, compute) == (3 * seed, [])
+        assert checks == [(math.comb(2 + 2, 2), "a point of jet order 2")]
+    samples = generic_points(ctx, 2, 5)
+    assert [point.seed for point in samples] == [15, 16, 17]
+    assert [point.values for point in samples] == \
+        [random_point(ctx, 2, seed).values for seed in (15, 16, 17)]
+    assert list(inspect.signature(generic_points).parameters) == ["ctx", "order_bound", "seed"]
+    with pytest.raises(TypeError):
+        generic_points(ctx, 2, 0, 3)
+    with pytest.raises(ValueError, match="a point of jet order 15 has 7752 coordinates"):
+        generic_points(JetContext.free("x y z w", "u v"), 15)
 
 
 def test_an_oversized_point_is_refused_before_anything_is_drawn(monkeypatch):

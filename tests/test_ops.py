@@ -409,16 +409,14 @@ def test_operator_literal_grammar(ctx):
 
 
 def _fresh_facts(op):
-    """coefficient_jet_order and has_constant_coefficients, read from the
-    coefficients' coordinates."""
+    """coefficient_jet_order, read from the coefficients' coordinates."""
     polys = [poly for row in op.entries for e in row for poly in e.terms.values()]
-    jet_order = max((len(c.sigma) for poly in polys for c in poly.coords()
-                     if c.kind == JET), default=0)
-    return jet_order, not any(poly.coords() for poly in polys)
+    return max((len(c.sigma) for poly in polys for c in poly.coords()
+                if c.kind == JET), default=0)
 
 
 def _facts(op):
-    return op.coefficient_jet_order(), op.has_constant_coefficients()
+    return op.coefficient_jet_order()
 
 
 def test_operator_facts_are_kept_and_equal_a_fresh_computation(ctx):
@@ -427,12 +425,12 @@ def test_operator_facts_are_kept_and_equal_a_fresh_computation(ctx):
                          max_coeff_order=rng.randint(0, 2)) for _ in range(40)]
     ops += [dbar_operator(ctx, 0), CDiffOp.total(ctx, "x", "t"), CDiffOp.zero(ctx, 1, 2),
             linearize(ctx, [ctx.parse("u_t - u*u_x - u_{x,x,x}")])]
-    constants = set()
+    orders = set()
     for op in ops:
         want = _fresh_facts(op)
         unread = pickle.loads(pickle.dumps(op))  # pickled before the facts are filled
         assert _facts(op) == _facts(op) == want  # the first call fills, the second reads
         for twin in (unread, pickle.loads(pickle.dumps(op))):
             assert twin == op and _facts(twin) == _fresh_facts(twin) == want
-        constants.add(want[1])
-    assert constants == {True, False}
+        orders.add(want)
+    assert orders == {0, 1, 2}
