@@ -506,7 +506,7 @@ def _bounded_product(a: DiffPoly, b: DiffPoly) -> DiffPoly:
     """``a * b``, refused by a ValueError before it forms over MAX_PRODUCT_TERMS term products."""
     if len(a.nums) * len(b.nums) > MAX_PRODUCT_TERMS:
         raise ValueError(_too_large(a.nums, b.nums))
-    return _sum_products(((a, b),))
+    return a * b
 
 
 def _product(polys, stars) -> DiffPoly:

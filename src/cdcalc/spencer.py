@@ -299,8 +299,7 @@ class _Tower:
                       for row in self.table if row]
         self.nonzero = {l: len(self.leads) * width for l, width in self.widths.items()}
         # the lead coefficients a point can make vanish: all but the constants
-        self.varying = [poly for _, _, poly in self.leads
-                        if len(poly.nums) > 1 or 1 not in poly.nums]
+        self.varying = [poly for _, _, poly in self.leads if not poly.nums.keys() <= {1}]
         self.derived = None  # ((s, j, sigma, nu), D_nu a) for each nonzero D_nu a, nu != ()
 
     def _derive(self) -> list:
@@ -640,7 +639,7 @@ def two_line_polynomial(k: int, p: int, sign) -> TwoLineResult:
     for th in thetas:
         power_sum = power_sum + th ** k
         linear = linear + th
-    # k multiplies by the linear form, each within MAX_TWO_LINE_TERMS terms:
+    # k - 1 multiplies by the linear form, each within MAX_TWO_LINE_TERMS terms:
     # ** would square its way past expr.MAX_PRODUCT_TERMS (p = 3, k = 61)
     power = prod([linear] * (k - 1), start=linear)
     poly = power_sum + power if sgn > 0 else power_sum - power

@@ -10,8 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def _count(hash_seed: str) -> str:
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
     result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "work_count.py"), "--workload", "exactness",
-         "--top", "0"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        [sys.executable, str(ROOT / "tools" / "work_count.py"), "--workload", "exactness"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return result.stdout
 

@@ -2,23 +2,23 @@
 
 Bytecode counts do not drift with the machine's speed, as wall-clock times
 do, so two trees can be compared by one run of each.  For each workload the
-inputs of ``perfbench/inputs.py`` are generated for the seed into a
-temporary directory and built as ``perfbench/worker.py`` builds them.  The
-warm-up item and one round run untraced, so that process-wide caches are as
-full as in a timed round; then one more round runs under ``sys.settrace``
-with ``f_trace_opcodes``, the garbage collector off, and each opcode event
-and each call (a frame entered or a generator resumed) is counted under its
-code object's ``co_qualname``.  The hash seed is 0, as in the benchmark:
-under any other ``PYTHONHASHSEED`` the script starts itself again with 0.
-It prints each workload's totals, its ``--top`` code objects by bytecodes
-(0: all of them) and the SHA-256 of its whole (qualname, bytecodes, calls)
-table; nothing under ``perfbench/`` is written.  Work in C (big ints, dict
-and set operations, ``sorted``) is not counted, counts hold for one
+inputs of ``perfbench/inputs.py`` are generated for seed 1 into a temporary
+directory and built by ``perfbench/worker.py``.  One call of the worker's
+``timed_list`` (the warm-up item and one round) runs untraced, so that
+process-wide caches are as full as in a timed round; then one more runs
+under ``sys.settrace`` with ``f_trace_opcodes`` and the garbage collector
+off, and each opcode event and each call (a frame entered or a generator
+resumed) is counted under its code object's ``co_qualname``.  The hash seed
+is 0, as in the benchmark: under any other ``PYTHONHASHSEED`` the script
+starts itself again with 0.  It prints each workload's totals, the SHA-256
+of its whole (qualname, bytecodes, calls) table and the table itself, by
+bytecodes; nothing under ``perfbench/`` is written.  Work in C (big ints,
+dict and set operations, ``sorted``) is not counted, counts hold for one
 interpreter version, which the first line names, and a traced round takes
 about ten times as long: a speed claim still needs timed pairs.  Run it
 from the root of the tree to count (it imports that tree's ``src/cdcalc``):
 
-    python3 tools/work_count.py [--seed 1] [--workload exactness] [--top 20]
+    python3 tools/work_count.py [--workload exactness]
 """
 
 import argparse
@@ -32,21 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("symbolic", "exactness", "cli")
+SEED = 1
 
 
-def run_round(workload, built) -> None:
-    for item in built["items"]:
-        try:
-            workload.run(item)
-        except Exception:  # a failed operation is part of the round, as in the benchmark
-            pass
-
-
-def count_round(name: str, seed: int) -> dict:
+def count_round(name: str) -> dict:
     """{co_qualname: [bytecodes, calls]} over one traced round of ``name``, after one
     untraced."""
     import inputs
-    import workloads
+    import worker
 
     counts, calls = Counter(), Counter()
 
@@ -61,18 +54,14 @@ def count_round(name: str, seed: int) -> dict:
         return opcodes
 
     with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        inputs.write_inputs(name, seed, work)
-        workload = workloads.WORKLOADS[name]
-        built = workload.build(inputs.read_spec(work), {"demos": ROOT / "demos" / "data",
-                                                        "work": work})
-        workload.run(built["warmup"])
-        run_round(workload, built)
+        inputs.write_inputs(name, SEED, Path(work))
+        workload, built = worker.workloads.WORKLOADS[name], worker.build(name, work)
+        worker.timed_list(workload, built, 1, None)
         gc.collect()
         gc.disable()
         sys.settrace(call)
         try:
-            run_round(workload, built)
+            worker.timed_list(workload, built, 1, None)
         finally:
             sys.settrace(None)
             gc.enable()
@@ -91,22 +80,19 @@ def digest(table: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="one workload (repeatable); default all three")
-    parser.add_argument("--top", type=int, default=20,
-                        help="code objects listed per workload, 0 for all")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leaves perfbench/ as it is
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     print(f"python {sys.version.split()[0]}; bytecodes and calls of Python code only")
     for name in args.workload or WORKLOADS:
-        table = count_round(name, args.seed)
-        print(f"{name} seed {args.seed}: {sum(ops for ops, _ in table.values())} bytecodes, "
+        table = count_round(name)
+        print(f"{name} seed {SEED}: {sum(ops for ops, _ in table.values())} bytecodes, "
               f"{sum(calls for _, calls in table.values())} calls, "
               f"table sha256 {digest(table)}")
-        rows = sorted(table.items(), key=lambda item: (-item[1][0], item[0]))
-        for qualname, (ops, calls) in rows[:args.top or None]:
+        for qualname, (ops, calls) in sorted(table.items(), key=lambda item: (-item[1][0],
+                                                                              item[0])):
             print(f"{ops:>12} {calls:>9}  {qualname}")
     return 0
 
